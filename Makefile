@@ -1,10 +1,11 @@
-# Development and CI entry points. `make ci` is the full gate that
-# .github/workflows/ci.yml runs; every target works offline with a bare
-# Go >= 1.24 toolchain.
+# Development and CI entry points. `make ci` is the full gate; every step
+# of .github/workflows/ci.yml is one of its targets, so the two lists
+# cannot drift. Every target except `bench` works offline with a bare
+# Go >= 1.24 toolchain; `bench` also needs bash.
 
 GO ?= go
 
-.PHONY: all build fmt vet lint lintfix-audit test race bench benchsmoke check loadsmoke fleetsmoke parsmoke obssmoke optsmoke cachesmoke pulsesmoke ci
+.PHONY: all build fmt vet lint lintfix-audit test race benchsmoke check smoke bench ci
 
 all: ci
 
@@ -42,6 +43,8 @@ lintfix-audit:
 		| grep -v '_test.go' | grep -vE '//.*//lint:allow' \
 		|| echo "no allow directives"
 
+# The one plain and the one race-detector pass over every package. The
+# fixed-seed property suites and the goldens (internal/check) run here.
 test:
 	$(GO) test ./...
 
@@ -53,122 +56,70 @@ race:
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Perf trajectory: time `odinsim all` sequentially (workers=1) vs on the
-# full GOMAXPROCS pool and record per-experiment ms + aggregate speedup in
-# BENCH_odinsim.json. Artefact bytes are identical either way (asserted by
-# the runner tests); only the wall clock moves.
-bench:
-	$(GO) run ./cmd/odinsim bench
-
-# Parallel-engine gate: race-check the fan-out primitive and the engine's
-# determinism/ordering tests, then run a multi-worker subset of real
-# drivers under the race detector end to end.
-parsmoke:
-	$(GO) test -race ./internal/par/...
-	$(GO) test -race -run 'TestRunAll|TestRunSelected' ./internal/experiments
-	$(GO) run -race ./cmd/odinsim -workers 4 tab1 fig3 fig4 overhead > /dev/null
-
-# Correctness harness (internal/check): first the deterministic
-# property+golden suite at the fixed default seed — the replayable gate —
-# then a randomized smoke at a fresh seed so CI keeps hunting new
-# counterexamples. Any failure prints one ODINCHECK_SEED=... line that
-# replays it exactly; see README "Correctness harness".
+# Correctness harness (internal/check), randomized half: the property
+# suites at a fresh seed so CI keeps hunting new counterexamples (the
+# fixed-seed half runs in `test`). Any failure prints one
+# ODINCHECK_SEED=... line that replays it exactly; see README
+# "Correctness harness".
 check:
-	$(GO) test -run 'Prop|Golden' ./...
 	ODINCHECK_SEED=$$(od -An -N8 -tu8 /dev/urandom | tr -d ' ') \
 		ODINCHECK_TRIALS=25 $(GO) test -count=1 -run 'Prop' ./...
 
-# Serving-layer gate: race-check internal/serve, then replay a deterministic
-# load trace twice at nominal rate (30% of fleet capacity) and require zero
-# sheds and byte-identical decision logs across the two replays.
-loadsmoke:
-	$(GO) test -race ./internal/serve/...
-	$(GO) run ./cmd/odinserve replay -models VGG11,VGG11 -requests 200 -verify -max-shed 0
+# End-to-end contracts checked from the command line, on binaries built
+# once. In order:
+#   - two replays of one load trace at nominal rate (30% of fleet capacity)
+#     shed nothing and log byte-identical decisions;
+#   - a 1024-chip drift-routed replay prints one decision-log checksum at
+#     1 and at 8 workers;
+#   - the canonical pulse event log of a churn-free replay is
+#     byte-identical at 1 and at 8 workers;
+#   - `odinsim all` renders the same bytes with the decision cache on and
+#     off at 1 worker, and on at 1 and at 4 workers (opt-compare, the
+#     strategy head-to-head, is one of its experiments);
+#   - a multi-worker `odinsim` run is clean under the race detector;
+#   - `odinsim trace` renders its audit table and writes a Chrome trace;
+#   - the disabled-instrumentation overhead guards (obs_guard_test.go,
+#     pulse_guard_test.go), armed: a nil tracer or bus must stay one
+#     pointer test per site.
+# The runner's `<== ... done in Xs` footer carries wall-clock time, the one
+# line of `odinsim` output that legitimately differs between runs.
+smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/ ./cmd/odinsim ./cmd/odinserve; \
+	sim=$$tmp/odinsim; srv=$$tmp/odinserve; \
+	echo "smoke: replay -verify -max-shed 0"; \
+	$$srv replay -models VGG11,VGG11 -requests 200 -verify -max-shed 0; \
+	echo "smoke: 1024-chip replay checksum, workers 1 vs 8"; \
+	for w in 1 8; do \
+		$$srv replay -models VGG11 -fleet 1024 -workers $$w -requests 2048 -router drift > $$tmp/fleet$$w.out; \
+		grep '^checksum=' $$tmp/fleet$$w.out > $$tmp/fleet$$w.txt; \
+	done; \
+	cmp $$tmp/fleet1.txt $$tmp/fleet8.txt; \
+	echo "smoke: pulse log, workers 1 vs 8"; \
+	for w in 1 8; do \
+		$$srv replay -models VGG11 -fleet 8 -workers $$w -requests 256 -router drift -pulse-log $$tmp/pulse$$w.log > /dev/null; \
+	done; \
+	cmp $$tmp/pulse1.log $$tmp/pulse8.log; \
+	echo "smoke: odinsim all, cache on/off at workers 1, cache on at workers 1 vs 4"; \
+	$$sim -cache on -workers 1 all > $$tmp/on1.out; \
+	$$sim -cache off -workers 1 all > $$tmp/off1.out; \
+	$$sim -cache on -workers 4 all > $$tmp/on4.out; \
+	for f in on1 off1 on4; do grep -v '^<== ' $$tmp/$$f.out > $$tmp/$$f.txt; done; \
+	cmp $$tmp/on1.txt $$tmp/off1.txt; \
+	cmp $$tmp/on1.txt $$tmp/on4.txt; \
+	echo "smoke: odinsim -race -workers 4"; \
+	$(GO) run -race ./cmd/odinsim -workers 4 tab1 fig3 fig4 overhead > /dev/null; \
+	echo "smoke: odinsim trace"; \
+	$$sim trace -model resnet18 -runs 4 -out $$tmp/trace.json > /dev/null; \
+	echo "smoke: overhead guards"; \
+	ODIN_OBS_GUARD=1 ODIN_PULSE_GUARD=1 $(GO) test -count=1 -run 'TestDisabled(Obs|Pulse)OverheadGuard' .
 
-# Fleet-scale gate: race-check the fleet lifecycle/routing/tenant suites
-# (hot add/remove determinism at fleet sizes up to 1024 across worker
-# counts — TestPropFleetChurnDeterministic is the 1-vs-8-worker
-# byte-identity property on a churned 1024-chip trace), then replay a
-# 1024-chip trace from the CLI at 1 and 8 workers and require identical
-# decision-log checksums.
-fleetsmoke:
-	$(GO) test -race -run 'TestPropFleet|TestPropExactRouter|TestRemoveChip|TestAddChip|TestLiveHotAdd|TestDriftRouter|TestTenant' ./internal/serve
-	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/odinserve replay -models VGG11 -fleet 1024 -workers 1 -requests 2048 -router drift | grep '^checksum=' > $$tmp/w1.txt && \
-	$(GO) run ./cmd/odinserve replay -models VGG11 -fleet 1024 -workers 8 -requests 2048 -router drift | grep '^checksum=' > $$tmp/w8.txt && \
-	cmp $$tmp/w1.txt $$tmp/w8.txt && \
-	rm -rf $$tmp
+# The repository benchmark (_perfbench/, declared in BENCHMARK.json) on its
+# two gated workloads, per-layer metrics from a traced run. `--trace 0`
+# prints the end-to-end metrics instead; _perfbench/LAYERS.md names every
+# metric.
+bench:
+	bash _perfbench/run.sh --workload sim-fig8 --trace 1
+	bash _perfbench/run.sh --workload replay-fleet --trace 1
 
-# Observability gate: race-check the span/audit/telemetry layers and their
-# wiring (byte-identical replay traces), arm the disabled-overhead guard
-# (see obs_guard_test.go; the nil fast path must stay a pointer test), and
-# run one traced simulation end to end to keep `odinsim trace` honest.
-obssmoke:
-	$(GO) test -race ./internal/obs/... ./internal/telemetry/...
-	$(GO) test -race -run 'TestReplayTraceByteIdentical|TestHandlerDebugEndpoints' ./internal/serve
-	$(GO) test -race -run 'TestControllerAudit|TestControllerSpans' ./internal/core
-	ODIN_OBS_GUARD=1 $(GO) test -count=1 -run TestDisabledObsOverheadGuard .
-	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/odinsim trace -model resnet18 -runs 4 -out $$tmp/trace.json > /dev/null && \
-	rm -rf $$tmp
-
-# Optimizer-subsystem gate: race-check the registry and both new
-# strategies (TPE sampler replay, Pareto front contract, controller
-# attribution), pin the committed opt-compare table against its golden,
-# and require the head-to-head bytes to be identical on a 1-worker and a
-# 4-worker pool (the engine's determinism contract extended to the new
-# experiment).
-optsmoke:
-	$(GO) test -race ./internal/opt/...
-	$(GO) test -race -run 'TestControllerStrategy|TestExhaustiveFlag' ./internal/core
-	$(GO) test -run 'TestGoldenArtifacts/opt-compare|TestOptCompareAcceptance' ./internal/experiments
-# The runner's `<== ... done in Xs` footer carries wall-clock time, the
-# one line that legitimately differs between runs; everything else must
-# be byte-identical.
-	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/odinsim -workers 1 opt-compare | grep -v '^<== ' > $$tmp/w1.txt && \
-	$(GO) run ./cmd/odinsim -workers 4 opt-compare | grep -v '^<== ' > $$tmp/w4.txt && \
-	cmp $$tmp/w1.txt $$tmp/w4.txt && \
-	rm -rf $$tmp
-
-# Decision-cache gate: race-check the cache package and every cached-path
-# property (byte-identity, poisoned-entry invalidation, shared-fleet
-# access), pin the allocation-free hot paths, then prove the headline
-# contract from the command line: `odinsim all` renders byte-identical
-# artefacts with the cache on (default) and off, at one worker and on a
-# multi-worker pool. The runner's `<== ... done in Xs` footer carries
-# wall-clock time, the one line that legitimately differs between runs.
-cachesmoke:
-	$(GO) test -race ./internal/decache/...
-	$(GO) test -race -run 'TestPropCachedController|TestCachedReprogram|TestCacheShared|TestPolicyUpdateInvalidates|TestCachedDecision' ./internal/core
-	$(GO) test -race -run 'TestReplayCachedByteIdentical|TestSharedCacheConcurrentChips' ./internal/serve
-	$(GO) test -run 'TestSearchAllocFree' ./internal/search
-	$(GO) test -run 'TestOptAllocFree|TestBOAllocBudget' ./internal/opt
-	$(GO) test -run 'TestCacheFlagOutputIdentical' ./cmd/odinsim
-	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/odinsim -cache on -workers 1 all | grep -v '^<== ' > $$tmp/on1.txt && \
-	$(GO) run ./cmd/odinsim -cache off -workers 1 all | grep -v '^<== ' > $$tmp/off1.txt && \
-	cmp $$tmp/on1.txt $$tmp/off1.txt && \
-	$(GO) run ./cmd/odinsim -cache on -workers 4 all | grep -v '^<== ' > $$tmp/on4.txt && \
-	cmp $$tmp/on1.txt $$tmp/on4.txt && \
-	rm -rf $$tmp
-
-# Streaming-telemetry gate: race-check the pulse bus/series package and its
-# serve wiring (SSE surface, statusz, canonical-log worker invariance), run
-# the `odinserve watch` dashboard end to end against a live HTTP server, arm
-# the disabled-overhead guard (nil bus must stay one pointer test per
-# publish site), then prove the headline contract from the CLI: the
-# canonical pulse event log of a churn-free replay is byte-identical at 1
-# and 8 workers.
-pulsesmoke:
-	$(GO) test -race ./internal/pulse/...
-	$(GO) test -race -run 'TestPulse|TestPropPulse|TestHTTPEvents|TestHTTPStatusz|TestErrDraining|TestHTTPAdmin|TestHTTPHealthz' ./internal/serve
-	$(GO) test -race -run 'TestWatch|TestReadSSE|TestInfFloat' ./cmd/odinserve
-	ODIN_PULSE_GUARD=1 $(GO) test -count=1 -run TestDisabledPulseOverheadGuard .
-	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/odinserve replay -models VGG11 -fleet 8 -workers 1 -requests 256 -router drift -pulse-log $$tmp/w1.log > /dev/null && \
-	$(GO) run ./cmd/odinserve replay -models VGG11 -fleet 8 -workers 8 -requests 256 -router drift -pulse-log $$tmp/w8.log > /dev/null && \
-	cmp $$tmp/w1.log $$tmp/w8.log && \
-	rm -rf $$tmp
-
-ci: build fmt vet lint test race benchsmoke check loadsmoke fleetsmoke parsmoke obssmoke optsmoke cachesmoke pulsesmoke
+ci: build fmt vet lint lintfix-audit test race benchsmoke check smoke

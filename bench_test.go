@@ -223,8 +223,10 @@ func BenchmarkControllerLayerDecision(b *testing.B) {
 // BenchmarkControllerLayerDecisionCached measures the same per-layer
 // decision slice replayed through the decision cache (internal/decache):
 // the serving steady state once a (layer, age-bucket, prediction) decision
-// has been memoized. The live-vs-cached ratio is the cache's headline win,
-// recorded per strategy in BENCH_odinsim.json by `odinsim bench`.
+// has been memoized. The live-vs-cached ratio is the cache's headline win;
+// the repository benchmark reports both sides as core.decide_live_ns.rb
+// and core.decide_cached_ns (`bash _perfbench/run.sh --workload
+// replay-fleet --trace 1`).
 func BenchmarkControllerLayerDecisionCached(b *testing.B) {
 	sys := core.DefaultSystem()
 	wl, err := sys.Prepare(dnn.NewVGG11())

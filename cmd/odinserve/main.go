@@ -11,7 +11,7 @@
 // through a fresh fleet, and prints aggregate figures plus an FNV-1a
 // checksum of the per-request OU decision log. With -verify it replays the
 // same trace against a second fresh fleet and fails unless the two decision
-// logs are byte-identical — the determinism contract `make loadsmoke`
+// logs are byte-identical — the determinism contract `make smoke`
 // enforces in CI.
 //
 // replay -trace FILE additionally records the full span tree (batches,
@@ -22,7 +22,7 @@
 // replay -pulse-log FILE captures the streaming-telemetry event log
 // (internal/pulse) of the replay: one canonical JSON object per line,
 // ordered by (virtual time, chip, kind) — byte-identical for a given trace
-// and seed regardless of -workers (`make pulsesmoke` pins this).
+// and seed regardless of -workers (`make smoke` pins this).
 //
 // serve exposes the fleet over HTTP via serve.NewHandlerOpts:
 //
@@ -49,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -387,15 +388,19 @@ func runServe(args []string) error {
 	}
 	s.Start()
 
+	// Catch the drain signals before the listener starts: one that arrives
+	// after the first answered request must drain, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	handler := serve.NewHandlerOpts(s, serve.HandlerOptions{Tracer: spans, Debug: *debug, Admin: *admin})
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("odinserve: listening on %s (%d chips, router=%s)\n",
 		*addr, len(cfg.Chips), s.RouterName())
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		s.Close()
@@ -412,4 +417,19 @@ func runServe(args []string) error {
 			st.ID, st.Model, st.Served, st.Batches, st.Reprograms, st.PolicyUpdates, st.Energy)
 	}
 	return nil
+}
+
+// newHTTPServer returns the live server for handler. Every request context
+// derives from one base context that Shutdown cancels, so open GET /events
+// streams, which end only with their request context, return and let the
+// drain finish; /infer never reads its context and completes as before.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	base, cancel := context.WithCancel(context.Background())
+	srv := &http.Server{
+		Addr:        addr,
+		Handler:     handler,
+		BaseContext: func(net.Listener) context.Context { return base },
+	}
+	srv.RegisterOnShutdown(cancel)
+	return srv
 }

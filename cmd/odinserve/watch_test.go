@@ -18,6 +18,16 @@ import (
 // watch` talks to.
 func watchTestServer(t *testing.T) (*serve.Server, *pulse.Bus, *httptest.Server) {
 	t.Helper()
+	s, bus := liveFleet(t)
+	ts := httptest.NewServer(serve.NewHandler(s))
+	t.Cleanup(ts.Close)
+	return s, bus, ts
+}
+
+// liveFleet starts a live single-chip fleet with a pulse bus, closed when
+// the test ends.
+func liveFleet(t *testing.T) (*serve.Server, *pulse.Bus) {
+	t.Helper()
 	bus := pulse.New(pulse.Options{Ring: 1024})
 	s, err := serve.NewServer(serve.Config{
 		Chips: []serve.ChipConfig{{Model: "VGG11"}},
@@ -29,10 +39,8 @@ func watchTestServer(t *testing.T) (*serve.Server, *pulse.Bus, *httptest.Server)
 		t.Fatal(err)
 	}
 	s.Start()
-	ts := httptest.NewServer(serve.NewHandler(s))
-	t.Cleanup(ts.Close)
 	t.Cleanup(s.Close)
-	return s, bus, ts
+	return s, bus
 }
 
 // TestWatchStreamEndToEnd is the acceptance round-trip: serve traffic on a

@@ -7,13 +7,13 @@
 //	odinsim -workers 8 all        # same, on an 8-worker pool (same bytes)
 //	odinsim fig3 fig8 overhead    # run specific experiments
 //	odinsim all -json             # machine-readable, keys in paper order
-//	odinsim bench                 # time sequential vs parallel, write BENCH_odinsim.json
 //	odinsim trace -model resnet18 # traced ageing sweep: decision audit + spans -> trace.json
 //
-// Flags (-json, -workers N, -metrics, -out FILE, and trace's -model NAME,
-// -runs N, -horizon S) are recognised in any argument position. Each experiment prints the rows/series of the
-// corresponding table or figure of "Odin: Learning to Optimize Operation
-// Unit Configuration for Energy-efficient DNN Inferencing" (DATE 2025).
+// Flags (-json, -workers N, -metrics, -cache on|off, and trace's -model
+// NAME, -runs N, -horizon S, -out FILE) are recognised in any argument
+// position. Each experiment prints the rows/series of the corresponding
+// table or figure of "Odin: Learning to Optimize Operation Unit
+// Configuration for Energy-efficient DNN Inferencing" (DATE 2025).
 // Artefact output is deterministic and independent of the worker count;
 // only the "done in" progress timings vary run to run.
 package main
@@ -23,17 +23,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"odin/internal/clock"
 	"odin/internal/core"
-	"odin/internal/decache"
-	"odin/internal/dnn"
 	"odin/internal/experiments"
-	"odin/internal/par"
-	"odin/internal/policy"
 	"odin/internal/telemetry"
 )
 
@@ -49,8 +44,7 @@ type cliOptions struct {
 	json    bool
 	metrics bool
 	workers int    // 0 = GOMAXPROCS
-	out     string // bench report / chrome trace path
-	outSet  bool   // -out given explicitly (trace defaults differ)
+	out     string // chrome trace path (trace subcommand)
 	help    bool
 
 	// trace subcommand knobs
@@ -68,7 +62,7 @@ type cliOptions struct {
 // "odinsim all -json": the old parser only honoured -json as the first
 // argument and treated it as an experiment id anywhere else.
 func parseArgs(args []string) (cliOptions, []string, error) {
-	opts := cliOptions{out: "BENCH_odinsim.json"}
+	opts := cliOptions{out: "trace.json"}
 	var pos []string
 	for i := 0; i < len(args); i++ {
 		arg := args[i]
@@ -104,7 +98,6 @@ func parseArgs(args []string) (cliOptions, []string, error) {
 				return opts, nil, err
 			}
 			opts.out = v
-			opts.outSet = true
 		case "-model", "--model":
 			v, err := takesValue(name)
 			if err != nil {
@@ -167,7 +160,7 @@ func run(stdout, stderr io.Writer, args []string, clk clock.Clock) error {
 	}
 	// The decision cache is deterministic by contract (artefacts are
 	// byte-identical either way); the switch exists so that contract can be
-	// checked from the command line (`make cachesmoke` diffs the two).
+	// checked from the command line (`make smoke` diffs the two).
 	core.SetDecisionCacheDefault(!opts.cacheOff)
 	if len(pos) == 0 {
 		usage(stdout)
@@ -179,8 +172,6 @@ func run(stdout, stderr io.Writer, args []string, clk clock.Clock) error {
 			return fmt.Errorf("list takes no further arguments")
 		}
 		return runList(stdout, opts)
-	case "bench":
-		return runBench(stdout, stderr, opts, pos[1:], clk)
 	case "trace":
 		return runTrace(stdout, opts, pos[1:])
 	}
@@ -241,201 +232,6 @@ func runList(stdout io.Writer, opts cliOptions) error {
 	return nil
 }
 
-// benchReport is the BENCH_odinsim.json schema: wall-clock of the
-// sequential (workers=1) engine vs the parallel pool, per experiment and
-// in aggregate. Milliseconds, like the serve bench trajectory.
-type benchReport struct {
-	Bench      string `json:"bench"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	// Caveat is set when the host cannot exercise parallelism (one
-	// schedulable CPU): the sequential/parallel comparison degenerates and
-	// the speedup figure is meaningless. Readers of committed artefacts
-	// must check it before quoting Speedup.
-	Caveat       string  `json:"caveat,omitempty"`
-	Workers      int     `json:"workers"`
-	SequentialMS float64 `json:"sequential_ms"`
-	ParallelMS   float64 `json:"parallel_ms"`
-	Speedup      float64 `json:"speedup"`
-	// DecisionNsPerOp is the per-layer controller decision cost (one policy
-	// prediction plus clamp and line-6 refinement) in nanoseconds, per
-	// line-6 strategy at its default budget — the serving-path hot slice,
-	// measured on the same reference layer as
-	// BenchmarkControllerLayerDecision. All zero when the injected clock
-	// does not advance (virtual-clock runs).
-	DecisionNsPerOp decisionBench    `json:"decision_ns_per_op"`
-	Experiments     []benchExpReport `json:"experiments"`
-}
-
-// decisionBench holds the per-strategy decision cost (ns per decision):
-// the paper's K=3 resource-bounded walk, the exhaustive scan, and the
-// TPE-style Bayesian sampler at its half-grid default budget — each
-// measured live (cache disabled) and replayed from a warm decision cache
-// (internal/decache). The cached figures are the serving steady state:
-// repeated (layer, age-bucket, prediction) decisions short-circuit to a
-// map hit.
-type decisionBench struct {
-	RB       float64 `json:"rb"`
-	EX       float64 `json:"ex"`
-	BO       float64 `json:"bo"`
-	RBCached float64 `json:"rb_cached"`
-	EXCached float64 `json:"ex_cached"`
-	BOCached float64 `json:"bo_cached"`
-}
-
-type benchExpReport struct {
-	ID           string  `json:"id"`
-	SequentialMS float64 `json:"sequential_ms"`
-	ParallelMS   float64 `json:"parallel_ms"`
-}
-
-// runBench times the experiment engine sequentially (workers=1) and on the
-// full pool, writes the comparison to opts.out, and prints a short summary.
-// Rendered artefact output is discarded; only timings are kept.
-func runBench(stdout, stderr io.Writer, opts cliOptions, ids []string, clk clock.Clock) error {
-	workers := par.Workers(opts.workers)
-	fmt.Fprintf(stderr, "bench: sequential pass (workers=1)\n")
-	seq, err := experiments.RunAll(io.Discard, experiments.RunOptions{Workers: 1, IDs: ids, Clock: clk})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "bench: parallel pass (workers=%d)\n", workers)
-	var reg *telemetry.Registry
-	if opts.metrics {
-		reg = telemetry.NewRegistry()
-	}
-	parRep, err := experiments.RunAll(io.Discard, experiments.RunOptions{
-		Workers: workers, IDs: ids, Clock: clk, Registry: reg,
-	})
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(stderr, "bench: controller decision micro-pass\n")
-	decNs, err := benchDecision(clk)
-	if err != nil {
-		return err
-	}
-
-	rep := benchReport{
-		Bench:           "odinsim_all",
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
-		Workers:         workers,
-		SequentialMS:    seq.WallSeconds * 1e3,
-		ParallelMS:      parRep.WallSeconds * 1e3,
-		DecisionNsPerOp: decNs,
-	}
-	if rep.GOMAXPROCS <= 1 || rep.NumCPU <= 1 {
-		rep.Caveat = fmt.Sprintf(
-			"single-core host (GOMAXPROCS=%d, NumCPU=%d): the parallel pass cannot overlap work, so speedup is meaningless here",
-			rep.GOMAXPROCS, rep.NumCPU)
-	}
-	if parRep.WallSeconds > 0 {
-		rep.Speedup = seq.WallSeconds / parRep.WallSeconds
-	}
-	parByID := map[string]float64{}
-	for _, t := range parRep.Timings {
-		parByID[t.ID] = t.Seconds
-	}
-	for _, t := range seq.Timings {
-		rep.Experiments = append(rep.Experiments, benchExpReport{
-			ID:           t.ID,
-			SequentialMS: t.Seconds * 1e3,
-			ParallelMS:   parByID[t.ID] * 1e3,
-		})
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(opts.out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "odinsim bench: sequential %.0f ms, parallel %.0f ms (workers=%d, speedup %.2fx), decision rb %.0f / ex %.0f / bo %.0f ns/op (cached %.0f / %.0f / %.0f) -> %s\n",
-		rep.SequentialMS, rep.ParallelMS, rep.Workers, rep.Speedup,
-		rep.DecisionNsPerOp.RB, rep.DecisionNsPerOp.EX, rep.DecisionNsPerOp.BO,
-		rep.DecisionNsPerOp.RBCached, rep.DecisionNsPerOp.EXCached, rep.DecisionNsPerOp.BOCached,
-		opts.out)
-	if rep.Caveat != "" {
-		fmt.Fprintf(stdout, "odinsim bench: WARNING: %s\n", rep.Caveat)
-	}
-	if reg != nil {
-		if err := reg.WritePrometheus(stderr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// benchDecision times the per-layer controller decision slice — one policy
-// prediction plus the clamp and the line-6 refinement at its default
-// budget, the serving-path hot loop — on the reference layer
-// BenchmarkControllerLayerDecision uses (VGG11 layer 4 at age 10⁴ s), once
-// per timed strategy, live (cache disabled) and replayed from a warm
-// decision cache. Both paths run the real controller slice via
-// core.DecisionBench, so the numbers can't drift from production control
-// flow. Time comes from the injected clock; if it does not advance
-// (virtual clock in tests), each measurement stops after one batch and
-// reports zero.
-func benchDecision(clk clock.Clock) (decisionBench, error) {
-	sys := core.DefaultSystem()
-	wl, err := sys.Prepare(dnn.NewVGG11())
-	if err != nil {
-		return decisionBench{}, err
-	}
-	pol := policy.New(policy.Config{Grid: sys.Grid(), Seed: 1})
-	measure := func(name string, cached bool) (float64, error) {
-		opts := core.DefaultControllerOptions()
-		opts.Strategy = name
-		if cached {
-			opts.Cache = decache.New()
-		} else {
-			opts.DisableDecisionCache = true
-		}
-		decide, err := core.DecisionBench(sys, wl, pol, opts, 4, 1e4)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < 100; i++ {
-			decide() // warm-up; with a cache this also populates the entry
-		}
-		const batch = 256
-		const maxIters = 1 << 17
-		iters := 0
-		start := clk.Now()
-		elapsed := 0.0
-		for iters < maxIters {
-			for i := 0; i < batch; i++ {
-				decide()
-			}
-			iters += batch
-			elapsed = clk.Now() - start
-			if elapsed == 0 { // frozen or sub-resolution clock: nothing to report
-				return 0, nil
-			}
-			if elapsed >= 0.05 {
-				break
-			}
-		}
-		return elapsed * 1e9 / float64(iters), nil
-	}
-	var out decisionBench
-	for _, m := range []struct {
-		name   string
-		cached bool
-		dst    *float64
-	}{
-		{"rb", false, &out.RB}, {"ex", false, &out.EX}, {"bo", false, &out.BO},
-		{"rb", true, &out.RBCached}, {"ex", true, &out.EXCached}, {"bo", true, &out.BOCached},
-	} {
-		if *m.dst, err = measure(m.name, m.cached); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
 // runTrace executes one fully-observed ageing sweep (odinsim trace): it
 // prints the per-layer decision-audit table and the flame summary, and
 // writes the span tree as Chrome trace-event JSON (default trace.json).
@@ -455,11 +251,7 @@ func runTrace(stdout io.Writer, opts cliOptions, rest []string) error {
 	if err := res.Render(stdout); err != nil {
 		return err
 	}
-	out := opts.out
-	if !opts.outSet {
-		out = "trace.json"
-	}
-	f, err := os.Create(out)
+	f, err := os.Create(opts.out)
 	if err != nil {
 		return err
 	}
@@ -471,12 +263,12 @@ func runTrace(stdout io.Writer, opts cliOptions, rest []string) error {
 		return err
 	}
 	_, err = fmt.Fprintf(stdout, "\nchrome trace: %d spans -> %s (load in chrome://tracing or Perfetto)\n",
-		res.Tracer.Len(), out)
+		res.Tracer.Len(), opts.out)
 	return err
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: odinsim [-json] [-workers N] [-metrics] [-cache on|off] list | all | bench [-out FILE] | trace -model NAME | <experiment-id>...")
+	fmt.Fprintln(w, "usage: odinsim [-json] [-workers N] [-metrics] [-cache on|off] list | all | trace -model NAME [-out FILE] | <experiment-id>...")
 	fmt.Fprintln(w, "experiments:")
 	for _, e := range experiments.All() {
 		fmt.Fprintf(w, "  %-10s %s\n", e.ID, e.Title)

@@ -188,51 +188,6 @@ func TestHelpSucceeds(t *testing.T) {
 	}
 }
 
-// TestBenchWritesReport drives the bench subcommand over a cheap subset
-// and checks the BENCH_odinsim.json schema.
-func TestBenchWritesReport(t *testing.T) {
-	t.Parallel()
-	path := filepath.Join(t.TempDir(), "BENCH_odinsim.json")
-	var out, errs bytes.Buffer
-	if err := run(&out, &errs, []string{"bench", "-workers", "2", "-out", path, "tab1", "tab2"}, clock.NewVirtual(0)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatalf("bench report is not valid JSON: %v\n%s", err, b)
-	}
-	if rep.Bench != "odinsim_all" || rep.Workers != 2 || len(rep.Experiments) != 2 {
-		t.Fatalf("bench report schema off: %+v", rep)
-	}
-	if rep.GOMAXPROCS < 1 || rep.NumCPU < 1 {
-		t.Fatalf("bench report missing host parallelism stamp: %+v", rep)
-	}
-	if (rep.GOMAXPROCS <= 1 || rep.NumCPU <= 1) != (rep.Caveat != "") {
-		t.Fatalf("single-core caveat inconsistent with host stamp: %+v", rep)
-	}
-	if rep.Experiments[0].ID != "tab1" || rep.Experiments[1].ID != "tab2" {
-		t.Fatalf("bench report experiment order off: %+v", rep.Experiments)
-	}
-	// The per-decision figures must be in the artefact schema, one per
-	// timed line-6 strategy; on a virtual clock the timed loops cannot
-	// advance, so every strategy reports exactly zero.
-	if !strings.Contains(string(b), `"decision_ns_per_op"`) {
-		t.Fatalf("bench report missing decision_ns_per_op:\n%s", b)
-	}
-	for _, k := range []string{`"rb"`, `"ex"`, `"bo"`, `"rb_cached"`, `"ex_cached"`, `"bo_cached"`} {
-		if !strings.Contains(string(b), k) {
-			t.Fatalf("bench report missing per-strategy decision key %s:\n%s", k, b)
-		}
-	}
-	if (rep.DecisionNsPerOp != decisionBench{}) {
-		t.Fatalf("virtual-clock decision bench = %+v ns/op, want zeros", rep.DecisionNsPerOp)
-	}
-}
-
 // io2 returns a throwaway buffer (keeps the error-path call sites short).
 func io2() *bytes.Buffer { return &bytes.Buffer{} }
 

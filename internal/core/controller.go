@@ -16,23 +16,17 @@ import (
 
 // ControllerOptions tune the Odin online-learning loop.
 type ControllerOptions struct {
-	// SearchK is the resource-bounded search budget (paper: 3).
-	SearchK int
-	// Exhaustive switches line 6 of Algorithm 1 to the EX search (§V.B's
-	// higher-quality, ~3× costlier alternative). Kept for the paper-facing
-	// experiments; it is shorthand for Strategy = "ex" and is ignored when
-	// Strategy is set explicitly.
-	Exhaustive bool
 	// Strategy names the registered internal/opt optimizer driving line 6
 	// of Algorithm 1: "rb", "ex", "bo" or "pareto" (opt.Names()). Empty
-	// selects "rb" — or "ex" when Exhaustive is set. The name is stamped
-	// verbatim into decision-audit records and trace spans, so new
-	// strategies attribute correctly without controller changes.
+	// selects the paper's online "rb"; "ex" is §V.B's higher-quality, ~3×
+	// costlier alternative. The name is stamped verbatim into
+	// decision-audit records and trace spans, so new strategies attribute
+	// correctly without controller changes.
 	Strategy string
 	// SearchBudget is the strategy-specific effort knob handed to the
 	// optimizer (rb: ±1 steps K; bo: max candidate evaluations; ex/pareto:
-	// ignored). 0 uses SearchK for "rb" (the paper's configuration) and
-	// the optimizer's own default otherwise.
+	// ignored). <= 0 uses the optimizer's own default (rb: the paper's
+	// K = 3).
 	SearchBudget int
 	// BufferSize is the training-buffer capacity (paper: 50 examples).
 	BufferSize int
@@ -126,7 +120,6 @@ func DecisionCacheDefault() bool { return !decisionCacheOff.Load() }
 // DefaultControllerOptions returns the paper's settings.
 func DefaultControllerOptions() ControllerOptions {
 	return ControllerOptions{
-		SearchK:      3,
 		BufferSize:   50,
 		UpdateEpochs: 100,
 		TrainSeed:    1,
@@ -134,9 +127,6 @@ func DefaultControllerOptions() ControllerOptions {
 }
 
 func (o ControllerOptions) withDefaults() ControllerOptions {
-	if o.SearchK <= 0 {
-		o.SearchK = 3
-	}
 	if o.BufferSize <= 0 {
 		o.BufferSize = 50
 	}
@@ -148,12 +138,6 @@ func (o ControllerOptions) withDefaults() ControllerOptions {
 	}
 	if o.Strategy == "" {
 		o.Strategy = "rb"
-		if o.Exhaustive {
-			o.Strategy = "ex"
-		}
-	}
-	if o.SearchBudget == 0 && o.Strategy == "rb" {
-		o.SearchBudget = o.SearchK
 	}
 	if o.ProactiveReprogram && o.ProactiveFactor <= 1 {
 		o.ProactiveFactor = 1.5

@@ -227,7 +227,7 @@ func TestControllerExhaustiveMode(t *testing.T) {
 	sys := DefaultSystem()
 	wl, _ := sys.Prepare(dnn.NewVGG11())
 	opts := DefaultControllerOptions()
-	opts.Exhaustive = true
+	opts.Strategy = "ex"
 	ctrl, _ := NewController(sys, wl, freshPolicy(sys), opts)
 	rep := ctrl.RunInference(0)
 	// EX evaluates the full 36-config grid per layer.

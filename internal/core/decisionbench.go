@@ -6,9 +6,11 @@ import "odin/internal/policy"
 // — policy prediction, feasibility clamp, strategy search, decision-cache
 // lookup when opts enable one — exactly as RunInference runs it for layer
 // j at device age `age`, but without the learning side effects (no
-// disagreement buffering, no policy updates). It exists so `odinsim bench`
-// and BenchmarkControllerLayerDecision measure the real controller slice,
-// cached and uncached, rather than a reimplementation that could drift.
+// disagreement buffering, no policy updates). It exists so the repository
+// benchmark (core.decide_live_ns.*, core.decide_cached_ns) and
+// BenchmarkControllerLayerDecisionCached measure the real controller
+// slice, cached and uncached, rather than a reimplementation that could
+// drift.
 //
 // The returned closure is not safe for concurrent use (it shares the
 // controller's scratch buffers).

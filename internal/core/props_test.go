@@ -118,7 +118,7 @@ func propModel() *dnn.Model {
 type ctrlCase struct {
 	AgeExp float64 // run time = 10^AgeExp seconds
 	N      int
-	K      int
+	Budget int // SearchBudget; 0 = the rb default K = 3
 }
 
 func genCtrlCase() check.Gen[ctrlCase] {
@@ -127,7 +127,7 @@ func genCtrlCase() check.Gen[ctrlCase] {
 			return ctrlCase{
 				AgeExp: t.Rng.Float64() * 8,
 				N:      1 + t.Rng.Intn(8),
-				K:      1 + t.Rng.Intn(4),
+				Budget: t.Rng.Intn(5),
 			}
 		},
 		Shrink: func(c ctrlCase) []ctrlCase {
@@ -137,9 +137,9 @@ func genCtrlCase() check.Gen[ctrlCase] {
 				m.N = v
 				out = append(out, m)
 			}
-			for _, v := range check.ShrinkInt(c.K, 1) {
+			for _, v := range check.ShrinkInt(c.Budget, 0) {
 				m := c
-				m.K = v
+				m.Budget = v
 				out = append(out, m)
 			}
 			for _, v := range check.ShrinkFloat(c.AgeExp, 0) {
@@ -167,7 +167,7 @@ func TestPropControllerBatchInvariants(t *testing.T) {
 	grid := sys.Grid()
 	check.RunConfig(t, check.Config{Trials: 25}, genCtrlCase(), func(c ctrlCase) error {
 		opts := DefaultControllerOptions()
-		opts.SearchK = c.K
+		opts.SearchBudget = c.Budget
 		ctrl, err := NewController(sys, wl, freshPolicy(sys), opts)
 		if err != nil {
 			return fmt.Errorf("controller construction: %w", err)
@@ -184,8 +184,12 @@ func TestPropControllerBatchInvariants(t *testing.T) {
 				return fmt.Errorf("layer %d decided off-grid size %v", j, s)
 			}
 		}
-		if budget := wl.Layers() * (1 + 4*c.K); rep.SearchEvaluations > budget {
-			return fmt.Errorf("search spent %d evaluations, budget %d (K=%d)", rep.SearchEvaluations, budget, c.K)
+		k := c.Budget
+		if k == 0 {
+			k = 3
+		}
+		if budget := wl.Layers() * (1 + 4*k); rep.SearchEvaluations > budget {
+			return fmt.Errorf("search spent %d evaluations, budget %d (K=%d)", rep.SearchEvaluations, budget, k)
 		}
 		if !(rep.Energy > 0) || !(rep.Latency > 0) {
 			return fmt.Errorf("degenerate inference cost %g J / %g s", rep.Energy, rep.Latency)

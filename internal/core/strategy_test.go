@@ -126,22 +126,40 @@ func TestControllerUnknownStrategy(t *testing.T) {
 	}
 }
 
-// TestExhaustiveFlagMapsToEXStrategy pins back-compat: the paper-facing
-// Exhaustive flag is shorthand for Strategy "ex".
-func TestExhaustiveFlagMapsToEXStrategy(t *testing.T) {
+// TestControllerRBDefaultBudgetIsPaperK pins where the paper's K = 3
+// lives: an rb controller left at SearchBudget 0 (the optimizer default)
+// audits every decision across the drift range exactly as one configured
+// with K = 3, while K = 2 and K = 4 audit differently, so the comparison
+// would notice a changed default that TestControllerStrategyBudgets' upper
+// bound lets through.
+func TestControllerRBDefaultBudgetIsPaperK(t *testing.T) {
 	t.Parallel()
 	sys := DefaultSystem()
 	wl, err := sys.Prepare(dnn.NewVGG11())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultControllerOptions()
-	opts.Exhaustive = true
-	ctrl, err := NewController(sys, wl, freshPolicy(sys), opts)
-	if err != nil {
-		t.Fatal(err)
+	audited := func(budget int) []obs.RunAudit {
+		log := obs.NewAuditLog(0)
+		opts := DefaultControllerOptions()
+		opts.SearchBudget = budget
+		opts.Audit = log
+		ctrl, err := NewController(sys, wl, freshPolicy(sys), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []float64{0, 1e2, 1e4, 1e6, 3e7} {
+			ctrl.RunInference(at)
+		}
+		return log.Runs()
 	}
-	if got := ctrl.Strategy(); got != "ex" {
-		t.Fatalf("Exhaustive controller strategy %q, want ex", got)
+	def := audited(0)
+	if err := auditEqual(def, audited(3)); err != nil {
+		t.Fatalf("SearchBudget 0 and 3 audit differently: %v", err)
+	}
+	for _, k := range []int{2, 4} {
+		if auditEqual(def, audited(k)) == nil {
+			t.Fatalf("SearchBudget 0 audits like K = %d; the comparison cannot tell budgets apart", k)
+		}
 	}
 }

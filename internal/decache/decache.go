@@ -34,7 +34,7 @@
 // context is (grid, cost model, accuracy model, strategy, budget) and the
 // key is (layer workload, layer position, predicted size, age bucket).
 // The cached and uncached controllers produce byte-identical artefacts —
-// asserted end to end by `make cachesmoke`.
+// asserted end to end by `make smoke`.
 //
 // The bucket predicate reuses accuracy.Model.Satisfies' exact expression
 // shape ((w·ir)·A < η with ir precomputed per grid size), so bucketing is

@@ -53,46 +53,46 @@ func odinSummaryFor(sys core.System, modelName string, opts core.ControllerOptio
 
 // --- Search budget K ------------------------------------------------------
 
-// AblSearchKRow is one K setting's outcome.
-type AblSearchKRow struct {
+// AblSearchBudgetRow is one K setting's outcome.
+type AblSearchBudgetRow struct {
 	K               int
 	EvalsPerLayer   float64 // mean candidate evaluations per layer decision
 	EDPvsExhaustive float64 // TotalEDP relative to the EX-search controller
 	Reprograms      int
 }
 
-// AblSearchKResult sweeps the RB search budget K (paper: 3) and compares
-// against the exhaustive controller.
-type AblSearchKResult struct {
+// AblSearchBudgetResult sweeps the RB search budget K (paper: 3) and
+// compares against the exhaustive controller.
+type AblSearchBudgetResult struct {
 	Model string
-	Rows  []AblSearchKRow
+	Rows  []AblSearchBudgetRow
 }
 
-// AblSearchK runs the K sweep on VGG11.
-func AblSearchK(sys core.System, ks []int) (AblSearchKResult, error) {
+// AblSearchBudget runs the K sweep on VGG11.
+func AblSearchBudget(sys core.System, ks []int) (AblSearchBudgetResult, error) {
 	if len(ks) == 0 {
 		ks = []int{1, 2, 3, 5, 8}
 	}
 	cfg := ablationHorizon()
-	res := AblSearchKResult{Model: "VGG11"}
+	res := AblSearchBudgetResult{Model: "VGG11"}
 
 	exOpts := core.DefaultControllerOptions()
-	exOpts.Exhaustive = true
+	exOpts.Strategy = "ex"
 	exSum, _, err := odinSummaryFor(sys, res.Model, exOpts, cfg)
 	if err != nil {
 		return res, err
 	}
 
 	layers := len(dnn.NewVGG11().Layers)
-	res.Rows = make([]AblSearchKRow, len(ks))
+	res.Rows = make([]AblSearchBudgetRow, len(ks))
 	if err := par.ForEach(0, len(ks), func(i int) error {
 		opts := core.DefaultControllerOptions()
-		opts.SearchK = ks[i]
+		opts.SearchBudget = ks[i]
 		sum, _, err := odinSummaryFor(sys, res.Model, opts, cfg)
 		if err != nil {
 			return err
 		}
-		res.Rows[i] = AblSearchKRow{
+		res.Rows[i] = AblSearchBudgetRow{
 			K:               ks[i],
 			EvalsPerLayer:   float64(sum.SearchEvaluations) / float64(cfg.Epochs*layers),
 			EDPvsExhaustive: sum.TotalEDP() / exSum.TotalEDP(),
@@ -100,13 +100,13 @@ func AblSearchK(sys core.System, ks []int) (AblSearchKResult, error) {
 		}
 		return nil
 	}); err != nil {
-		return AblSearchKResult{Model: res.Model}, err
+		return AblSearchBudgetResult{Model: res.Model}, err
 	}
 	return res, nil
 }
 
 // Render prints the K sweep.
-func (r AblSearchKResult) Render(w io.Writer) {
+func (r AblSearchBudgetResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Ablation: RB search budget K (%s); EDP relative to the exhaustive-search controller\n", r.Model)
 	fmt.Fprintf(w, "%-4s %16s %16s %12s\n", "K", "evals/decision", "EDP vs EX", "reprograms")
 	for _, row := range r.Rows {
@@ -114,8 +114,8 @@ func (r AblSearchKResult) Render(w io.Writer) {
 	}
 }
 
-func runAblSearchK(w io.Writer) error {
-	res, err := AblSearchK(core.DefaultSystem(), nil)
+func runAblSearchBudget(w io.Writer) error {
+	res, err := AblSearchBudget(core.DefaultSystem(), nil)
 	if err != nil {
 		return err
 	}

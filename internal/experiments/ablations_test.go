@@ -10,9 +10,9 @@ import (
 // The ablation tests use reduced sweeps — they verify trends and wiring,
 // not the full grids the CLI prints.
 
-func TestAblSearchKTrend(t *testing.T) {
+func TestAblSearchBudgetTrend(t *testing.T) {
 	t.Parallel()
-	res, err := AblSearchK(core.DefaultSystem(), []int{1, 3})
+	res, err := AblSearchBudget(core.DefaultSystem(), []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

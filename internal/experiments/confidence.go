@@ -60,7 +60,7 @@ func Confidence(sys core.System, thresholds []float64) (ConfidenceResult, error)
 		}
 	}
 	ex := core.DefaultControllerOptions()
-	ex.Exhaustive = true
+	ex.Strategy = "ex"
 	if err := run("EX always", ex); err != nil {
 		return res, err
 	}

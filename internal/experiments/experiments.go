@@ -38,7 +38,7 @@ func All() []Experiment {
 		{"fig8", "Fig. 8: EDP across all DNN workloads (normalised to 16×16 inference EDP)", runFig8, func() (any, error) { return Fig8(core.DefaultSystem()) }},
 		{"fig9", "Fig. 9: EDP vs crossbar size (ResNet34, CIFAR-100)", runFig9, func() (any, error) { return Fig9(core.DefaultSystem(), nil) }},
 		{"overhead", "Sec. V-E: online learning and OU control overhead analysis", runOverhead, func() (any, error) { return Overhead(core.DefaultSystem()) }},
-		{"abl-k", "Ablation: resource-bounded search budget K", runAblSearchK, func() (any, error) { return AblSearchK(core.DefaultSystem(), nil) }},
+		{"abl-k", "Ablation: resource-bounded search budget K", runAblSearchBudget, func() (any, error) { return AblSearchBudget(core.DefaultSystem(), nil) }},
 		{"abl-buffer", "Ablation: training-buffer capacity", runAblBuffer, func() (any, error) { return AblBuffer(core.DefaultSystem(), nil) }},
 		{"abl-eta", "Ablation: non-ideality threshold η", runAblEta, func() (any, error) { return AblEta(core.DefaultSystem(), nil) }},
 		{"abl-rate", "Ablation: served inference rate (reprogramming crossover)", runAblRate, func() (any, error) { return AblRate(core.DefaultSystem(), nil) }},

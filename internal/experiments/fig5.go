@@ -6,6 +6,7 @@ import (
 
 	"odin/internal/core"
 	"odin/internal/dnn"
+	"odin/internal/opt"
 	"odin/internal/ou"
 	"odin/internal/search"
 )
@@ -40,7 +41,7 @@ func Fig5(sys core.System) (Fig5Result, error) {
 	model := dnn.NewVGG11()
 	ages := []float64{1, 1e2, 1e4}
 
-	mkController := func(exhaustive bool) (*core.Controller, *core.Workload, error) {
+	mkController := func(strategy string) (*core.Controller, *core.Workload, error) {
 		target := dnn.NewVGG11()
 		known := core.LeaveOut(dnn.AllWorkloads(), "VGG")
 		pol, _, err := core.BootstrapPolicy(sys, known, core.DefaultBootstrapConfig())
@@ -52,16 +53,16 @@ func Fig5(sys core.System) (Fig5Result, error) {
 			return nil, nil, err
 		}
 		opts := core.DefaultControllerOptions()
-		opts.Exhaustive = exhaustive
+		opts.Strategy = strategy
 		ctrl, err := core.NewController(sys, wl, pol, opts)
 		return ctrl, wl, err
 	}
 
-	rbCtrl, rbWl, err := mkController(false)
+	rbCtrl, rbWl, err := mkController("rb")
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	exCtrl, _, err := mkController(true)
+	exCtrl, _, err := mkController("ex")
 	if err != nil {
 		return Fig5Result{}, err
 	}
@@ -110,7 +111,7 @@ func Fig5(sys core.System) (Fig5Result, error) {
 	// Search overhead: evaluations per layer decision.
 	grid := sys.Grid()
 	obj := core.LayerObjective(sys, rbWl, 4, 1)
-	rb := search.ResourceBounded(grid, obj, grid.SizeAt(2, 2), core.DefaultControllerOptions().SearchK)
+	rb := opt.ResourceBounded{}.Optimize(grid, obj, grid.SizeAt(2, 2), 0)
 	ex := search.Exhaustive(grid, obj)
 	res.RBEvaluations = rb.Evaluations
 	res.EXEvaluations = ex.Evaluations

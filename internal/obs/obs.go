@@ -28,7 +28,7 @@
 // every Span method on nil is a no-op. Hot paths guard with a single
 // pointer test (or none at all — calling through nil is legal), so
 // disabled tracing costs one predictable branch. The guard
-// TestDisabledObsOverheadGuard (repo root, `make obssmoke`) keeps the
+// TestDisabledObsOverheadGuard (repo root, armed by `make smoke`) keeps the
 // disabled controller decision path within noise of the pre-obs reference.
 package obs
 

@@ -223,7 +223,7 @@ func (b *Bus) LastSeq() uint64 {
 // output; the sort is total because any two events sharing (time, chip,
 // kind) differ in payload (distinct batch or request ids), and renumbering
 // after the sort makes seq itself canonical. This is the byte stream the
-// worker-count invariance property and `make pulsesmoke` pin.
+// worker-count invariance property and `make smoke` pin.
 func (b *Bus) WriteLog(w io.Writer) error {
 	if b == nil {
 		return nil

@@ -149,8 +149,9 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestReplayNominalRateNoShed is the loadsmoke property: well below fleet
-// capacity, admission control never fires and every request is served.
+// TestReplayNominalRateNoShed is the property `make smoke`'s -max-shed 0
+// replay checks from the CLI: well below fleet capacity, admission control
+// never fires and every request is served.
 func TestReplayNominalRateNoShed(t *testing.T) {
 	t.Parallel()
 	lat := probeLatency(t)

@@ -87,7 +87,7 @@ type ReplayResult struct {
 	Wait    float64 // Σ per-request queue wait (s)
 
 	// Checksum fingerprints the decision log (FNV-1a over the exact bytes
-	// WriteLog emits) — the replay-stability handle `make loadsmoke` checks.
+	// WriteLog emits) — the replay-stability handle `make smoke` checks.
 	Checksum uint64
 }
 
