@@ -112,7 +112,7 @@ smoke:
 	echo "smoke: odinsim trace"; \
 	$$sim trace -model resnet18 -runs 4 -out $$tmp/trace.json > /dev/null; \
 	echo "smoke: overhead guards"; \
-	ODIN_OBS_GUARD=1 ODIN_PULSE_GUARD=1 $(GO) test -count=1 -run 'TestDisabled(Obs|Pulse)OverheadGuard' .
+	ODIN_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'TestDisabled(Obs|Pulse)OverheadGuard' .
 
 # The repository benchmark (_perfbench/, declared in BENCHMARK.json) on its
 # two gated workloads, per-layer metrics from a traced run. `--trace 0`

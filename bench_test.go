@@ -34,9 +34,11 @@ func benchmarkExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard); err != nil {
+		res, err := e.Run()
+		if err != nil {
 			b.Fatal(err)
 		}
+		res.Render(io.Discard)
 	}
 }
 

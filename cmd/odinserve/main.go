@@ -331,7 +331,7 @@ func replayFresh(cfg serve.Config, tr serve.Trace, traced, pulsed bool) (serve.R
 	cfg.Clock = clk
 	cfg.Registry = telemetry.NewRegistry()
 	if traced {
-		cfg.Tracer = obs.New(clk)
+		cfg.Tracer = obs.New()
 	}
 	if pulsed {
 		cfg.Pulse = pulse.New(pulse.Options{Registry: cfg.Registry})
@@ -369,7 +369,7 @@ func runServe(args []string) error {
 	cfg.Registry = telemetry.NewRegistry()
 	var spans *obs.Tracer
 	if *traceCap > 0 {
-		spans = obs.NewRing(clk, *traceCap)
+		spans = obs.NewRing(*traceCap)
 		cfg.Tracer = spans
 	}
 	if *pulseCap > 0 {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"odin/internal/clock"
 	"odin/internal/dnn"
 	"odin/internal/obs"
 )
@@ -18,7 +17,7 @@ func tracedController(t *testing.T) (*Controller, *obs.Tracer, *obs.AuditLog) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.New(clock.NewVirtual(0))
+	tr := obs.New()
 	log := obs.NewAuditLog(0)
 	opts := DefaultControllerOptions()
 	opts.Tracer = tr

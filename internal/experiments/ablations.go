@@ -114,15 +114,6 @@ func (r AblSearchBudgetResult) Render(w io.Writer) {
 	}
 }
 
-func runAblSearchBudget(w io.Writer) error {
-	res, err := AblSearchBudget(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
 // --- Training buffer size -------------------------------------------------
 
 // AblBufferRow is one buffer-capacity outcome.
@@ -179,15 +170,6 @@ func (r AblBufferResult) Render(w io.Writer) {
 	}
 }
 
-func runAblBuffer(w io.Writer) error {
-	res, err := AblBuffer(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
 // --- Non-ideality threshold η ----------------------------------------------
 
 // AblEtaRow is one η outcome.
@@ -239,15 +221,6 @@ func (r AblEtaResult) Render(w io.Writer) {
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-8.4f %14.3e %11.1f%% %12d\n", row.Eta, row.EDP, row.MinAcc*100, row.Reprograms)
 	}
-}
-
-func runAblEta(w io.Writer) error {
-	res, err := AblEta(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
 }
 
 // --- Inference rate (reprogramming amortisation crossover) -----------------
@@ -312,15 +285,6 @@ func (r AblRateResult) Render(w io.Writer) {
 	}
 }
 
-func runAblRate(w io.Writer) error {
-	res, err := AblRate(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
 // --- Pruning cluster width --------------------------------------------------
 
 // AblClusterRow is one cluster-width outcome.
@@ -381,15 +345,6 @@ func (r AblClusterResult) Render(w io.Writer) {
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-8d %12.1f %12.1f %14.3e\n", row.Width, row.MeanOUWidth, row.MeanOUHeight, row.MeanEDP)
 	}
-}
-
-func runAblCluster(w io.Writer) error {
-	res, err := AblCluster(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
 }
 
 // --- Policy architecture ----------------------------------------------------
@@ -463,13 +418,4 @@ func (r AblPolicyResult) Render(w io.Writer) {
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-10s %10d %13.0f%% %12.2f\n", row.Name, row.Params, row.Agreement*100, row.PowerMW)
 	}
-}
-
-func runAblPolicy(w io.Writer) error {
-	res, err := AblPolicy(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
 }

@@ -75,12 +75,3 @@ func (r ConfidenceResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "%-14s %16.1f %14.3e %12d\n", row.Name, row.EvalsPerLayer, row.EDP, row.Reprograms)
 	}
 }
-
-func runConfidence(w io.Writer) error {
-	res, err := Confidence(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

@@ -121,12 +121,3 @@ func (r EmpiricalResult) Render(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 }
-
-func runEmpirical(w io.Writer) error {
-	res, err := Empirical(core.DefaultSystem(), nil, nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

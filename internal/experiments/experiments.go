@@ -15,46 +15,49 @@ import (
 	"odin/internal/dnn"
 )
 
-// Experiment is a runnable evaluation artefact. Run prints the
-// paper-style rows; Data returns the typed result for machine-readable
-// output (cmd/odinsim -json).
+// Result is an experiment's typed outcome. Render prints the paper-style
+// rows; cmd/odinsim -json marshals the same value, so the text and JSON
+// artefacts cannot diverge.
+type Result interface{ Render(w io.Writer) }
+
+// Experiment is a runnable evaluation artefact. Run calls the driver once
+// and returns its typed result.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(w io.Writer) error
-	Data  func() (any, error)
+	Run   func() (Result, error)
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"tab1", "Table I: PIM architecture specifications", runTable1, func() (any, error) { return Table1(core.DefaultSystem()), nil }},
-		{"tab2", "Table II: parameters of ReRAM crossbar system", runTable2, func() (any, error) { return Table2(core.DefaultSystem()), nil }},
-		{"fig3", "Fig. 3: layer-wise OU size and weight sparsity (ResNet18, CIFAR-10)", runFig3, func() (any, error) { return Fig3(core.DefaultSystem()) }},
-		{"fig4", "Fig. 4: OU size distribution shift under conductance drift (ResNet18)", runFig4, func() (any, error) { return Fig4(core.DefaultSystem(), nil) }},
-		{"fig5", "Fig. 5: offline vs online (RB/EX) layer-wise OU configurations (VGG11)", runFig5, func() (any, error) { return Fig5(core.DefaultSystem()) }},
-		{"fig6", "Fig. 6: energy and latency vs homogeneous OUs (VGG11, CIFAR-10)", runFig6, func() (any, error) { return Fig6(core.DefaultSystem()) }},
-		{"fig7", "Fig. 7: inference accuracy with and without reprogramming (VGG11)", runFig7, func() (any, error) { return Fig7(core.DefaultSystem()) }},
-		{"fig8", "Fig. 8: EDP across all DNN workloads (normalised to 16×16 inference EDP)", runFig8, func() (any, error) { return Fig8(core.DefaultSystem()) }},
-		{"fig9", "Fig. 9: EDP vs crossbar size (ResNet34, CIFAR-100)", runFig9, func() (any, error) { return Fig9(core.DefaultSystem(), nil) }},
-		{"overhead", "Sec. V-E: online learning and OU control overhead analysis", runOverhead, func() (any, error) { return Overhead(core.DefaultSystem()) }},
-		{"abl-k", "Ablation: resource-bounded search budget K", runAblSearchBudget, func() (any, error) { return AblSearchBudget(core.DefaultSystem(), nil) }},
-		{"abl-buffer", "Ablation: training-buffer capacity", runAblBuffer, func() (any, error) { return AblBuffer(core.DefaultSystem(), nil) }},
-		{"abl-eta", "Ablation: non-ideality threshold η", runAblEta, func() (any, error) { return AblEta(core.DefaultSystem(), nil) }},
-		{"abl-rate", "Ablation: served inference rate (reprogramming crossover)", runAblRate, func() (any, error) { return AblRate(core.DefaultSystem(), nil) }},
-		{"abl-cluster", "Ablation: pruning cluster width vs optimal OU width", runAblCluster, func() (any, error) { return AblCluster(core.DefaultSystem(), nil) }},
-		{"abl-policy", "Ablation: policy trunk architecture", runAblPolicy, func() (any, error) { return AblPolicy(core.DefaultSystem(), nil) }},
-		{"noc-validate", "NoC model validation: analytic bound vs cut-through simulation", runNoCValidate, func() (any, error) { return NoCValidate(core.DefaultSystem()) }},
-		{"lifetime", "Extension: write endurance and projected device lifetime", runLifetime, func() (any, error) { return Lifetime(core.DefaultSystem()) }},
-		{"proactive", "Extension: proactive reprogramming vs the paper's trigger", runProactive, func() (any, error) { return Proactive(core.DefaultSystem(), nil) }},
-		{"mobilenet", "Extension: MobileNetV2 (depthwise-separable, unseen architecture class)", runMobileNet, func() (any, error) { return MobileNet(core.DefaultSystem()) }},
-		{"empirical", "Device-level validation: class-flip rate on crossbar-executed CNN", runEmpirical, func() (any, error) { return Empirical(core.DefaultSystem(), nil, nil) }},
-		{"confidence", "Extension: confidence-gated search routing (RB/EX hybrid)", runConfidence, func() (any, error) { return Confidence(core.DefaultSystem(), nil) }},
-		{"rowskip", "Model validation: analytic vs measured row-segment skipping", runRowSkip, func() (any, error) { return RowSkip(core.DefaultSystem(), nil) }},
-		{"indexes", "Sec. II motivation: index-table storage of offline OU compression vs Odin", runIndexes, func() (any, error) { return Indexes(core.DefaultSystem(), nil) }},
-		{"noise", "Device-level read-noise sensitivity (thermal noise axis)", runNoise, func() (any, error) { return Noise(core.DefaultSystem(), nil) }},
-		{"opt-compare", "Extension: line-6 optimizer head-to-head (rb/ex/bo/pareto)", runOptCompare, func() (any, error) { return OptCompare(core.DefaultSystem()) }},
-		{"fleet", "Extension: fleet-scale serving — drift-aware routing vs round-robin (1024 chips)", runFleet, func() (any, error) { return Fleet(FleetOptions{}) }},
+		{"tab1", "Table I: PIM architecture specifications", func() (Result, error) { return Table1(core.DefaultSystem()), nil }},
+		{"tab2", "Table II: parameters of ReRAM crossbar system", func() (Result, error) { return Table2(core.DefaultSystem()), nil }},
+		{"fig3", "Fig. 3: layer-wise OU size and weight sparsity (ResNet18, CIFAR-10)", func() (Result, error) { return Fig3(core.DefaultSystem()) }},
+		{"fig4", "Fig. 4: OU size distribution shift under conductance drift (ResNet18)", func() (Result, error) { return Fig4(core.DefaultSystem(), nil) }},
+		{"fig5", "Fig. 5: offline vs online (RB/EX) layer-wise OU configurations (VGG11)", func() (Result, error) { return Fig5(core.DefaultSystem()) }},
+		{"fig6", "Fig. 6: energy and latency vs homogeneous OUs (VGG11, CIFAR-10)", func() (Result, error) { return Fig6(core.DefaultSystem()) }},
+		{"fig7", "Fig. 7: inference accuracy with and without reprogramming (VGG11)", func() (Result, error) { return Fig7(core.DefaultSystem()) }},
+		{"fig8", "Fig. 8: EDP across all DNN workloads (normalised to 16×16 inference EDP)", func() (Result, error) { return Fig8(core.DefaultSystem()) }},
+		{"fig9", "Fig. 9: EDP vs crossbar size (ResNet34, CIFAR-100)", func() (Result, error) { return Fig9(core.DefaultSystem(), nil) }},
+		{"overhead", "Sec. V-E: online learning and OU control overhead analysis", func() (Result, error) { return Overhead(core.DefaultSystem()) }},
+		{"abl-k", "Ablation: resource-bounded search budget K", func() (Result, error) { return AblSearchBudget(core.DefaultSystem(), nil) }},
+		{"abl-buffer", "Ablation: training-buffer capacity", func() (Result, error) { return AblBuffer(core.DefaultSystem(), nil) }},
+		{"abl-eta", "Ablation: non-ideality threshold η", func() (Result, error) { return AblEta(core.DefaultSystem(), nil) }},
+		{"abl-rate", "Ablation: served inference rate (reprogramming crossover)", func() (Result, error) { return AblRate(core.DefaultSystem(), nil) }},
+		{"abl-cluster", "Ablation: pruning cluster width vs optimal OU width", func() (Result, error) { return AblCluster(core.DefaultSystem(), nil) }},
+		{"abl-policy", "Ablation: policy trunk architecture", func() (Result, error) { return AblPolicy(core.DefaultSystem(), nil) }},
+		{"noc-validate", "NoC model validation: analytic bound vs cut-through simulation", func() (Result, error) { return NoCValidate(core.DefaultSystem()) }},
+		{"lifetime", "Extension: write endurance and projected device lifetime", func() (Result, error) { return Lifetime(core.DefaultSystem()) }},
+		{"proactive", "Extension: proactive reprogramming vs the paper's trigger", func() (Result, error) { return Proactive(core.DefaultSystem(), nil) }},
+		{"mobilenet", "Extension: MobileNetV2 (depthwise-separable, unseen architecture class)", func() (Result, error) { return MobileNet(core.DefaultSystem()) }},
+		{"empirical", "Device-level validation: class-flip rate on crossbar-executed CNN", func() (Result, error) { return Empirical(core.DefaultSystem(), nil, nil) }},
+		{"confidence", "Extension: confidence-gated search routing (RB/EX hybrid)", func() (Result, error) { return Confidence(core.DefaultSystem(), nil) }},
+		{"rowskip", "Model validation: analytic vs measured row-segment skipping", func() (Result, error) { return RowSkip(core.DefaultSystem(), nil) }},
+		{"indexes", "Sec. II motivation: index-table storage of offline OU compression vs Odin", func() (Result, error) { return Indexes(core.DefaultSystem(), nil) }},
+		{"noise", "Device-level read-noise sensitivity (thermal noise axis)", func() (Result, error) { return Noise(core.DefaultSystem(), nil) }},
+		{"opt-compare", "Extension: line-6 optimizer head-to-head (rb/ex/bo/pareto)", func() (Result, error) { return OptCompare(core.DefaultSystem()) }},
+		{"fleet", "Extension: fleet-scale serving — drift-aware routing vs round-robin (1024 chips)", func() (Result, error) { return Fleet(FleetOptions{}) }},
 	}
 }
 

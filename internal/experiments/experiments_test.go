@@ -278,10 +278,12 @@ func TestRenderersProduceOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := e.Run(&buf); err != nil {
+		res, err := e.Run()
+		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		var buf bytes.Buffer
+		res.Render(&buf)
 		if buf.Len() == 0 {
 			t.Fatalf("%s produced no output", id)
 		}
@@ -291,18 +293,19 @@ func TestRenderersProduceOutput(t *testing.T) {
 func TestDataFuncsPresent(t *testing.T) {
 	t.Parallel()
 	for _, e := range All() {
-		if e.Data == nil {
-			t.Errorf("%s has no Data func", e.ID)
+		if e.Run == nil {
+			t.Errorf("%s has no Run func", e.ID)
 		}
 	}
-	// The cheap ones must produce marshal-able results.
+	// The result Run returns is also the -json payload: the cheap ones
+	// must produce marshal-able results.
 	for _, id := range []string{"tab1", "tab2", "fig3", "fig4"} {
 		e, _ := ByID(id)
-		data, err := e.Data()
+		res, err := e.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if _, err := json.Marshal(data); err != nil {
+		if _, err := json.Marshal(res); err != nil {
 			t.Fatalf("%s not JSON-marshalable: %v", id, err)
 		}
 	}

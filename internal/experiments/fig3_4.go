@@ -86,15 +86,6 @@ func (r Fig3Result) Render(w io.Writer) {
 	}
 }
 
-func runFig3(w io.Writer) error {
-	res, err := Fig3(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
 // Fig4Result is the OU-size distribution at a set of device ages: for each
 // age, how many DNN layers use each OU configuration.
 type Fig4Result struct {
@@ -154,13 +145,4 @@ func (r Fig4Result) Render(w io.Writer) {
 			fmt.Fprintf(w, "  %-8s %2d layers %s\n", k, n, strings.Repeat("#", n))
 		}
 	}
-}
-
-func runFig4(w io.Writer) error {
-	res, err := Fig4(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
 }

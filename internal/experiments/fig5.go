@@ -144,12 +144,3 @@ func (r Fig5Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Search overhead per layer decision: EX %d evals vs RB %d evals (%.1f× higher for EX)\n",
 		r.EXEvaluations, r.RBEvaluations, r.OverheadRatio)
 }
-
-func runFig5(w io.Writer) error {
-	res, err := Fig5(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

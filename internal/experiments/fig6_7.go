@@ -96,15 +96,6 @@ func (r Fig6Result) Render(w io.Writer) {
 	}
 }
 
-func runFig6(w io.Writer) error {
-	res, err := Fig6(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
 // Fig7Series is one accuracy-over-time curve.
 type Fig7Series struct {
 	Name    string
@@ -188,13 +179,4 @@ func (r Fig7Result) Render(w io.Writer) {
 			fmt.Fprintf(w, "   t=%.1E acc=%.1f%%\n", s.Times[i], s.Acc[i]*100)
 		}
 	}
-}
-
-func runFig7(w io.Writer) error {
-	res, err := Fig7(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
 }

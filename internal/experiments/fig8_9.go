@@ -137,15 +137,6 @@ func (r Fig8Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "\nMax per-workload reduction: %.1f×\n", r.MaxReduction)
 }
 
-func runFig8(w io.Writer) error {
-	res, err := Fig8(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
 // Fig9Row is one crossbar size's EDP ratios (baseline EDP / Odin EDP).
 type Fig9Row struct {
 	CrossbarSize int
@@ -226,13 +217,4 @@ func (r Fig9Result) Render(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%10.2f\n", row.MaxRatio)
 	}
-}
-
-func runFig9(w io.Writer) error {
-	res, err := Fig9(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
 }

@@ -262,7 +262,7 @@ func Fleet(opts FleetOptions) (*FleetResult, error) {
 }
 
 // Render prints the paper-style comparison table.
-func (r *FleetResult) Render(w io.Writer) error {
+func (r *FleetResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fleet-scale routing: %d chips, %d-request mixed trace (%s)\n",
 		r.Chips, r.Requests, joinNames(r.Models))
 	fmt.Fprintf(w, "rate %.4g req/s; drift phases staggered across the %.4g s forced-reprogram deadline\n",
@@ -293,7 +293,6 @@ func (r *FleetResult) Render(w io.Writer) error {
 		fmt.Fprintf(w, "drift vs rr: on-path reprogram stalls %d -> %d, p99 %.2fx lower\n",
 			rr.ReprogramOnPath, drift.ReprogramOnPath, rr.P99/drift.P99)
 	}
-	return nil
 }
 
 func joinNames(names []string) string {
@@ -305,12 +304,4 @@ func joinNames(names []string) string {
 		out += n
 	}
 	return out
-}
-
-func runFleet(w io.Writer) error {
-	res, err := Fleet(FleetOptions{})
-	if err != nil {
-		return err
-	}
-	return res.Render(w)
 }

@@ -37,10 +37,12 @@ func TestGoldenArtifacts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := e.Run(&buf); err != nil {
+			res, err := e.Run()
+			if err != nil {
 				t.Fatalf("experiment %s: %v", id, err)
 			}
+			var buf bytes.Buffer
+			res.Render(&buf)
 			check.Golden(t, filepath.Join("testdata", id+".golden"), buf.Bytes())
 		})
 	}

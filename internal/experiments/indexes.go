@@ -60,15 +60,6 @@ func (r RowSkipResult) Render(w io.Writer) {
 	}
 }
 
-func runRowSkip(w io.Writer) error {
-	res, err := RowSkip(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
 // IndexesRow is one OU width's index-storage footprint for a whole model.
 type IndexesRow struct {
 	Width     int
@@ -132,13 +123,4 @@ func (r IndexesResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "supporting every candidate width statically: %.1f KB\n", r.AllWidthsKB)
 	fmt.Fprintf(w, "Odin's online alternative (policy + buffer):  %.2f KB (%.0f× smaller)\n",
 		r.OdinKB, r.AllWidthsKB/r.OdinKB)
-}
-
-func runIndexes(w io.Writer) error {
-	res, err := Indexes(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
 }

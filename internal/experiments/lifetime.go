@@ -81,12 +81,3 @@ func (r LifetimeResult) Render(w io.Writer) {
 			row.Name, row.Reprograms, row.WearFraction*100, life)
 	}
 }
-
-func runLifetime(w io.Writer) error {
-	res, err := Lifetime(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

@@ -92,12 +92,3 @@ func (r MobileNetResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "Odin vs %s: %.1f×\n", row.Name, row.EDP/odin.EDP)
 	}
 }
-
-func runMobileNet(w io.Writer) error {
-	res, err := MobileNet(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

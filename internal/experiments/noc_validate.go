@@ -54,12 +54,3 @@ func (r NoCValidateResult) Render(w io.Writer) {
 			row.Workload, row.Flows, row.AnalyticSec, row.SimSec, row.Ratio, row.EnergyJ)
 	}
 }
-
-func runNoCValidate(w io.Writer) error {
-	res, err := NoCValidate(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

@@ -69,12 +69,3 @@ func (r NoiseResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "%-8.2f %13.1f%% %11.1f%%\n", row.Sigma, row.LogitError*100, row.FlipRate*100)
 	}
 }
-
-func runNoise(w io.Writer) error {
-	res, err := Noise(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

@@ -180,12 +180,3 @@ func (r OptCompareResult) Render(w io.Writer) {
 		}
 	}
 }
-
-func runOptCompare(w io.Writer) error {
-	res, err := OptCompare(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

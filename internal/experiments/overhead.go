@@ -71,12 +71,3 @@ func (r OverheadResult) Render(w io.Writer) {
 		r.UpdateEnergyUJ, r.BufferExamples, r.BufferKB)
 	fmt.Fprintf(w, "EX search comparator overhead: %.1f× over RB\n", r.EXOverRBRatio)
 }
-
-func runOverhead(w io.Writer) error {
-	res, err := Overhead(core.DefaultSystem())
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

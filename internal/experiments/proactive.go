@@ -82,12 +82,3 @@ func (r ProactiveResult) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "best variant: %s (%.2f× the paper controller's EDP)\n", best.Name, best.EDP/base)
 }
-
-func runProactive(w io.Writer) error {
-	res, err := Proactive(core.DefaultSystem(), nil)
-	if err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}

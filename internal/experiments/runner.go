@@ -92,9 +92,9 @@ type runCell struct {
 // writes their rendered output to w in selection order, byte-identical to
 // the sequential loop: each experiment renders into its own buffer
 // (progress header, artefact body, timing footer) and buffers are flushed
-// strictly in order as they complete. On an experiment failure the flush
-// stops after that experiment's partial output — again exactly the
-// sequential byte stream — the pool is drained, and the failure is
+// strictly in order as they complete. A failing experiment renders
+// nothing, so the flush stops after its progress header — again exactly
+// the sequential byte stream — the pool is drained, and the failure is
 // returned. All timing flows through opts.Clock; no wall clock is read
 // here.
 func RunAll(w io.Writer, opts RunOptions) (Report, error) {
@@ -102,12 +102,12 @@ func RunAll(w io.Writer, opts RunOptions) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	return runSelected(w, exps, opts)
+	return streamSelected(w, exps, opts)
 }
 
-// runSelected is RunAll after id resolution; tests drive it directly with
-// synthetic experiments to pin the engine's failure semantics.
-func runSelected(w io.Writer, exps []Experiment, opts RunOptions) (Report, error) {
+// streamSelected is RunAll after id resolution; tests drive it directly
+// with synthetic experiments to pin the engine's failure semantics.
+func streamSelected(w io.Writer, exps []Experiment, opts RunOptions) (Report, error) {
 	clk := opts.Clock
 	if clk == nil {
 		clk = clock.NewVirtual(0)
@@ -128,11 +128,13 @@ func runSelected(w io.Writer, exps []Experiment, opts RunOptions) (Report, error
 			c, e := &cells[i], exps[i]
 			start := clk.Now()
 			fmt.Fprintf(&c.buf, "==> %s (%s)\n", e.Title, e.ID)
-			if err := e.Run(&c.buf); err != nil {
+			res, err := e.Run()
+			if err != nil {
 				c.err = fmt.Errorf("%s: %w", e.ID, err)
 				c.seconds = clk.Now() - start
 				return
 			}
+			res.Render(&c.buf)
 			c.seconds = clk.Now() - start
 			fmt.Fprintf(&c.buf, "<== %s done in %.3fs\n\n", e.ID, c.seconds)
 		})
@@ -174,36 +176,27 @@ func recordTelemetry(reg *telemetry.Registry, r Report) {
 	reg.Gauge("odinsim_speedup", "sum of experiment times over engine wall time").Set(r.Speedup())
 }
 
-// jsonCell is one experiment's marshalled Data() payload.
-type jsonCell struct {
-	payload []byte
-	err     error
-}
-
-// RunAllJSON computes Data() for the selected experiments on the worker
-// pool and writes a single JSON object whose keys appear in selection
+// RunAllJSON runs the selected experiments on the worker pool and writes
+// their results as a single JSON object whose keys appear in selection
 // order — NOT alphabetically. encoding/json sorts map keys, which would
 // silently discard the paper ordering All() establishes, so the object is
 // hand-assembled from per-experiment marshalled payloads. Output is
-// byte-identical for every worker count.
+// byte-identical for every worker count, and nothing is written unless
+// every experiment succeeds.
 func RunAllJSON(w io.Writer, opts RunOptions) error {
 	exps, err := selectExperiments(opts.IDs)
 	if err != nil {
 		return err
 	}
-	cells := make([]jsonCell, len(exps))
+	payloads := make([][]byte, len(exps))
 	if err := par.ForEach(opts.Workers, len(exps), func(i int) error {
-		data, err := exps[i].Data()
-		if err != nil {
-			cells[i].err = fmt.Errorf("%s: %w", exps[i].ID, err)
-			return cells[i].err
+		res, err := exps[i].Run()
+		if err == nil {
+			payloads[i], err = json.MarshalIndent(res, "  ", "  ")
 		}
-		b, err := json.MarshalIndent(data, "  ", "  ")
 		if err != nil {
-			cells[i].err = fmt.Errorf("%s: %w", exps[i].ID, err)
-			return cells[i].err
+			return fmt.Errorf("%s: %w", exps[i].ID, err)
 		}
-		cells[i].payload = b
 		return nil
 	}); err != nil {
 		return err
@@ -220,7 +213,7 @@ func RunAllJSON(w io.Writer, opts RunOptions) error {
 		if i == len(exps)-1 {
 			sep = "\n"
 		}
-		if _, err := fmt.Fprintf(w, "  %s: %s%s", key, cells[i].payload, sep); err != nil {
+		if _, err := fmt.Fprintf(w, "  %s: %s%s", key, payloads[i], sep); err != nil {
 			return err
 		}
 	}

@@ -42,9 +42,11 @@ func sequentialReference(t *testing.T, ids []string) []byte {
 		}
 		fmt.Fprintf(&buf, "==> %s (%s)\n", e.Title, e.ID)
 		start := clk.Now()
-		if err := e.Run(&buf); err != nil {
+		res, err := e.Run()
+		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		res.Render(&buf)
 		fmt.Fprintf(&buf, "<== %s done in %.3fs\n\n", e.ID, clk.Now()-start)
 	}
 	return buf.Bytes()
@@ -161,14 +163,14 @@ func TestRunAllUnknownIDFails(t *testing.T) {
 	}
 }
 
+// text is a synthetic Result that renders as itself.
+type text string
+
+func (s text) Render(w io.Writer) { io.WriteString(w, string(s)) }
+
 // synth builds a synthetic experiment for engine-semantics tests.
-func synth(id string, run func(w io.Writer) error) Experiment {
-	return Experiment{
-		ID:    id,
-		Title: "synthetic " + id,
-		Run:   run,
-		Data:  func() (any, error) { return id, nil },
-	}
+func synth(id string, run func() (Result, error)) Experiment {
+	return Experiment{ID: id, Title: "synthetic " + id, Run: run}
 }
 
 // TestRunSelectedFlushOrderSurvivesOutOfOrderCompletion forces the first
@@ -182,7 +184,7 @@ func TestRunSelectedFlushOrderSurvivesOutOfOrderCompletion(t *testing.T) {
 	exps := make([]Experiment, n)
 	for i := 0; i < n; i++ {
 		i := i
-		exps[i] = synth(fmt.Sprintf("s%02d", i), func(w io.Writer) error {
+		exps[i] = synth(fmt.Sprintf("s%02d", i), func() (Result, error) {
 			if i == 0 {
 				for !lastDone.Load() {
 					runtime.Gosched()
@@ -191,12 +193,11 @@ func TestRunSelectedFlushOrderSurvivesOutOfOrderCompletion(t *testing.T) {
 			if i == n-1 {
 				lastDone.Store(true)
 			}
-			fmt.Fprintf(w, "body %02d\n", i)
-			return nil
+			return text(fmt.Sprintf("body %02d\n", i)), nil
 		})
 	}
 	var got bytes.Buffer
-	if _, err := runSelected(&got, exps, RunOptions{Workers: 4}); err != nil {
+	if _, err := streamSelected(&got, exps, RunOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
@@ -209,22 +210,22 @@ func TestRunSelectedFlushOrderSurvivesOutOfOrderCompletion(t *testing.T) {
 }
 
 // TestRunSelectedFailureMatchesSequentialBytes pins the failure contract:
-// output stops after the failing experiment's partial bytes — exactly what
-// the sequential loop would have printed — and later experiments do not
-// leak into the stream, at any worker count.
+// output stops after the failing experiment's progress header — exactly
+// what the sequential loop would have printed — and later experiments do
+// not leak into the stream, at any worker count.
 func TestRunSelectedFailureMatchesSequentialBytes(t *testing.T) {
 	t.Parallel()
 	boom := errors.New("boom")
 	exps := []Experiment{
-		synth("ok0", func(w io.Writer) error { fmt.Fprintln(w, "zero"); return nil }),
-		synth("bad", func(w io.Writer) error { fmt.Fprintln(w, "partial"); return boom }),
-		synth("ok2", func(w io.Writer) error { fmt.Fprintln(w, "two"); return nil }),
+		synth("ok0", func() (Result, error) { return text("zero\n"), nil }),
+		synth("bad", func() (Result, error) { return nil, boom }),
+		synth("ok2", func() (Result, error) { return text("two\n"), nil }),
 	}
 	want := "==> synthetic ok0 (ok0)\nzero\n<== ok0 done in 0.000s\n\n" +
-		"==> synthetic bad (bad)\npartial\n"
+		"==> synthetic bad (bad)\n"
 	for _, workers := range []int{1, 4} {
 		var got bytes.Buffer
-		rep, err := runSelected(&got, exps, RunOptions{Workers: workers})
+		rep, err := streamSelected(&got, exps, RunOptions{Workers: workers})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
@@ -255,10 +256,10 @@ func (w *errWriter) Write(p []byte) (int, error) {
 func TestRunSelectedSurfacesWriterError(t *testing.T) {
 	t.Parallel()
 	exps := []Experiment{
-		synth("a", func(w io.Writer) error { return nil }),
-		synth("b", func(w io.Writer) error { return nil }),
+		synth("a", func() (Result, error) { return text(""), nil }),
+		synth("b", func() (Result, error) { return text(""), nil }),
 	}
-	_, err := runSelected(&errWriter{}, exps, RunOptions{Workers: 2})
+	_, err := streamSelected(&errWriter{}, exps, RunOptions{Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "sink full") {
 		t.Fatalf("writer error not surfaced: %v", err)
 	}
@@ -271,10 +272,10 @@ func TestRunSelectedReportTimings(t *testing.T) {
 	t.Parallel()
 	clk := clock.NewVirtual(0)
 	exps := []Experiment{
-		synth("a", func(w io.Writer) error { clk.Advance(1.5); return nil }),
-		synth("b", func(w io.Writer) error { clk.Advance(2.5); return nil }),
+		synth("a", func() (Result, error) { clk.Advance(1.5); return text(""), nil }),
+		synth("b", func() (Result, error) { clk.Advance(2.5); return text(""), nil }),
 	}
-	rep, err := runSelected(io.Discard, exps, RunOptions{Workers: 1, Clock: clk})
+	rep, err := streamSelected(io.Discard, exps, RunOptions{Workers: 1, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}

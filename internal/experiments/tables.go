@@ -45,11 +45,6 @@ func (r Table1Result) Render(w io.Writer) {
 	}
 }
 
-func runTable1(w io.Writer) error {
-	Table1(core.DefaultSystem()).Render(w)
-	return nil
-}
-
 // Table2Row is one device parameter.
 type Table2Row struct {
 	Parameter   string
@@ -77,9 +72,4 @@ func (r Table2Result) Render(w io.Writer) {
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-12s %-28s %s\n", row.Parameter, row.Description, row.Value)
 	}
-}
-
-func runTable2(w io.Writer) error {
-	Table2(core.DefaultSystem()).Render(w)
-	return nil
 }

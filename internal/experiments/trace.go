@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"odin/internal/clock"
 	"odin/internal/core"
 	"odin/internal/dnn"
 	"odin/internal/obs"
@@ -68,7 +67,7 @@ func RunTrace(opts TraceOptions) (*TraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := obs.New(clock.NewVirtual(0))
+	tr := obs.New()
 	audit := obs.NewAuditLog(0)
 	copts := core.DefaultControllerOptions()
 	copts.Tracer = tr

@@ -6,10 +6,11 @@
 //
 // A Span is a named time interval with typed attributes, an optional
 // parent, and a track (the horizontal lane it renders on — one per chip in
-// the serving layer). Spans are collected by a Tracer and exported two
-// ways (export.go): Chrome trace-event JSON, loadable in chrome://tracing
-// and Perfetto, and a deterministic text flame summary (self/total time
-// plus exact p50/p90/p99 per span name).
+// the serving layer). A Tracer records each span with explicit virtual
+// start and end times (At) and exports them two ways (export.go): Chrome
+// trace-event JSON, loadable in chrome://tracing and Perfetto, and a
+// deterministic text flame summary (self/total time plus exact
+// p50/p90/p99 per span name).
 //
 // # Determinism
 //
@@ -24,10 +25,10 @@
 //
 // # Disabled fast path
 //
-// Every entry point is nil-safe: a nil *Tracer returns a nil *Span, and
-// every Span method on nil is a no-op. Hot paths guard with a single
-// pointer test (or none at all — calling through nil is legal), so
-// disabled tracing costs one predictable branch. The guard
+// Every entry point is nil-safe: a nil *Tracer records nothing and
+// returns a nil *Span, which is a valid (root) parent. Hot paths guard
+// with a single pointer test (or none at all — calling through nil is
+// legal), so disabled tracing costs one predictable branch. The guard
 // TestDisabledObsOverheadGuard (repo root, armed by `make smoke`) keeps the
 // disabled controller decision path within noise of the pre-obs reference.
 package obs
@@ -38,8 +39,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"odin/internal/clock"
 )
 
 // Attr is one typed span attribute. Construct with String, Int, Float or
@@ -98,19 +97,11 @@ func (a Attr) jsonValue() string {
 	return strconv.Quote(a.str)
 }
 
-// Span is a handle to one recorded (or in-flight) interval. Handles exist
-// so children can reference their parent; all state lives in the Tracer.
-// A nil *Span is a valid no-op handle.
+// Span is a handle to one recorded interval. Handles exist so children
+// can reference their parent; all state lives in the Tracer. A nil *Span
+// is a valid no-parent handle.
 type Span struct {
-	t  *Tracer
 	id uint64
-
-	name   string
-	track  int
-	parent uint64
-	start  float64
-	attrs  []Attr
-	ended  bool
 }
 
 // record is one finished span as stored by the Tracer.
@@ -126,8 +117,6 @@ type record struct {
 // last cap spans — the /debug/trace ring). A nil *Tracer is a disabled
 // tracer: every method is a cheap no-op.
 type Tracer struct {
-	clk clock.Clock
-
 	mu     sync.Mutex
 	nextID uint64
 	cap    int // 0 = unbounded
@@ -135,19 +124,18 @@ type Tracer struct {
 	head   int // ring start when len(recs) == cap
 }
 
-// New returns an unbounded Tracer stamping spans from clk. A nil clk is
-// allowed when every span is recorded with explicit times (At).
-func New(clk clock.Clock) *Tracer {
-	return &Tracer{clk: clk, nextID: 1}
+// New returns an unbounded Tracer.
+func New() *Tracer {
+	return &Tracer{nextID: 1}
 }
 
 // NewRing returns a Tracer that keeps only the most recent cap spans
 // (eviction in record order) — bounded memory for long-lived live serving.
-func NewRing(clk clock.Clock, cap int) *Tracer {
+func NewRing(cap int) *Tracer {
 	if cap < 1 {
 		panic(fmt.Sprintf("obs: ring capacity %d must be positive", cap))
 	}
-	t := New(clk)
+	t := New()
 	t.cap = cap
 	return t
 }
@@ -156,95 +144,29 @@ func NewRing(clk clock.Clock, cap int) *Tracer {
 // attribute construction on hot paths.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// now reads the tracer clock (0 when none was provided).
-func (t *Tracer) now() float64 {
-	if t.clk == nil {
-		return 0
-	}
-	return t.clk.Now()
-}
-
-// Start opens a span at the tracer clock's current time. parent may be nil
-// (a root span); the child inherits the parent's track. End the returned
-// span to record it. On a nil Tracer, Start returns nil.
-func (t *Tracer) Start(name string, parent *Span, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	s := &Span{t: t, name: name, start: t.now(), attrs: attrs}
-	s.id, s.track, s.parent = t.allocID(), 0, 0
-	if parent != nil {
-		s.track, s.parent = parent.track, parent.id
-	}
-	return s
-}
-
-// At records an already-finished span with explicit virtual timestamps —
-// the replay/simulation path, where the interval is known after the fact
-// (a batch's virtual execution window, a layer's share of a run's
-// latency). It returns a handle usable as a parent for later children. On
-// a nil Tracer, At returns nil.
+// At records a finished span with explicit virtual timestamps — a batch's
+// virtual execution window, a layer's share of a run's latency — and
+// returns a handle usable as a parent for later children. On a nil
+// Tracer, At returns nil.
 func (t *Tracer) At(name string, track int, start, end float64, parent *Span, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{t: t, name: name, track: track, start: start, attrs: attrs, ended: true}
-	s.id = t.allocID()
+	r := record{name: name, track: track, start: start, end: end, attrs: attrs}
 	if parent != nil {
-		s.parent = parent.id
+		r.parent = parent.id
 	}
-	t.add(record{id: s.id, parent: s.parent, name: name, track: track,
-		start: start, end: end, attrs: attrs})
-	return s
-}
-
-func (t *Tracer) allocID() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := t.nextID
+	r.id = t.nextID
 	t.nextID++
-	return id
-}
-
-// SetTrack moves an in-flight span onto a track (no-op after End or on a
-// nil span).
-func (s *Span) SetTrack(track int) {
-	if s == nil || s.ended {
-		return
-	}
-	s.track = track
-}
-
-// Annotate appends attributes to an in-flight span (no-op after End or on
-// a nil span).
-func (s *Span) Annotate(attrs ...Attr) {
-	if s == nil || s.ended {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
-}
-
-// End closes the span at the tracer clock's current time and records it.
-// No-op on a nil span; ending twice records once.
-func (s *Span) End() {
-	if s == nil || s.ended {
-		return
-	}
-	s.ended = true
-	s.t.add(record{id: s.id, parent: s.parent, name: s.name, track: s.track,
-		start: s.start, end: s.t.now(), attrs: s.attrs})
-}
-
-// add appends one finished record, evicting the oldest when ring-bounded.
-func (t *Tracer) add(r record) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.cap > 0 && len(t.recs) == t.cap {
-		t.recs[t.head] = r
+		t.recs[t.head] = r // evict the oldest
 		t.head = (t.head + 1) % t.cap
-		return
+	} else {
+		t.recs = append(t.recs, r)
 	}
-	t.recs = append(t.recs, r)
+	return &Span{id: r.id}
 }
 
 // Len returns the number of recorded spans currently held.
@@ -258,11 +180,11 @@ func (t *Tracer) Len() int {
 }
 
 // snapshot returns the held records in canonical order with ids renumbered
-// 1..n (0 = no parent). Parents evicted from a ring — or never ended —
-// remap to 0. The canonical order makes every export byte-identical across
-// recording interleavings: spans sort by (start, end, track, name,
-// rendered attributes), a total order for any span set whose attribute
-// sets distinguish otherwise-identical spans.
+// 1..n (0 = no parent). Parents evicted from a ring remap to 0. The
+// canonical order makes every export byte-identical across recording
+// interleavings: spans sort by (start, end, track, name, rendered
+// attributes), a total order for any span set whose attribute sets
+// distinguish otherwise-identical spans.
 func (t *Tracer) snapshot() []record {
 	t.mu.Lock()
 	out := make([]record, 0, len(t.recs))

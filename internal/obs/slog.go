@@ -13,11 +13,12 @@ import (
 )
 
 // LogHandler is a deterministic slog.Handler: it renders logfmt-style
-// lines stamped from an internal/clock Clock instead of the record's
-// wall-clock time, so replayed runs produce reproducible logs (a Virtual
-// clock yields byte-identical output; only live binaries see real
-// timestamps). Safe for concurrent use; each Handle emits one line with a
-// single Write.
+// lines stamped with virtual time instead of the record's wall-clock time,
+// so replayed runs produce reproducible logs. A record logged under a
+// WithTime context carries that time (the time of the action it
+// reports); any other record reads the handler's internal/clock Clock
+// (only live binaries see real timestamps). Safe for concurrent use; each
+// Handle emits one line with a single Write.
 //
 //	t=12.5 level=INFO msg="chip degraded" chip=3 reprograms=8
 type LogHandler struct {
@@ -30,8 +31,9 @@ type LogHandler struct {
 	groups []string
 }
 
-// NewLogHandler returns a handler writing to w, stamping times from clk,
-// and dropping records below level (nil level means slog.LevelInfo).
+// NewLogHandler returns a handler writing to w, stamping records that
+// carry no WithTime context from clk, and dropping records below level
+// (nil level means slog.LevelInfo).
 func NewLogHandler(w io.Writer, clk clock.Clock, level slog.Leveler) *LogHandler {
 	if level == nil {
 		level = slog.LevelInfo
@@ -44,13 +46,28 @@ func (h *LogHandler) Enabled(_ context.Context, level slog.Level) bool {
 	return level >= h.level.Level()
 }
 
+// timeKey is the context key WithTime stores a record's virtual time under.
+type timeKey struct{}
+
+// WithTime returns a context that stamps records handled under it with
+// virtual time t. Emitters pass the time of the action a line reports, so
+// the stamp cannot race a clock that another goroutine keeps moving.
+func WithTime(ctx context.Context, t float64) context.Context {
+	return context.WithValue(ctx, timeKey{}, t)
+}
+
 // Handle implements slog.Handler: one deterministic logfmt line per
-// record. The record's own Time (a wall-clock read taken by slog) is
+// record, stamped with the context's WithTime value, else the handler's
+// clock. The record's own Time (a wall-clock read taken by slog) is
 // deliberately ignored.
-func (h *LogHandler) Handle(_ context.Context, r slog.Record) error {
+func (h *LogHandler) Handle(ctx context.Context, r slog.Record) error {
+	t, ok := ctx.Value(timeKey{}).(float64)
+	if !ok {
+		t = h.clk.Now()
+	}
 	var sb strings.Builder
 	sb.WriteString("t=")
-	sb.WriteString(strconv.FormatFloat(h.clk.Now(), 'g', -1, 64))
+	sb.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
 	sb.WriteString(" level=")
 	sb.WriteString(r.Level.String())
 	sb.WriteString(" msg=")

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"log/slog"
 	"strings"
 	"sync"
@@ -29,6 +30,21 @@ func TestLogHandlerDeterministicOutput(t *testing.T) {
 		"t=4 level=WARN msg=\"queue full\" model=VGG11\n"
 	if a != want {
 		t.Fatalf("log output:\n%q\nwant:\n%q", a, want)
+	}
+}
+
+// TestLogHandlerWithTimeOverridesClock checks that a WithTime context
+// stamps its record with the carried time, whatever the clock reads.
+func TestLogHandlerWithTimeOverridesClock(t *testing.T) {
+	t.Parallel()
+	var buf bytes.Buffer
+	log := slog.New(NewLogHandler(&buf, clock.NewVirtual(9), nil))
+	log.InfoContext(WithTime(context.Background(), 1.25), "chip added", "chip", 4)
+	log.Info("fleet drained")
+	want := "t=1.25 level=INFO msg=\"chip added\" chip=4\n" +
+		"t=9 level=INFO msg=\"fleet drained\"\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("log output:\n%q\nwant:\n%q", got, want)
 	}
 }
 

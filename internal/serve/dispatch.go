@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"sort"
 	"strings"
@@ -97,9 +99,7 @@ func (s *Server) handleOp(op *fleetOp) {
 			p.Publish(pulse.Event{Kind: pulse.KindLifecycle, Time: s.lastT,
 				Chip: c.id, Model: c.model, Action: "add", Fleet: s.liveChips()})
 		}
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Info("chip added", "chip", c.id, "model", c.model)
-		}
+		s.logAt(s.lastT, slog.LevelInfo, "chip added", "chip", c.id, "model", c.model)
 		op.reply <- fleetOpResult{id: id}
 
 	case op.info:
@@ -158,10 +158,8 @@ func (s *Server) removeChip(id int) error {
 		p.Publish(pulse.Event{Kind: pulse.KindLifecycle, Time: s.lastT,
 			Chip: c.id, Model: c.model, Action: "remove", Fleet: s.liveChips()})
 	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("chip removed", "chip", c.id, "model", c.model,
-			"served", c.served)
-	}
+	s.logAt(s.lastT, slog.LevelInfo, "chip removed", "chip", c.id, "model", c.model,
+		"served", c.served)
 	return nil
 }
 
@@ -446,22 +444,29 @@ func (s *Server) maintainHosts(hosts []*chip, t float64) {
 				Model: c.model, Pass: "maintenance", Count: c.ctrl.Reprograms(),
 				Age: c.ctrl.Age(t)})
 		}
-		s.noteReprogram(c)
+		s.noteReprogram(c, t)
 	}
 }
 
 // noteReprogram applies the reprogram-budget bookkeeping shared by forced
-// (on-path) and maintenance passes.
-func (s *Server) noteReprogram(c *chip) {
+// (on-path) and maintenance passes; t is the write pass's virtual time.
+func (s *Server) noteReprogram(c *chip, t float64) {
 	if s.cfg.ReprogramBudget > 0 && !c.degraded && c.ctrl.Reprograms() >= s.cfg.ReprogramBudget {
 		c.degraded = true
 		s.met.chipDegraded.With(c.label).Set(1)
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Warn("chip degraded",
-				"chip", c.id, "model", c.model,
-				"reprograms", c.ctrl.Reprograms(),
-				"budget", s.cfg.ReprogramBudget)
-		}
+		s.logAt(t, slog.LevelWarn, "chip degraded",
+			"chip", c.id, "model", c.model,
+			"reprograms", c.ctrl.Reprograms(),
+			"budget", s.cfg.ReprogramBudget)
+	}
+}
+
+// logAt logs one serve action stamped with its virtual time t. The
+// dispatcher reports actions after the fact while a replay's submitter
+// keeps moving the shared clock, so a clock read here would race it.
+func (s *Server) logAt(t float64, level slog.Level, msg string, args ...any) {
+	if s.cfg.Logger != nil {
+		s.cfg.Logger.Log(obs.WithTime(context.Background(), t), level, msg, args...)
 	}
 }
 
@@ -636,7 +641,7 @@ func (s *Server) finishBatch(b *batch) {
 	if rep.Reprogrammed {
 		s.met.chipReprogram.With(c.label).Add(uint64(rep.ReprogramPasses))
 		s.met.reprogramOnPath.Add(uint64(len(b.reqs)))
-		s.noteReprogram(c)
+		s.noteReprogram(c, b.start) // the controller writes at the batch start
 	}
 }
 
@@ -669,7 +674,5 @@ func (s *Server) flush() {
 		s.advance(c, math.Inf(1), true)
 		s.met.chipDepth.With(c.label).Set(0)
 	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("fleet drained", "chips", len(s.chips))
-	}
+	s.logAt(s.lastT, slog.LevelInfo, "fleet drained", "chips", len(s.chips))
 }

@@ -1,0 +1,189 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"log/slog"
+	"strconv"
+	"strings"
+	"testing"
+
+	"odin/internal/check"
+	"odin/internal/clock"
+	"odin/internal/obs"
+	"odin/internal/pulse"
+	"odin/internal/telemetry"
+)
+
+// actionReplay is the observed replay that exercises every serve action:
+// an overloaded 3-chip drift-routed fleet with a one-pass reprogram
+// budget, two quota'd tenants plus the default class, and the standard
+// churn schedule. A pulse bus and a deterministic logger ride on the
+// fleet's registry. It returns the /metrics exposition and the log.
+func actionReplay(t *testing.T, workers int) (expo, log []byte) {
+	t.Helper()
+	const chips, n = 3, 400
+	sys := driftSystem()
+	clk := clock.NewVirtual(0)
+	reg := telemetry.NewRegistry()
+	var logBuf bytes.Buffer
+	cfg := Config{
+		Clock:           clk,
+		System:          &sys,
+		Router:          "drift",
+		QueueDepth:      3,
+		MaxBatch:        3,
+		ReprogramBudget: 1,
+		Workers:         workers,
+		Registry:        reg,
+		Pulse:           pulse.New(pulse.Options{Registry: reg}),
+		Logger:          slog.New(obs.NewLogHandler(&logBuf, clk, nil)),
+		Tenants: []TenantConfig{
+			{Name: "gold", Quota: 4, Priority: 1},
+			{Name: "bronze", Quota: 5},
+		},
+	}
+	for i := 0; i < chips; i++ {
+		cfg.Chips = append(cfg.Chips, ChipConfig{Custom: tinyModel("tiny"), Seed: uint64(i) + 1})
+	}
+	tr, err := GenTrace(TraceConfig{
+		Seed:     5,
+		Rate:     1.2 * chips / probeLatency(t),
+		Requests: n,
+		Models:   []string{"tiny"},
+		Tenants:  []string{"gold", "bronze", ""},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	ReplayOps(s, clk, tr, churnOps(n, chips))
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), logBuf.Bytes()
+}
+
+// sampleValue returns the value of the exposition line for series (a
+// metric name plus its label set, exactly as exposed), or -1 when absent.
+func sampleValue(t *testing.T, expo []byte, series string) float64 {
+	t.Helper()
+	sc := bufio.NewScanner(bytes.NewReader(expo))
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	return -1
+}
+
+// withoutFamilies drops every exposition line (samples and HELP/TYPE
+// comments) of the metric families whose names start with prefix.
+func withoutFamilies(expo []byte, prefix string) string {
+	var sb strings.Builder
+	for _, line := range strings.SplitAfter(string(expo), "\n") {
+		name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+		if !strings.HasPrefix(name, prefix) {
+			sb.WriteString(line)
+		}
+	}
+	return sb.String()
+}
+
+// TestMetricsExpositionGolden freezes the /metrics exposition of a replay
+// that takes every serve action, so a refactor of the emitters must
+// reproduce it byte for byte. Regenerate with
+// `go test -run TestMetricsExpositionGolden -update ./internal/serve/`.
+func TestMetricsExpositionGolden(t *testing.T) {
+	t.Parallel()
+	expo, _ := actionReplay(t, 1)
+
+	// Every action path must have fired, so a retuned configuration cannot
+	// silently drop one from the golden.
+	shed := sampleValue(t, expo, "odinserve_shed_total")
+	quota := sampleValue(t, expo, "odinserve_quota_shed_total")
+	evicted := sampleValue(t, expo, "odinserve_evicted_total")
+	if queue := shed - quota - evicted; queue <= 0 {
+		t.Errorf("no queue sheds (shed %g, quota %g, evicted %g)", shed, quota, evicted)
+	}
+	for _, series := range []string{
+		"odinserve_quota_shed_total",
+		"odinserve_evicted_total",
+		"odinserve_maintenance_reprograms_total",
+		"odinserve_reprogram_on_path_requests_total",
+		"odinserve_chips_added_total",
+		"odinserve_chips_removed_total",
+	} {
+		if v := sampleValue(t, expo, series); v <= 0 {
+			t.Errorf("%s = %g; want a nonzero count", series, v)
+		}
+	}
+	degraded := 0
+	for chip := 0; chip < 5; chip++ { // 3 seed chips + 2 hot adds
+		if sampleValue(t, expo, `odinserve_chip_degraded{chip="`+strconv.Itoa(chip)+`"}`) == 1 {
+			degraded++
+		}
+	}
+	if degraded == 0 {
+		t.Error("no chip reached its reprogram budget")
+	}
+
+	// The families the benchmark harness scrapes are pinned by name, so a
+	// golden regenerated with -update cannot drop one unnoticed.
+	for _, series := range []string{
+		"odinserve_requests_total",
+		"odinserve_completed_total",
+		"odinserve_batch_size_sum",
+		"odinserve_batch_size_count",
+		"odinserve_shed_total",
+		"odinserve_evicted_total",
+		"odinserve_maintenance_reprograms_total",
+		"odinserve_reprogram_on_path_requests_total",
+	} {
+		if sampleValue(t, expo, series) < 0 {
+			t.Errorf("exposition lacks %s", series)
+		}
+	}
+
+	check.Golden(t, "testdata/metrics.golden", expo)
+}
+
+// TestMetricsExpositionWorkerInvariance replays the same trace at workers
+// 1 and 8: the exposition must match except for the odin_decache_*
+// families, whose hit/miss split depends on which chip's worker reaches a
+// shared decision first.
+func TestMetricsExpositionWorkerInvariance(t *testing.T) {
+	t.Parallel()
+	one, _ := actionReplay(t, 1)
+	eight, _ := actionReplay(t, 8)
+	a, b := withoutFamilies(one, "odin_decache_"), withoutFamilies(eight, "odin_decache_")
+	if a != b {
+		t.Errorf("exposition differs between workers 1 and 8:\n%s", check.DiffLines(a, b))
+	}
+}
+
+// TestLogWorkerInvariance pins the log of the same replay byte for byte at
+// workers 1 and 8: each line carries the virtual time of the action it
+// reports, never a clock read that races the replay's submitter.
+func TestLogWorkerInvariance(t *testing.T) {
+	t.Parallel()
+	_, one := actionReplay(t, 1)
+	_, eight := actionReplay(t, 8)
+	for _, msg := range []string{`msg="chip added"`, `msg="chip removed"`, `msg="chip degraded"`, `msg="fleet drained"`} {
+		if !bytes.Contains(one, []byte(msg)) {
+			t.Errorf("log carries no %s line", msg)
+		}
+	}
+	if !bytes.Equal(one, eight) {
+		t.Errorf("log differs between workers 1 and 8:\n%s", check.DiffLines(string(one), string(eight)))
+	}
+}

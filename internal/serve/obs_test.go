@@ -21,7 +21,7 @@ func tracedReplay(t *testing.T, tr Trace, chips, workers int) (ReplayResult, []b
 		QueueDepth: 4,
 		MaxBatch:   4,
 		Workers:    workers,
-		Tracer:     obs.New(clk),
+		Tracer:     obs.New(),
 	}
 	for i := 0; i < chips; i++ {
 		cfg.Chips = append(cfg.Chips, ChipConfig{Custom: tinyModel("tiny"), Seed: uint64(i) + 1})
@@ -82,7 +82,7 @@ func TestHandlerDebugEndpoints(t *testing.T) {
 		}
 	}
 
-	spans := obs.NewRing(clock.NewVirtual(0), 16)
+	spans := obs.NewRing(16)
 	spans.At("seedspan", 0, 0, 1, nil)
 	debug := NewHandlerOpts(s, HandlerOptions{Tracer: spans, Debug: true})
 	if rec := get(debug, "/debug/pprof/"); rec.Code != http.StatusOK {

@@ -42,8 +42,17 @@
 //     other completions are observed opportunistically.
 //
 // Telemetry counters and per-request figures are deterministic under
-// replay; queue-depth *samples* are scheduling-dependent (they reflect how
-// eagerly completions were observed) and are observability-only.
+// replay, and each log line carries the virtual time of the action it
+// reports rather than a clock read. Three metric families depend on
+// scheduling and are observability-only:
+//
+//   - odinserve_queue_depth samples reflect how eagerly completions were
+//     observed;
+//   - odinserve_queue_wait_seconds_sum, under a router that is not Exact
+//     and without quotas, adds waits in the order chips' batches are
+//     observed, so its last bits vary between runs;
+//   - the odin_decache_* hit/miss split above one worker depends on which
+//     chip's worker reaches a shared decision first.
 package serve
 
 import (
@@ -197,9 +206,11 @@ type Config struct {
 	// (Clock) times, so replayed traces export byte-identically regardless
 	// of Workers — see WriteChromeTrace's canonical ordering.
 	Tracer *obs.Tracer
-	// Logger receives structured serve events (chip degradation, drain);
-	// nil disables logging. Pair it with obs.NewLogHandler over the same
-	// Clock for deterministic timestamps.
+	// Logger receives structured serve events (chip add/remove and
+	// degradation, drain); nil disables logging. Each record carries the
+	// action's virtual time as an obs.WithTime context, which
+	// obs.NewLogHandler stamps, so replayed logs are byte-identical at
+	// every worker count.
 	Logger *slog.Logger
 	// Pulse, when non-nil, receives streaming telemetry events (batch
 	// retirements, decision summaries, reprogram passes, lifecycle, sheds)

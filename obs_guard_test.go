@@ -85,7 +85,7 @@ func referenceRB(g ou.Grid, o search.Objective, start ou.Size, k int) search.Res
 // not 1.1×.
 //
 // Timing assertions are inherently flaky under load, so the guard only arms
-// when ODIN_OBS_GUARD=1 (make smoke sets it); otherwise it verifies the
+// when ODIN_OVERHEAD_GUARD=1 (make smoke sets it); otherwise it verifies the
 // two loops still agree and skips the timing comparison.
 func TestDisabledObsOverheadGuard(t *testing.T) {
 	sys := core.DefaultSystem()
@@ -107,8 +107,8 @@ func TestDisabledObsOverheadGuard(t *testing.T) {
 		t.Fatalf("instrumented search diverged from reference: %+v vs %+v", got, want)
 	}
 
-	if os.Getenv("ODIN_OBS_GUARD") != "1" {
-		t.Skip("timing guard disarmed; set ODIN_OBS_GUARD=1 (make smoke) to enforce")
+	if os.Getenv("ODIN_OVERHEAD_GUARD") != "1" {
+		t.Skip("timing guard disarmed; set ODIN_OVERHEAD_GUARD=1 (make smoke) to enforce")
 	}
 
 	decision := func(rb func(ou.Grid, search.Objective, ou.Size, int) search.Result) func(*testing.B) {

@@ -28,7 +28,7 @@ var pulseGuardBus *pulse.Bus
 //  2. The disabled cost per publish site is one pointer test: every site
 //     in internal/serve gates event assembly on Enabled(), so a replay
 //     with Config.Pulse nil pays sites × (nil test) per request. Armed
-//     (ODIN_PULSE_GUARD=1, set by make smoke), the guard measures
+//     (ODIN_OVERHEAD_GUARD=1, set by make smoke), the guard measures
 //     that gate and requires the per-request total to stay under 2% of
 //     the per-request dispatch cost — the same budget the obs guard
 //     enforces for disabled tracing.
@@ -53,8 +53,8 @@ func TestDisabledPulseOverheadGuard(t *testing.T) {
 		t.Fatalf("nil bus allocates %.1f objects per publish round; disabled pulse must be allocation-free", allocs)
 	}
 
-	if os.Getenv("ODIN_PULSE_GUARD") != "1" {
-		t.Skip("timing guard disarmed; set ODIN_PULSE_GUARD=1 (make smoke) to enforce")
+	if os.Getenv("ODIN_OVERHEAD_GUARD") != "1" {
+		t.Skip("timing guard disarmed; set ODIN_OVERHEAD_GUARD=1 (make smoke) to enforce")
 	}
 
 	// The disabled publish site: the Enabled() nil test, nothing else —
