@@ -68,7 +68,8 @@ func BenchmarkFig7(b *testing.B) { benchmarkExperiment(b, "fig7") }
 
 // BenchmarkFig8 regenerates the full cross-workload EDP comparison:
 // 9 DNNs × (4 baselines + Odin with leave-one-out bootstrap) × the full
-// horizon. This is the heaviest artefact (~30 s per regeneration).
+// horizon. This is the heaviest artefact (~17 s per regeneration on a
+// 2-core host).
 func BenchmarkFig8(b *testing.B) { benchmarkExperiment(b, "fig8") }
 
 // BenchmarkFig9 regenerates the crossbar-size sensitivity study

@@ -13,6 +13,7 @@ import (
 
 	"odin/internal/core"
 	"odin/internal/dnn"
+	"odin/internal/policy"
 )
 
 // Result is an experiment's typed outcome. Render prints the paper-style
@@ -86,12 +87,23 @@ func defaultHorizon() core.HorizonConfig {
 // paper's leave-one-out protocol: the policy is trained on every zoo family
 // except the target's.
 func bootstrapFor(sys core.System, target *dnn.Model) (*core.Controller, *core.Workload, error) {
-	family := familyOf(target.Name)
-	known := core.LeaveOut(dnn.AllWorkloads(), family)
-	pol, _, err := core.BootstrapPolicy(sys, known, core.DefaultBootstrapConfig())
+	pol, err := leaveOutPolicy(sys, familyOf(target.Name))
 	if err != nil {
 		return nil, nil, err
 	}
+	return newController(sys, target, pol)
+}
+
+// leaveOutPolicy trains the offline policy on every zoo family except
+// family.
+func leaveOutPolicy(sys core.System, family string) (*policy.Policy, error) {
+	pol, _, err := core.BootstrapPolicy(sys, core.LeaveOut(dnn.AllWorkloads(), family), core.DefaultBootstrapConfig())
+	return pol, err
+}
+
+// newController prepares target and gives it a default controller that
+// adapts pol online.
+func newController(sys core.System, target *dnn.Model, pol *policy.Policy) (*core.Controller, *core.Workload, error) {
 	wl, err := sys.Prepare(target)
 	if err != nil {
 		return nil, nil, err

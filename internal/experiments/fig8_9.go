@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"odin/internal/core"
 	"odin/internal/dnn"
 	"odin/internal/par"
+	"odin/internal/policy"
 )
 
 // Fig8Row is one workload's normalised EDP bars.
@@ -33,8 +35,10 @@ type Fig8Result struct {
 
 // Fig8 runs every zoo workload with Odin and the four homogeneous
 // baselines, applying the leave-one-out bootstrap per workload. Workloads
-// are simulated in parallel (each goroutine fills only rows[i]; every
-// horizon gets its own freshly prepared workload and bootstrapped
+// of one family (VGG11/16/19, ResNet18/34/50) leave out the same family, so
+// each family's offline policy is trained once and every workload adapts
+// its own clone. Workloads are simulated in parallel (each goroutine fills
+// only rows[i]; every horizon gets its own freshly prepared workload and
 // controller); the mean/max reductions are then reduced over the rows in
 // workload order, so the rounding — and the rendered bytes — match the
 // sequential loop exactly.
@@ -47,6 +51,20 @@ func Fig8(sys core.System) (Fig8Result, error) {
 	}
 
 	models := dnn.AllWorkloads()
+	var families []string
+	for _, m := range models {
+		if f := familyOf(m.Name); !slices.Contains(families, f) {
+			families = append(families, f)
+		}
+	}
+	offline := make([]*policy.Policy, len(families))
+	if err := par.ForEach(0, len(families), func(i int) error {
+		var err error
+		offline[i], err = leaveOutPolicy(sys, families[i])
+		return err
+	}); err != nil {
+		return res, err
+	}
 	rows := make([]Fig8Row, len(models))
 	if err := par.ForEach(0, len(models), func(i int) error {
 		model := models[i]
@@ -72,7 +90,8 @@ func Fig8(sys core.System) (Fig8Result, error) {
 			}
 			row.EDP[size.String()] = sum.TotalEDP() / norm
 		}
-		ctrl, _, err := bootstrapFor(sys, model)
+		pol := offline[slices.Index(families, familyOf(model.Name))].Clone()
+		ctrl, _, err := newController(sys, model, pol)
 		if err != nil {
 			return err
 		}

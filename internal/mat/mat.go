@@ -59,6 +59,11 @@ func (m *Dense) Clone() *Dense {
 // MulVec computes y = m·x. If dst is non-nil and correctly sized it is
 // reused, otherwise a new slice is allocated; the result is returned either
 // way.
+//
+// Rows are computed in pairs with one accumulator each, so the two
+// dependent add chains overlap in the pipeline. Each row still sums its
+// products left to right, so every element is bit-identical to a
+// one-row-at-a-time loop.
 func (m *Dense) MulVec(x, dst []float64) []float64 {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("mat: MulVec dimension mismatch: %d cols vs %d vec", m.Cols, len(x)))
@@ -66,10 +71,21 @@ func (m *Dense) MulVec(x, dst []float64) []float64 {
 	if len(dst) != m.Rows {
 		dst = make([]float64, m.Rows)
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	n := len(x)
+	i := 0
+	for ; i+1 < m.Rows; i += 2 {
+		r0 := m.Data[i*n : (i+1)*n]
+		r1 := m.Data[(i+1)*n : (i+2)*n]
+		var s0, s1 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+		}
+		dst[i], dst[i+1] = s0, s1
+	}
+	if i < m.Rows {
 		var s float64
-		for j, w := range row {
+		for j, w := range m.Data[i*n : (i+1)*n] {
 			s += w * x[j]
 		}
 		dst[i] = s

@@ -1,10 +1,12 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"odin/internal/check"
 	"odin/internal/rng"
 )
 
@@ -280,4 +282,68 @@ func TestMulVecDimensionPanic(t *testing.T) {
 		}
 	}()
 	NewDense(2, 3).MulVec([]float64{1, 2}, nil)
+}
+
+// specialFloat draws a value that is often one of the inputs that expose a
+// change of summation order: signed zeros, infinities, NaN and subnormals.
+func specialFloat(r *rng.Source) float64 {
+	switch r.Intn(20) {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return 0
+	case 2:
+		return math.Inf(1 - 2*r.Intn(2))
+	case 3:
+		return math.NaN()
+	case 4:
+		return float64(1-2*r.Intn(2)) * math.SmallestNonzeroFloat64 * float64(1+r.Intn(1<<20))
+	case 5:
+		return r.NormFloat64() * 1e300
+	default:
+		return r.NormFloat64()
+	}
+}
+
+// TestPropMulVecMatchesRowLoop pins that MulVec, which computes rows in
+// pairs, returns exactly what a one-row-at-a-time left-to-right loop
+// returns, for every shape from 1×1 to 9×17. Results must match bit for
+// bit, which is what decides −0 and subnormal outputs; a NaN matches any
+// NaN, since IEEE 754 leaves the payload of an operation on two NaNs to
+// the hardware and the compiler may commute a multiply or add.
+func TestPropMulVecMatchesRowLoop(t *testing.T) {
+	t.Parallel()
+	const maxRows, maxCols = 9, 17
+	type input struct{ M, X []float64 }
+	gen := check.Gen[input]{Generate: func(t *check.T) input {
+		in := input{M: make([]float64, maxRows*maxCols), X: make([]float64, maxCols)}
+		for i := range in.M {
+			in.M[i] = specialFloat(t.Rng)
+		}
+		for i := range in.X {
+			in.X[i] = specialFloat(t.Rng)
+		}
+		return in
+	}}
+	check.RunConfig(t, check.Config{Trials: 200}, gen, func(in input) error {
+		for rows := 1; rows <= maxRows; rows++ {
+			for cols := 1; cols <= maxCols; cols++ {
+				m := &Dense{Rows: rows, Cols: cols, Data: in.M[:rows*cols]}
+				x := in.X[:cols]
+				got := m.MulVec(x, make([]float64, rows))
+				for i := 0; i < rows; i++ {
+					var want float64
+					for j, w := range m.Row(i) {
+						want += w * x[j]
+					}
+					g := got[i]
+					if math.Float64bits(g) != math.Float64bits(want) && !(math.IsNaN(g) && math.IsNaN(want)) {
+						return fmt.Errorf("%dx%d row %d: MulVec %v (%#x), row loop %v (%#x)",
+							rows, cols, i, g, math.Float64bits(g), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+		return nil
+	})
 }

@@ -120,58 +120,97 @@ func (n *Network) Clone() *Network {
 // NumParams returns the total number of trainable scalars.
 func (n *Network) NumParams() int {
 	total := 0
-	for _, l := range append(append([]*linear{}, n.trunk...), n.heads...) {
+	for _, l := range n.layers() {
 		total += len(l.W.Data) + len(l.B)
 	}
 	return total
 }
 
-// forward runs the trunk and returns every post-activation (index 0 is the
-// input itself) plus the raw logits per head.
-func (n *Network) forward(input []float64) (acts [][]float64, logits [][]float64) {
+// layers returns the trunk then the heads: the parameter order of
+// Parameters and Gradients, and the shape of gradients and optimizer state.
+func (n *Network) layers() []*linear {
+	return append(append(make([]*linear, 0, len(n.trunk)+len(n.heads)), n.trunk...), n.heads...)
+}
+
+// workspace holds every buffer one forward and backward pass writes. A
+// Predict, Classify, Loss, Train or Gradients call sizes one up front, so
+// the per-example work allocates nothing. It is never stored on the
+// Network: concurrent read-only calls on a shared network stay race-free.
+type workspace struct {
+	acts   [][]float64 // acts[0] is the input; acts[i+1] is trunk layer i's ReLU output
+	logits [][]float64 // per head: raw logits after forward, softmax after probabilities
+	grad   [][]float64 // grad[i] is ∂loss/∂acts[i] (training only)
+	back   []float64   // one head's Wᵀ·dz before it joins the trunk output's grad (training only)
+}
+
+func (n *Network) newWorkspace(train bool) workspace {
+	vecs := make([][]float64, len(n.trunk)+1+len(n.heads)) // one allocation for both header lists
+	ws := workspace{acts: vecs[:len(n.trunk)+1], logits: vecs[len(n.trunk)+1:]}
+	for i, l := range n.trunk {
+		ws.acts[i+1] = make([]float64, len(l.B))
+	}
+	for k, l := range n.heads {
+		ws.logits[k] = make([]float64, len(l.B))
+	}
+	if train {
+		ws.grad = make([][]float64, len(ws.acts))
+		ws.grad[0] = make([]float64, n.cfg.InputDim)
+		for i, l := range n.trunk {
+			ws.grad[i+1] = make([]float64, len(l.B))
+		}
+		ws.back = make([]float64, len(ws.grad[len(n.trunk)]))
+	}
+	return ws
+}
+
+// forward runs the network on input, leaving every post-activation in
+// ws.acts and the raw logits per head in ws.logits.
+func (n *Network) forward(input []float64, ws *workspace) {
 	if len(input) != n.cfg.InputDim {
 		panic(fmt.Sprintf("mlp: input length %d, want %d", len(input), n.cfg.InputDim))
 	}
-	acts = make([][]float64, len(n.trunk)+1)
-	acts[0] = input
+	ws.acts[0] = input
 	h := input
 	for i, l := range n.trunk {
-		z := l.W.MulVec(h, nil)
+		z := l.W.MulVec(h, ws.acts[i+1])
 		for j := range z {
 			z[j] += l.B[j]
 			if z[j] < 0 { // ReLU
 				z[j] = 0
 			}
 		}
-		acts[i+1] = z
 		h = z
 	}
-	logits = make([][]float64, len(n.heads))
 	for k, l := range n.heads {
-		z := l.W.MulVec(h, nil)
+		z := l.W.MulVec(h, ws.logits[k])
 		for j := range z {
 			z[j] += l.B[j]
 		}
-		logits[k] = z
 	}
-	return acts, logits
+}
+
+// probabilities runs forward and replaces each head's logits with their
+// softmax in place, returning ws.logits.
+func (n *Network) probabilities(input []float64, ws *workspace) [][]float64 {
+	n.forward(input, ws)
+	for _, z := range ws.logits {
+		mat.Softmax(z, z)
+	}
+	return ws.logits
 }
 
 // Predict returns per-head softmax probability vectors for the input.
 func (n *Network) Predict(input []float64) [][]float64 {
-	_, logits := n.forward(input)
-	probs := make([][]float64, len(logits))
-	for k, z := range logits {
-		probs[k] = mat.Softmax(z, nil)
-	}
-	return probs
+	ws := n.newWorkspace(false)
+	return n.probabilities(input, &ws)
 }
 
 // Classify returns the arg-max class per head.
 func (n *Network) Classify(input []float64) []int {
-	_, logits := n.forward(input)
-	out := make([]int, len(logits))
-	for k, z := range logits {
+	ws := n.newWorkspace(false)
+	n.forward(input, &ws)
+	out := make([]int, len(ws.logits))
+	for k, z := range ws.logits {
 		out[k] = mat.ArgMax(z)
 	}
 	return out
@@ -199,72 +238,71 @@ func (n *Network) checkExample(e Example) error {
 	return nil
 }
 
+// mustCheck panics on the first malformed example: Train, Loss and
+// Gradients share one validation and one message.
+func (n *Network) mustCheck(examples []Example) {
+	for _, e := range examples {
+		if err := n.checkExample(e); err != nil {
+			panic(fmt.Sprintf("mlp: %v", err))
+		}
+	}
+}
+
 // Loss returns the mean (over examples) summed (over heads) cross-entropy.
 func (n *Network) Loss(examples []Example) float64 {
 	if len(examples) == 0 {
 		return 0
 	}
+	n.mustCheck(examples)
+	ws := n.newWorkspace(false)
 	var total float64
 	for _, e := range examples {
-		if err := n.checkExample(e); err != nil {
-			panic(fmt.Sprintf("mlp: %v", err))
-		}
-		_, logits := n.forward(e.Input)
-		for k, z := range logits {
-			p := mat.Softmax(z, nil)
+		for k, p := range n.probabilities(e.Input, &ws) {
 			total += -math.Log(math.Max(p[e.Targets[k]], 1e-300))
 		}
 	}
 	return total / float64(len(examples))
 }
 
-// grads mirrors the network's parameter shapes.
-type grads struct {
-	trunk []*linear
-	heads []*linear
+// zeroLike returns zeroed layers shaped like ls: gradients and optimizer
+// state in parameter order.
+func zeroLike(ls []*linear) []*linear {
+	out := make([]*linear, len(ls))
+	for i, l := range ls {
+		out[i] = l.zeroLike()
+	}
+	return out
 }
 
-func (n *Network) newGrads() *grads {
-	g := &grads{}
-	for _, l := range n.trunk {
-		g.trunk = append(g.trunk, l.zeroLike())
-	}
-	for _, l := range n.heads {
-		g.heads = append(g.heads, l.zeroLike())
-	}
-	return g
-}
-
-func (g *grads) zero() {
-	for _, l := range append(append([]*linear{}, g.trunk...), g.heads...) {
+func zero(ls []*linear) {
+	for _, l := range ls {
 		l.W.Zero()
-		for i := range l.B {
-			l.B[i] = 0
-		}
+		clear(l.B)
 	}
 }
 
-// accumulate adds ∂loss/∂θ for a single example into g and returns that
-// example's loss.
-func (n *Network) accumulate(e Example, g *grads) float64 {
-	acts, logits := n.forward(e.Input)
-	top := acts[len(acts)-1] // trunk output (or raw input when no hidden layers)
+// accumulate adds ∂loss/∂θ for a single example into g (laid out like
+// layers) and returns that example's loss.
+func (n *Network) accumulate(e Example, g []*linear, ws *workspace) float64 {
+	probs := n.probabilities(e.Input, ws)
+	top := ws.acts[len(n.trunk)] // trunk output (or raw input when no hidden layers)
 
 	var loss float64
 	// dTop accumulates the gradient flowing back into the trunk output from
 	// every head.
-	dTop := make([]float64, len(top))
-	for k, z := range logits {
-		p := mat.Softmax(z, nil)
+	dTop := ws.grad[len(n.trunk)]
+	clear(dTop)
+	for k, p := range probs {
 		loss += -math.Log(math.Max(p[e.Targets[k]], 1e-300))
 		// dLogits = p - onehot(target)
-		dz := p // reuse; p is a fresh slice from Softmax
+		dz := p // reuse; p is this head's workspace buffer
 		dz[e.Targets[k]] -= 1
-		g.heads[k].W.AddOuterScaled(1, dz, top)
+		gh := g[len(n.trunk)+k]
+		gh.W.AddOuterScaled(1, dz, top)
 		for j := range dz {
-			g.heads[k].B[j] += dz[j]
+			gh.B[j] += dz[j]
 		}
-		back := n.heads[k].W.MulVecT(dz, nil)
+		back := n.heads[k].W.MulVecT(dz, ws.back)
 		for j := range dTop {
 			dTop[j] += back[j]
 		}
@@ -273,18 +311,18 @@ func (n *Network) accumulate(e Example, g *grads) float64 {
 	// Backprop through the ReLU trunk.
 	d := dTop
 	for i := len(n.trunk) - 1; i >= 0; i-- {
-		out := acts[i+1]
+		out := ws.acts[i+1]
 		for j := range d {
 			if out[j] <= 0 { // ReLU derivative
 				d[j] = 0
 			}
 		}
-		g.trunk[i].W.AddOuterScaled(1, d, acts[i])
+		g[i].W.AddOuterScaled(1, d, ws.acts[i])
 		for j := range d {
-			g.trunk[i].B[j] += d[j]
+			g[i].B[j] += d[j]
 		}
 		if i > 0 {
-			d = n.trunk[i].W.MulVecT(d, nil)
+			d = n.trunk[i].W.MulVecT(d, ws.grad[i])
 		}
 	}
 	return loss
@@ -339,51 +377,51 @@ type TrainStats struct {
 }
 
 // Train fits the network to the examples and reports first/final epoch mean
-// loss. Training is deterministic given the options' seed.
+// loss. Training is deterministic given the options' seed. Its buffers are
+// sized once per call, so epochs and examples allocate nothing.
 func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	if len(examples) == 0 {
 		return TrainStats{}
 	}
-	for _, e := range examples {
-		if err := n.checkExample(e); err != nil {
-			panic(fmt.Sprintf("mlp: %v", err))
-		}
-	}
+	n.mustCheck(examples)
 	opts = opts.withDefaults()
 	batch := opts.BatchSize
 	if batch <= 0 || batch > len(examples) {
 		batch = len(examples)
 	}
-	g := n.newGrads()
-	var vel, m1, m2 *grads
+	params := n.layers()
+	g := zeroLike(params)
+	var vel, m1, m2 []*linear
 	switch opts.Optimizer {
 	case SGD:
-		vel = n.newGrads()
+		vel = zeroLike(params)
 	case Adam:
-		m1, m2 = n.newGrads(), n.newGrads()
+		m1, m2 = zeroLike(params), zeroLike(params)
 	}
+	ws := n.newWorkspace(true)
+	order := make([]int, len(examples))
 	src := rng.New(opts.Seed)
 	stats := TrainStats{Epochs: opts.Epochs}
 	adamStep := 0
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		order := src.Perm(len(examples))
+		src.PermInto(order)
 		var epochLoss float64
 		for start := 0; start < len(order); start += batch {
 			end := start + batch
 			if end > len(order) {
 				end = len(order)
 			}
-			g.zero()
+			zero(g)
 			for _, idx := range order[start:end] {
-				epochLoss += n.accumulate(examples[idx], g)
+				epochLoss += n.accumulate(examples[idx], g, &ws)
 			}
 			scale := 1.0 / float64(end-start)
 			switch opts.Optimizer {
 			case SGD:
-				n.applySGD(g, vel, scale, opts)
+				applySGD(params, g, vel, scale, opts)
 			case Adam:
 				adamStep++
-				n.applyAdam(g, m1, m2, scale, adamStep, opts)
+				applyAdam(params, g, m1, m2, scale, adamStep, opts)
 			}
 		}
 		meanLoss := epochLoss / float64(len(examples))
@@ -395,22 +433,9 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	return stats
 }
 
-func (n *Network) layersWithGrads(g *grads) [][2]*linear {
-	var out [][2]*linear
-	for i, l := range n.trunk {
-		out = append(out, [2]*linear{l, g.trunk[i]})
-	}
-	for i, l := range n.heads {
-		out = append(out, [2]*linear{l, g.heads[i]})
-	}
-	return out
-}
-
-func (n *Network) applySGD(g, vel *grads, scale float64, opts TrainOptions) {
-	velLayers := append(append([]*linear{}, vel.trunk...), vel.heads...)
-	for i, pair := range n.layersWithGrads(g) {
-		param, grad := pair[0], pair[1]
-		v := velLayers[i]
+func applySGD(params, g, vel []*linear, scale float64, opts TrainOptions) {
+	for i, param := range params {
+		grad, v := g[i], vel[i]
 		for k := range param.W.Data {
 			dw := grad.W.Data[k]*scale + opts.L2*param.W.Data[k]
 			v.W.Data[k] = opts.Momentum*v.W.Data[k] - opts.LearningRate*dw
@@ -424,7 +449,7 @@ func (n *Network) applySGD(g, vel *grads, scale float64, opts TrainOptions) {
 	}
 }
 
-func (n *Network) applyAdam(g, m1, m2 *grads, scale float64, step int, opts TrainOptions) {
+func applyAdam(params, g, m1, m2 []*linear, scale float64, step int, opts TrainOptions) {
 	const (
 		beta1 = 0.9
 		beta2 = 0.999
@@ -432,11 +457,8 @@ func (n *Network) applyAdam(g, m1, m2 *grads, scale float64, step int, opts Trai
 	)
 	bc1 := 1 - math.Pow(beta1, float64(step))
 	bc2 := 1 - math.Pow(beta2, float64(step))
-	m1Layers := append(append([]*linear{}, m1.trunk...), m1.heads...)
-	m2Layers := append(append([]*linear{}, m2.trunk...), m2.heads...)
-	for i, pair := range n.layersWithGrads(g) {
-		param, grad := pair[0], pair[1]
-		a, b := m1Layers[i], m2Layers[i]
+	for i, param := range params {
+		grad, a, b := g[i], m1[i], m2[i]
 		for k := range param.W.Data {
 			dw := grad.W.Data[k]*scale + opts.L2*param.W.Data[k]
 			a.W.Data[k] = beta1*a.W.Data[k] + (1-beta1)*dw
@@ -453,16 +475,22 @@ func (n *Network) applyAdam(g, m1, m2 *grads, scale float64, step int, opts Trai
 }
 
 // Gradients computes the mean analytic gradient over the examples and
-// exposes it as flat slices aligned with Parameters(). It exists for
-// gradient-check tests and introspection tooling.
+// exposes it as flat slices aligned with Parameters(); it is all zeros for
+// no examples, as Loss is. It exists for gradient-check tests and
+// introspection tooling.
 func (n *Network) Gradients(examples []Example) []float64 {
-	g := n.newGrads()
+	n.mustCheck(examples)
+	g := zeroLike(n.layers())
+	ws := n.newWorkspace(true)
 	for _, e := range examples {
-		n.accumulate(e, g)
+		n.accumulate(e, g, &ws)
 	}
-	scale := 1.0 / float64(len(examples))
-	var flat []float64
-	for _, l := range append(append([]*linear{}, g.trunk...), g.heads...) {
+	scale := 0.0
+	if len(examples) > 0 {
+		scale = 1.0 / float64(len(examples))
+	}
+	flat := make([]float64, 0, n.NumParams())
+	for _, l := range g {
 		for _, v := range l.W.Data {
 			flat = append(flat, v*scale)
 		}
@@ -477,7 +505,7 @@ func (n *Network) Gradients(examples []Example) []float64 {
 // matching Gradients. Mutating the pointed-to values changes the network.
 func (n *Network) Parameters() []*float64 {
 	var out []*float64
-	for _, l := range append(append([]*linear{}, n.trunk...), n.heads...) {
+	for _, l := range n.layers() {
 		for i := range l.W.Data {
 			out = append(out, &l.W.Data[i])
 		}

@@ -2,6 +2,9 @@ package mlp
 
 import (
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"odin/internal/rng"
@@ -261,6 +264,9 @@ func TestLossEmptyIsZero(t *testing.T) {
 	}
 }
 
+// TestBadExamplePanics pins that Loss, Train and Gradients reject a
+// malformed example with the same "mlp:" message, not a runtime index
+// error.
 func TestBadExamplePanics(t *testing.T) {
 	t.Parallel()
 	n := New(Config{InputDim: 2, Heads: []int{2}, Seed: 1})
@@ -270,15 +276,75 @@ func TestBadExamplePanics(t *testing.T) {
 		{Input: []float64{1, 2}, Targets: []int{5}},    // target out of range
 		{Input: []float64{1, 2}, Targets: []int{0, 1}}, // too many targets
 	}
-	for i, e := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should have panicked", i)
-				}
+	calls := map[string]func([]Example){
+		"Loss":      func(ex []Example) { n.Loss(ex) },
+		"Train":     func(ex []Example) { n.Train(ex, TrainOptions{Epochs: 1}) },
+		"Gradients": func(ex []Example) { n.Gradients(ex) },
+	}
+	for name, call := range calls {
+		for i, e := range cases {
+			func() {
+				defer func() {
+					r := recover()
+					if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "mlp: ") {
+						t.Errorf("%s case %d: panic %#v, want an \"mlp: \" message", name, i, r)
+					}
+				}()
+				call([]Example{e})
 			}()
-			n.Loss([]Example{e})
-		}()
+		}
+	}
+}
+
+func TestGradientsEmptyIsZero(t *testing.T) {
+	t.Parallel()
+	n := New(Config{InputDim: 2, Hidden: []int{3}, Heads: []int{2}, Seed: 1})
+	g := n.Gradients(nil)
+	if len(g) != n.NumParams() {
+		t.Fatalf("Gradients(nil) has %d entries, want %d", len(g), n.NumParams())
+	}
+	for i, v := range g {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("Gradients(nil)[%d] = %v, want +0", i, v)
+		}
+	}
+}
+
+// TestTrainAllocFree pins that training allocates nothing per example or
+// epoch: everything Train allocates is sized once per call, so its count is
+// the same at 1 and 100 epochs and at 10 and 50 examples, for both
+// optimizers and a batch size that leaves a ragged last batch. Gradients
+// likewise allocates the same for 1 and 50 examples.
+func TestTrainAllocFree(t *testing.T) {
+	cfg := Config{InputDim: 4, Hidden: []int{16}, Heads: []int{6, 6}, Seed: 1}
+	src := rng.New(3)
+	examples := make([]Example, 50)
+	for i := range examples {
+		examples[i] = Example{
+			Input:   []float64{src.Float64(), src.Float64(), src.Float64(), src.Float64()},
+			Targets: []int{src.Intn(6), src.Intn(6)},
+		}
+	}
+	for _, opt := range []Optimizer{SGD, Adam} {
+		train := func(ex []Example, epochs int) float64 {
+			n := New(cfg)
+			return testing.AllocsPerRun(5, func() {
+				n.Train(ex, TrainOptions{Epochs: epochs, BatchSize: 7, Optimizer: opt})
+			})
+		}
+		if a, b := train(examples, 1), train(examples, 100); a != b {
+			t.Errorf("optimizer %d: Train allocates %v at 1 epoch, %v at 100", opt, a, b)
+		}
+		if a, b := train(examples[:10], 20), train(examples, 20); a != b {
+			t.Errorf("optimizer %d: Train allocates %v for 10 examples, %v for 50", opt, a, b)
+		}
+	}
+	n := New(cfg)
+	grads := func(ex []Example) float64 {
+		return testing.AllocsPerRun(5, func() { n.Gradients(ex) })
+	}
+	if a, b := grads(examples[:1]), grads(examples); a != b {
+		t.Errorf("Gradients allocates %v for 1 example, %v for 50", a, b)
 	}
 }
 
@@ -330,4 +396,32 @@ func TestGradientCheckNoHidden(t *testing.T) {
 			t.Fatalf("param %d: analytic %v numeric %v", i, analytic[i], numeric)
 		}
 	}
+}
+
+// TestConcurrentReadsShareNetwork pins that the read-only calls keep their
+// buffers per call: goroutines predicting, classifying and computing losses
+// and gradients on one network get the sequential answers, and `go test
+// -race` sees no shared writes.
+func TestConcurrentReadsShareNetwork(t *testing.T) {
+	t.Parallel()
+	n := New(Config{InputDim: 3, Hidden: []int{5, 4}, Heads: []int{3, 2}, Seed: 6})
+	ex := []Example{{Input: []float64{0.2, -1, 0.5}, Targets: []int{2, 0}}}
+	wantP, wantC := n.Predict(ex[0].Input), n.Classify(ex[0].Input)
+	wantL, wantG := n.Loss(ex), n.Gradients(ex)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				p, c := n.Predict(ex[0].Input), n.Classify(ex[0].Input)
+				if !slices.Equal(p[0], wantP[0]) || !slices.Equal(p[1], wantP[1]) || !slices.Equal(c, wantC) ||
+					n.Loss(ex) != wantL || !slices.Equal(n.Gradients(ex), wantG) {
+					t.Error("concurrent read-only call differs from the sequential one")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -89,6 +89,18 @@ func TestPredictOnGrid(t *testing.T) {
 	}
 }
 
+// TestPredictAllocBudget pins Predict at no more than 7 allocations per
+// call (6 today): the feature vector, the class indices, and the forward
+// pass's buffers, which each call sizes for itself so concurrent Predicts
+// share nothing.
+func TestPredictAllocBudget(t *testing.T) {
+	p := newTestPolicy(1)
+	f := validFeatures(4, 1e3)
+	if avg := testing.AllocsPerRun(500, func() { _ = p.Predict(f) }); avg > 7 {
+		t.Fatalf("Predict allocates %v per call, want at most 7", avg)
+	}
+}
+
 func TestProbabilitiesNormalised(t *testing.T) {
 	t.Parallel()
 	p := newTestPolicy(2)

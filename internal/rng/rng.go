@@ -99,14 +99,21 @@ func (s *Source) NormFloat64() float64 {
 // Perm returns a pseudo-random permutation of [0, n) via Fisher-Yates.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
+	s.PermInto(p)
+	return p
+}
+
+// PermInto overwrites p with a pseudo-random permutation of [0, len(p)). It
+// draws exactly what Perm(len(p)) draws and yields the same order, without
+// allocating.
+func (s *Source) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // Bernoulli returns true with probability p.

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -102,6 +103,42 @@ func TestLabelledStreamsDecorrelate(t *testing.T) {
 		// ±4σ band around 0.5 for a binomial with n = draws*64.
 		if frac < 0.496 || frac > 0.504 {
 			t.Errorf("streams %q/%q agree on %.4f of bits; want ~0.5 (decorrelated)", pair[0], pair[1], frac)
+		}
+	}
+}
+
+// TestPermIntoKnownAnswer pins the shuffle Train runs every epoch. PermInto
+// must yield the order Perm returns and consume the same Intn draws, so the
+// next draw from both streams agrees too; the vectors were taken from Perm
+// before PermInto existed. A second round reuses the filled slice, as Train
+// does, and must still match Perm.
+func TestPermIntoKnownAnswer(t *testing.T) {
+	t.Parallel()
+	vectors := []struct {
+		n    int
+		perm []int
+		next uint64 // the Uint64 draw after the permutation, from seed 1
+	}{
+		{10, []int{4, 2, 8, 1, 9, 3, 0, 6, 7, 5}, 0xcb435c8e74616796},
+		{1, []int{0}, 0x910a2dec89025cc1}, // fewer than two elements draw nothing
+		{0, []int{}, 0x910a2dec89025cc1},
+	}
+	for _, v := range vectors {
+		a, b := New(1), New(1)
+		p := make([]int, v.n)
+		for i := range p {
+			p[i] = -1 // PermInto overwrites whatever the slice holds
+		}
+		b.PermInto(p)
+		if got := a.Perm(v.n); !slices.Equal(got, v.perm) || !slices.Equal(p, v.perm) {
+			t.Errorf("n=%d: Perm = %v, PermInto = %v, want %v", v.n, got, p, v.perm)
+		}
+		if ga, gb := a.Uint64(), b.Uint64(); ga != v.next || gb != v.next {
+			t.Errorf("n=%d: next draw after Perm %#x, after PermInto %#x, want %#x", v.n, ga, gb, v.next)
+		}
+		b.PermInto(p)
+		if got := a.Perm(v.n); !slices.Equal(got, p) {
+			t.Errorf("n=%d: second round Perm = %v, PermInto = %v", v.n, got, p)
 		}
 	}
 }
