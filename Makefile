@@ -65,12 +65,17 @@ check:
 	ODINCHECK_SEED=$$(od -An -N8 -tu8 /dev/urandom | tr -d ' ') \
 		ODINCHECK_TRIALS=25 $(GO) test -count=1 -run 'Prop' ./...
 
+# The decision-log checksum the 1024-chip smoke replay below must print.
+# Comparing worker counts alone would pass a routing change that moves
+# both the same way.
+FLEET_CHECKSUM = checksum=0xac76fa0f7b08713c
+
 # End-to-end contracts checked from the command line, on binaries built
 # once. In order:
 #   - two replays of one load trace at nominal rate (30% of fleet capacity)
 #     shed nothing and log byte-identical decisions;
 #   - a 1024-chip drift-routed replay prints one decision-log checksum at
-#     1 and at 8 workers;
+#     1 and at 8 workers, and it is FLEET_CHECKSUM;
 #   - the canonical pulse event log of a churn-free replay is
 #     byte-identical at 1 and at 8 workers;
 #   - `odinsim all` renders the same bytes with the decision cache on and
@@ -89,12 +94,13 @@ smoke:
 	sim=$$tmp/odinsim; srv=$$tmp/odinserve; \
 	echo "smoke: replay -verify -max-shed 0"; \
 	$$srv replay -models VGG11,VGG11 -requests 200 -verify -max-shed 0; \
-	echo "smoke: 1024-chip replay checksum, workers 1 vs 8"; \
+	echo "smoke: 1024-chip replay checksum, workers 1 vs 8 and the pinned value"; \
 	for w in 1 8; do \
 		$$srv replay -models VGG11 -fleet 1024 -workers $$w -requests 2048 -router drift > $$tmp/fleet$$w.out; \
 		grep '^checksum=' $$tmp/fleet$$w.out > $$tmp/fleet$$w.txt; \
 	done; \
 	cmp $$tmp/fleet1.txt $$tmp/fleet8.txt; \
+	echo '$(FLEET_CHECKSUM)' | cmp - $$tmp/fleet1.txt; \
 	echo "smoke: pulse log, workers 1 vs 8"; \
 	for w in 1 8; do \
 		$$srv replay -models VGG11 -fleet 8 -workers $$w -requests 256 -router drift -pulse-log $$tmp/pulse$$w.log > /dev/null; \

@@ -12,6 +12,7 @@
 package odin
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -252,9 +253,26 @@ func BenchmarkControllerLayerDecisionCached(b *testing.B) {
 
 // BenchmarkServeBatchDispatch measures the serving layer end to end on a
 // virtual clock: routing, admission, batch coalescing, worker execution,
-// and response delivery, amortised per request. Arrivals land faster than
-// the service rate so batches coalesce (the steady-state serving regime).
+// and response delivery, amortised per arrival.
+//
+// rr/chips=2 lands arrivals faster than the service rate so batches
+// coalesce (the steady-state serving regime). The drift sub-benchmarks
+// take the shape of the replay-fleet benchmark workload at two fleet sizes
+// — drift routing, a quota tenant and a priority tenant, chips alternating
+// VGG11 and ResNet18 staggered across one forced-reprogram deadline,
+// offered 16 times capacity — so the ratio of their ns/op shows how the
+// dispatcher's cost per arrival grows with the fleet. Their ns/op depends
+// on b.N (a longer trace reaches drift crossings and policy updates), so
+// compare commits at a fixed count, such as -benchtime 16384x, the
+// replay-fleet trace length.
 func BenchmarkServeBatchDispatch(b *testing.B) {
+	b.Run("rr/chips=2", benchServeTwoChips)
+	for _, chips := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("drift/chips=%d", chips), func(b *testing.B) { benchServeFleet(b, chips) })
+	}
+}
+
+func benchServeTwoChips(b *testing.B) {
 	clk := clock.NewVirtual(0)
 	srv, err := serve.NewServer(serve.Config{
 		Chips:      []serve.ChipConfig{{Model: "VGG11"}, {Model: "VGG11"}},
@@ -283,6 +301,81 @@ func BenchmarkServeBatchDispatch(b *testing.B) {
 		clk.Set(float64(i) * gap)
 		chans[i] = srv.Submit("VGG11")
 	}
+	srv.Close()
+	for _, ch := range chans {
+		<-ch
+	}
+}
+
+// benchServeFleet times b.N arrivals through a drift-routed fleet of the
+// given size, built (and its trace drawn) before the timer starts. The
+// timer stops once the dispatcher has handled every arrival; the final
+// drain is not timed.
+func benchServeFleet(b *testing.B, chips int) {
+	models := []string{"VGG11", "ResNet18"}
+	sys := core.DefaultSystem()
+	var lat, deadline float64
+	for _, name := range models {
+		m, err := dnn.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wl, err := sys.Prepare(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctrl, err := core.NewController(sys, wl, NewPolicy(sys, 1), core.ControllerOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lat = max(lat, ctrl.RunInference(0).Latency)
+		if d := ctrl.ForcedReprogramAge(); deadline == 0 || d < deadline {
+			deadline = d
+		}
+	}
+	clk := clock.NewVirtual(0)
+	cfg := serve.Config{
+		Router: "drift",
+		Tenants: []serve.TenantConfig{
+			{Name: "bulk", Quota: chips * 8 / 2},
+			{Name: "gold", Priority: 1},
+		},
+		QueueDepth: 8,
+		MaxBatch:   8,
+		Clock:      clk,
+	}
+	for i := 0; i < chips; i++ {
+		cfg.Chips = append(cfg.Chips, serve.ChipConfig{
+			Model:        models[i%len(models)],
+			Seed:         uint64(i) + 1,
+			ProgrammedAt: -deadline * float64(i) / float64(chips),
+		})
+	}
+	srv, err := serve.NewServer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := serve.GenTrace(serve.TraceConfig{
+		Seed: 1, Rate: 16 * float64(chips) / lat, Requests: b.N,
+		Models: models, Tenants: []string{"bulk", "gold"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.Start()
+	chans := make([]<-chan serve.Response, len(tr))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, a := range tr {
+		clk.Set(a.Time)
+		chans[i] = srv.SubmitAs(a.Model, a.Tenant)
+	}
+	// A fleet op queues behind every arrival, so its reply marks the last
+	// one handled.
+	if _, err := srv.FleetInfo(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
 	srv.Close()
 	for _, ch := range chans {
 		<-ch

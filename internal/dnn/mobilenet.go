@@ -62,9 +62,3 @@ func NewMobileNetV2() *Model {
 	b.fc("fc", b.m.Dataset.Classes)
 	return b.build()
 }
-
-// ExtendedWorkloads returns the paper's nine workloads plus the extension
-// models this reproduction adds.
-func ExtendedWorkloads() []*Model {
-	return append(AllWorkloads(), NewMobileNetV2())
-}

@@ -303,34 +303,60 @@ func NewViT() *Model {
 	return b.build()
 }
 
+// zoo lists every workload in Fig. 8 order, the paper's nine first, then
+// the extension models this reproduction adds. AllWorkloads,
+// ExtendedWorkloads and ByName all read it, so their names and order
+// cannot drift apart.
+var zoo = []struct {
+	name  string
+	build func() *Model
+}{
+	{"ResNet18", NewResNet18},
+	{"VGG11", NewVGG11},
+	{"GoogLeNet", NewGoogLeNet},
+	{"DenseNet121", NewDenseNet121},
+	{"ViT", NewViT},
+	{"ResNet34", NewResNet34},
+	{"VGG16", NewVGG16},
+	{"ResNet50", NewResNet50},
+	{"VGG19", NewVGG19},
+	{"MobileNetV2", NewMobileNetV2},
+}
+
+// paperWorkloads counts the zoo's leading entries that are the paper's
+// evaluation set.
+const paperWorkloads = 9
+
 // AllWorkloads returns the nine model/dataset pairs of the paper's
 // evaluation (Fig. 8 order): five CIFAR-10 models, two CIFAR-100 models,
 // two TinyImageNet models.
-func AllWorkloads() []*Model {
-	return []*Model{
-		NewResNet18(),
-		NewVGG11(),
-		NewGoogLeNet(),
-		NewDenseNet121(),
-		NewViT(),
-		NewResNet34(),
-		NewVGG16(),
-		NewResNet50(),
-		NewVGG19(),
+func AllWorkloads() []*Model { return buildZoo(paperWorkloads) }
+
+// ExtendedWorkloads returns the paper's nine workloads plus the extension
+// models this reproduction adds.
+func ExtendedWorkloads() []*Model { return buildZoo(len(zoo)) }
+
+// buildZoo builds fresh instances of the first n zoo models.
+func buildZoo(n int) []*Model {
+	out := make([]*Model, n)
+	for i, e := range zoo[:n] {
+		out[i] = e.build()
 	}
+	return out
 }
 
-// ByName returns the named zoo model (including extension workloads), or
-// an error listing valid names.
+// ByName returns a fresh instance of the named zoo model (including
+// extension workloads), building only that model, or an error listing
+// valid names.
 func ByName(name string) (*Model, error) {
-	for _, m := range ExtendedWorkloads() {
-		if m.Name == name {
-			return m, nil
+	for _, e := range zoo {
+		if e.name == name {
+			return e.build(), nil
 		}
 	}
-	var names []string
-	for _, m := range ExtendedWorkloads() {
-		names = append(names, m.Name)
+	names := make([]string, len(zoo))
+	for i, e := range zoo {
+		names[i] = e.name
 	}
 	return nil, fmt.Errorf("dnn: unknown model %q (have %v)", name, names)
 }

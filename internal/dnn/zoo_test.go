@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -301,5 +302,26 @@ func TestTotalMACsPositive(t *testing.T) {
 		if m.TotalMACs() <= 0 || m.TotalWeights() <= 0 {
 			t.Errorf("%s has non-positive totals", m.Name)
 		}
+	}
+}
+
+// TestByNameMatchesZoo pins ByName to the zoo lists: every extended
+// workload resolves by its own name to an identical fresh model, and an
+// unknown name keeps its error text.
+func TestByNameMatchesZoo(t *testing.T) {
+	t.Parallel()
+	for _, m := range ExtendedWorkloads() {
+		got, err := ByName(m.Name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", m.Name, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("ByName(%q) differs from the ExtendedWorkloads entry", m.Name)
+		}
+	}
+	_, err := ByName("nope")
+	const want = `dnn: unknown model "nope" (have [ResNet18 VGG11 GoogLeNet DenseNet121 ViT ResNet34 VGG16 ResNet50 VGG19 MobileNetV2])`
+	if err == nil || err.Error() != want {
+		t.Errorf("ByName(unknown) error = %v, want %s", err, want)
 	}
 }

@@ -751,7 +751,8 @@ func TestRejectedSentinel(t *testing.T) {
 	}
 }
 
-// TestRouterRegistry pins the registry surface.
+// TestRouterRegistry pins the router names Config.Router accepts and the
+// name a built server reports.
 func TestRouterRegistry(t *testing.T) {
 	t.Parallel()
 	names := RouterNames()
