@@ -86,19 +86,6 @@ func sampleValue(t *testing.T, expo []byte, series string) float64 {
 	return -1
 }
 
-// withoutFamilies drops every exposition line (samples and HELP/TYPE
-// comments) of the metric families whose names start with prefix.
-func withoutFamilies(expo []byte, prefix string) string {
-	var sb strings.Builder
-	for _, line := range strings.SplitAfter(string(expo), "\n") {
-		name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
-		if !strings.HasPrefix(name, prefix) {
-			sb.WriteString(line)
-		}
-	}
-	return sb.String()
-}
-
 // TestMetricsExpositionGolden freezes the /metrics exposition of a replay
 // that takes every serve action, so a refactor of the emitters must
 // reproduce it byte for byte. Regenerate with
@@ -158,16 +145,15 @@ func TestMetricsExpositionGolden(t *testing.T) {
 }
 
 // TestMetricsExpositionWorkerInvariance replays the same trace at workers
-// 1 and 8: the exposition must match except for the odin_decache_*
-// families, whose hit/miss split depends on which chip's worker reaches a
-// shared decision first.
+// 1 and 8: the expositions must match byte for byte. The fleet has quotas,
+// so its dispatcher runs every batch and even the odin_decache_* hit/miss
+// split, which a worker pool leaves to scheduling, is fixed.
 func TestMetricsExpositionWorkerInvariance(t *testing.T) {
 	t.Parallel()
 	one, _ := actionReplay(t, 1)
 	eight, _ := actionReplay(t, 8)
-	a, b := withoutFamilies(one, "odin_decache_"), withoutFamilies(eight, "odin_decache_")
-	if a != b {
-		t.Errorf("exposition differs between workers 1 and 8:\n%s", check.DiffLines(a, b))
+	if !bytes.Equal(one, eight) {
+		t.Errorf("exposition differs between workers 1 and 8:\n%s", check.DiffLines(string(one), string(eight)))
 	}
 }
 
