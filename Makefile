@@ -70,6 +70,13 @@ check:
 # both the same way.
 FLEET_CHECKSUM = checksum=0xac76fa0f7b08713c
 
+# The SHA-256 values `odinsim all` must render: one per experiment section
+# of the text output (split at its `==> ` headers, `<== ` lines removed),
+# then the whole `-json all` output. The first line records GOARCH: the Go
+# spec lets the compiler fuse x*y+z into one FMA instruction, gc does so on
+# arm64, and that moves the output, so the values hold on amd64.
+ODINSIM_SHA256 = cmd/odinsim/testdata/all.sha256
+
 # End-to-end contracts checked from the command line, on binaries built
 # once. In order:
 #   - two replays of one load trace at nominal rate (30% of fleet capacity)
@@ -81,6 +88,9 @@ FLEET_CHECKSUM = checksum=0xac76fa0f7b08713c
 #   - `odinsim all` renders the same bytes with the decision cache on and
 #     off at 1 worker, and on at 1 and at 4 workers (opt-compare, the
 #     strategy head-to-head, is one of its experiments);
+#   - each experiment's section of that output, and `odinsim -json all`,
+#     hash to the values in ODINSIM_SHA256, so a failure names the
+#     experiment that moved;
 #   - a multi-worker `odinsim` run is clean under the race detector;
 #   - `odinsim trace` renders its audit table and writes a Chrome trace;
 #   - the disabled-instrumentation overhead guards (obs_guard_test.go,
@@ -113,6 +123,12 @@ smoke:
 	for f in on1 off1 on4; do grep -v '^<== ' $$tmp/$$f.out > $$tmp/$$f.txt; done; \
 	cmp $$tmp/on1.txt $$tmp/off1.txt; \
 	cmp $$tmp/on1.txt $$tmp/on4.txt; \
+	echo "smoke: odinsim all per experiment and -json all against $(ODINSIM_SHA256)"; \
+	$$sim -workers 2 -json all > $$tmp/all.json; \
+	mkdir $$tmp/sec; \
+	awk -v d=$$tmp/sec '/^==> /{ if (f) close(f); n++; id = $$NF; gsub(/[()]/, "", id); f = sprintf("%s/%02d-%s", d, n, id) } { print > f }' $$tmp/on1.txt; \
+	{ echo "GOARCH $$($(GO) env GOARCH)"; (cd $$tmp/sec && sha256sum *); (cd $$tmp && sha256sum all.json); } > $$tmp/all.sha256; \
+	diff $(ODINSIM_SHA256) $$tmp/all.sha256; \
 	echo "smoke: odinsim -race -workers 4"; \
 	$(GO) run -race ./cmd/odinsim -workers 4 tab1 fig3 fig4 overhead > /dev/null; \
 	echo "smoke: odinsim trace"; \

@@ -160,6 +160,19 @@ func BenchmarkPolicyPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkPolicyPredictWorkspace measures the same prediction through a
+// reused workspace, the way the controller runs line 5 of Algorithm 1.
+func BenchmarkPolicyPredictWorkspace(b *testing.B) {
+	sys := NewSystem()
+	pol := NewPolicy(sys, 1)
+	ws := pol.NewWorkspace()
+	f := Features{LayerIndex: 4, LayerCount: 11, Sparsity: 0.6, KernelSize: 3, Time: 1e4}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = pol.PredictWith(ws, f)
+	}
+}
+
 // BenchmarkPolicyUpdate measures one 100-epoch policy update on a full
 // 50-example buffer — the event §V.E prices at 0.22 µJ of accelerator
 // energy.
@@ -225,9 +238,11 @@ func BenchmarkControllerLayerDecision(b *testing.B) {
 }
 
 // BenchmarkControllerLayerDecisionCached measures the same per-layer
-// decision slice replayed through the decision cache (internal/decache):
-// the serving steady state once a (layer, age-bucket, prediction) decision
-// has been memoized. The live-vs-cached ratio is the cache's headline win;
+// decision slice with the line-6 search replayed from the decision cache
+// (internal/decache): the serving steady state once a (layer, age-bucket,
+// prediction) decision has been memoized. The line-5 prediction is still
+// computed on every call; only the search is replayed. The live-vs-cached
+// ratio is the cache's headline win;
 // the repository benchmark reports both sides as core.decide_live_ns.rb
 // and core.decide_cached_ns (`bash _perfbench/run.sh --workload
 // replay-fleet --trace 1`).

@@ -56,6 +56,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"odin/internal/clock"
 	"odin/internal/core"
@@ -419,16 +420,32 @@ func runServe(args []string) error {
 	return nil
 }
 
+// The live server's connection limits. Without them a client that never
+// finishes its request headers, or never sends its body, holds a
+// connection and a goroutine forever, and so does an idle keep-alive
+// connection. There is no write timeout: it would cut GET /events streams,
+// which write for as long as the client listens.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // newHTTPServer returns the live server for handler. Every request context
 // derives from one base context that Shutdown cancels, so open GET /events
 // streams, which end only with their request context, return and let the
 // drain finish; /infer never reads its context and completes as before.
+// The read limits above do not reach an /events stream: net/http clears
+// the read deadline once a request without a body has been read.
 func newHTTPServer(addr string, handler http.Handler) *http.Server {
 	base, cancel := context.WithCancel(context.Background())
 	srv := &http.Server{
-		Addr:        addr,
-		Handler:     handler,
-		BaseContext: func(net.Listener) context.Context { return base },
+		Addr:              addr,
+		Handler:           handler,
+		BaseContext:       func(net.Listener) context.Context { return base },
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	srv.RegisterOnShutdown(cancel)
 	return srv

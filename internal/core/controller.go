@@ -88,13 +88,13 @@ type ControllerOptions struct {
 	// pointer test per run.
 	Audit *obs.AuditLog
 
-	// Cache, when non-nil, memoizes the per-layer line-6 decisions (and
-	// policy predictions) in the given decision cache; the serving layer
-	// shares one cache across a fleet of same-platform chips. When nil and
-	// the process-wide default is on (SetDecisionCacheDefault, the initial
-	// state), the controller creates a private cache. Cached decisions are
-	// byte-identical to live searches — see internal/decache for the
-	// argument and DESIGN.md §13 for the invalidation contract.
+	// Cache, when non-nil, memoizes the per-layer line-6 decisions in the
+	// given decision cache; the serving layer shares one cache across a
+	// fleet of same-platform chips. When nil and the process-wide default
+	// is on (SetDecisionCacheDefault, the initial state), the controller
+	// creates a private cache. Cached decisions are byte-identical to live
+	// searches — see internal/decache for the argument and DESIGN.md §13
+	// for the invalidation contract.
 	Cache *decache.Cache
 	// DisableDecisionCache opts this controller out of decision caching
 	// regardless of Cache and the process-wide default (`odinsim
@@ -172,11 +172,13 @@ type Controller struct {
 	dctx   *decache.Context
 	dctxEX *decache.Context
 
-	// scratch lends the line-6 searches reusable buffers (one per
-	// controller: RunInference is serialised by `running`). probeBuf and
-	// recordProbe capture candidate evaluations for cache entries and
-	// audit records without a fresh closure per layer.
+	// scratch lends the line-6 searches reusable buffers and ws lends
+	// line 5's prediction its buffers (one each per controller:
+	// RunInference is serialised by `running`). probeBuf and recordProbe
+	// capture candidate evaluations for cache entries and audit records
+	// without a fresh closure per layer.
 	scratch     *search.Scratch
+	ws          *policy.Workspace
 	probeBuf    []decache.Probe
 	recordProbe func(s ou.Size, feasible bool, edp float64)
 
@@ -228,6 +230,7 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 		opts:         resolved,
 		optim:        optim,
 		scratch:      search.NewScratch(),
+		ws:           pol.NewWorkspace(),
 		programmedAt: resolved.ProgrammedAt,
 	}
 	c.recordProbe = func(s ou.Size, feasible bool, edp float64) {
@@ -459,23 +462,14 @@ type layerOutcome struct {
 
 // decideLayer runs (or replays) Algorithm 1 lines 5–6 for layer j at
 // device age `age`: policy prediction, feasibility clamp, and the line-6
-// strategy search, memoized through the decision cache when one is
-// attached. It touches no learning state — RunInference owns the
+// strategy search, the last two memoized through the decision cache when
+// one is attached. It touches no learning state — RunInference owns the
 // disagreement buffer — so benchmarks replay it in isolation
 // (DecisionBench). wantProbes forces candidate recording even when caching
 // is off (the audit path).
 func (c *Controller) decideLayer(j int, age float64, wantProbes bool) layerOutcome {
 	feat := c.wl.FeaturesAt(j, age)
-	var predicted ou.Size
-	if c.cache != nil {
-		var ok bool
-		if predicted, ok = c.cache.PredictLookup(c.pol, feat); !ok {
-			predicted = c.pol.Predict(feat) // line 5
-			c.cache.PredictStore(c.pol, feat, predicted)
-		}
-	} else {
-		predicted = c.pol.Predict(feat) // line 5
-	}
+	predicted := c.pol.PredictWith(c.ws, feat) // line 5
 	grid := c.sys.Grid()
 	total := c.wl.Layers()
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"odin/internal/dnn"
 	"odin/internal/obs"
 	"odin/internal/ou"
+	"odin/internal/policy"
 )
 
 // zooWorkloads prepares each zoo model once per test binary: Prepare cost
@@ -354,12 +356,12 @@ func TestCacheSharedAcrossStrategiesNoContamination(t *testing.T) {
 	}
 }
 
-// TestPolicyUpdateInvalidatesPredictMemo drives the controller until a
-// buffer-full policy update fires and checks the predict memo did not pin
-// the stale pre-update predictions: after the update, the controller's
-// predictions equal a fresh Predict call on the updated policy (the memo
-// keys on the policy version, which Train bumps).
-func TestPolicyUpdateInvalidatesPredictMemo(t *testing.T) {
+// TestPolicyUpdateReachesPrediction drives the controller until a
+// buffer-full policy update fires, then hot-swaps the policy's weights
+// through UnmarshalJSON, and checks that line 5 follows both: the
+// controller's predictions, made through the workspace it built before
+// either change, equal a fresh Predict call on the current policy.
+func TestPolicyUpdateReachesPrediction(t *testing.T) {
 	t.Parallel()
 	sys := DefaultSystem()
 	wl, err := sys.Prepare(dnn.NewVGG11())
@@ -377,18 +379,27 @@ func TestPolicyUpdateInvalidatesPredictMemo(t *testing.T) {
 		ctrl.RunInference(1e5 * float64(k+1))
 	}
 	if ctrl.PolicyUpdates() == 0 {
-		t.Fatal("no policy update fired; cannot test memo invalidation")
+		t.Fatal("no policy update fired; cannot test that predictions follow it")
 	}
-	age := ctrl.Age(5e6)
-	for j := 0; j < wl.Layers(); j++ {
-		feat := wl.FeaturesAt(j, age)
-		want := ctrl.pol.Predict(feat)
-		got := ctrl.decideLayer(j, age, false).predicted
-		if got != want {
-			t.Fatalf("layer %d: memoized prediction %v != live prediction %v after policy update",
-				j, got, want)
+	same := func(stage string) {
+		t.Helper()
+		age := ctrl.Age(5e6)
+		for j := 0; j < wl.Layers(); j++ {
+			want := ctrl.pol.Predict(wl.FeaturesAt(j, age))
+			if got := ctrl.decideLayer(j, age, false).predicted; got != want {
+				t.Fatalf("%s, layer %d: controller predicted %v, Predict says %v", stage, j, got, want)
+			}
 		}
 	}
+	same("after a policy update")
+	swap, err := json.Marshal(policy.New(policy.Config{Grid: sys.Grid(), Hidden: []int{7, 5}, Seed: 42}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(swap, ctrl.Policy()); err != nil {
+		t.Fatal(err)
+	}
+	same("after a hot swap")
 }
 
 // TestCachedDecisionHitPathAllocFree pins the steady-state allocation

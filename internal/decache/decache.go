@@ -1,7 +1,9 @@
 // Package decache memoizes the controller's per-layer line-6 decision —
-// the predict → clamp → search pass of Algorithm 1 — so repeated decisions
-// on the same layer at equivalent drift ages cost a map lookup instead of
-// a search.
+// the clamp → search pass of Algorithm 1 that follows the line-5
+// prediction — so repeated decisions on the same layer at equivalent drift
+// ages cost a map lookup instead of a search. It memoizes nothing else:
+// the prediction itself is recomputed every time, since its device-age
+// input rarely repeats.
 //
 // # Why memoization preserves byte-identity
 //
@@ -47,8 +49,7 @@
 //     age bucket; pre-reprogram entries become unreachable by key, never
 //     stale-served (metamorphic tests in internal/core inject poisoned
 //     entries to prove it).
-//   - A policy weight update (Train) or hot-swap bumps the policy's
-//     (ID, Version) identity, which keys the prediction memo; decision
+//   - A policy weight update (Train) or hot-swap needs no invalidation:
 //     entries are keyed by the predicted size itself, so they stay valid
 //     and simply stop being reached when predictions move.
 //   - A strategy or budget change lands in a different Context; Contexts
@@ -68,7 +69,6 @@ import (
 
 	"odin/internal/accuracy"
 	"odin/internal/ou"
-	"odin/internal/policy"
 	"odin/internal/telemetry"
 )
 
@@ -78,9 +78,6 @@ type Options struct {
 	// flushes that context wholesale (deterministically: the flush depends
 	// only on insertion count, never on map order). 0 means 4096.
 	MaxDecisions int
-	// MaxPredictions caps the prediction-memo entries; exceeding it flushes
-	// the memo wholesale. 0 means 65536.
-	MaxPredictions int
 	// Registry, when non-nil, exports the hit/miss/flush counters as
 	// odin_decache_* Prometheus series.
 	Registry *telemetry.Registry
@@ -89,9 +86,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxDecisions <= 0 {
 		o.MaxDecisions = 4096
-	}
-	if o.MaxPredictions <= 0 {
-		o.MaxPredictions = 65536
 	}
 	return o
 }
@@ -102,26 +96,26 @@ func (o Options) withDefaults() Options {
 // rendered into deterministic artefacts.
 type Counters struct {
 	DecisionHits, DecisionMisses uint64
-	PredictHits, PredictMisses   uint64
-	Flushes                      uint64
+	// PredictHits and PredictMisses are always 0: there is no prediction
+	// memo any more. The repository benchmark still reads them; its next
+	// change (ROADMAP item 2) deletes them.
+	PredictHits, PredictMisses uint64
+	Flushes                    uint64
 }
 
-// Cache memoizes line-6 decisions and policy predictions.
+// Cache memoizes line-6 decisions.
 type Cache struct {
 	opts Options
 
 	mu   sync.RWMutex
 	ctxs map[ctxKey]*Context
-	pred map[predKey]ou.Size
 
-	decHits, decMisses   atomic.Uint64
-	predHits, predMisses atomic.Uint64
-	flushes              atomic.Uint64
+	decHits, decMisses atomic.Uint64
+	flushes            atomic.Uint64
 
 	// Optional telemetry mirrors of the atomic counters.
-	tDecHits, tDecMisses   *telemetry.Counter
-	tPredHits, tPredMisses *telemetry.Counter
-	tFlushes               *telemetry.Counter
+	tDecHits, tDecMisses *telemetry.Counter
+	tFlushes             *telemetry.Counter
 }
 
 // New creates a cache with default limits and no telemetry.
@@ -132,17 +126,18 @@ func NewWith(opts Options) *Cache {
 	c := &Cache{
 		opts: opts.withDefaults(),
 		ctxs: make(map[ctxKey]*Context),
-		pred: make(map[predKey]ou.Size),
 	}
 	if r := opts.Registry; r != nil {
 		c.tDecHits = r.Counter("odin_decache_decision_hits_total",
 			"line-6 decisions served from the decision cache")
 		c.tDecMisses = r.Counter("odin_decache_decision_misses_total",
 			"line-6 decisions computed and stored by the decision cache")
-		c.tPredHits = r.Counter("odin_decache_predict_hits_total",
-			"policy predictions served from the prediction memo")
-		c.tPredMisses = r.Counter("odin_decache_predict_misses_total",
-			"policy predictions computed and stored by the prediction memo")
+		// The predict families stay at 0: the prediction memo is gone,
+		// and the repository benchmark still scrapes them until its
+		// next change (ROADMAP item 2) deletes them.
+		const zero = "always 0, no prediction memo exists; the benchmark-side change of ROADMAP item 2 deletes this family"
+		r.Counter("odin_decache_predict_hits_total", zero)
+		r.Counter("odin_decache_predict_misses_total", zero)
 		c.tFlushes = r.Counter("odin_decache_flushes_total",
 			"wholesale cache flushes (explicit or capacity-triggered)")
 	}
@@ -154,14 +149,12 @@ func (c *Cache) Counters() Counters {
 	return Counters{
 		DecisionHits:   c.decHits.Load(),
 		DecisionMisses: c.decMisses.Load(),
-		PredictHits:    c.predHits.Load(),
-		PredictMisses:  c.predMisses.Load(),
 		Flushes:        c.flushes.Load(),
 	}
 }
 
-// Flush drops every decision entry and memoized prediction. Contexts stay
-// interned (their precomputed NF_IR tables are immutable).
+// Flush drops every decision entry. Contexts stay interned (their
+// precomputed NF_IR tables are immutable).
 func (c *Cache) Flush() {
 	c.mu.Lock()
 	for _, x := range c.ctxs {
@@ -169,7 +162,6 @@ func (c *Cache) Flush() {
 		x.entries = make(map[Key]*Entry)
 		x.mu.Unlock()
 	}
-	c.pred = make(map[predKey]ou.Size)
 	c.mu.Unlock()
 	c.countFlush()
 }
@@ -190,14 +182,6 @@ type ctxKey struct {
 	Acc      accuracy.Model
 	Strategy string
 	Budget   int
-}
-
-// predKey identifies one memoized policy prediction. The policy's
-// process-unique ID and weight version make stale reuse impossible: Train
-// bumps the version, a hot-swapped or deserialized policy has a fresh ID.
-type predKey struct {
-	ID, Version uint64
-	F           policy.Features
 }
 
 // Key addresses one memoized decision within a Context.
@@ -349,41 +333,4 @@ func (x *Context) Len() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return len(x.entries)
-}
-
-// PredictLookup returns the memoized prediction of pol for f, if present.
-// The memo is exact — keyed by the policy's (ID, Version) and the full
-// feature struct — so a hit is bit-identical to calling Predict.
-func (c *Cache) PredictLookup(pol *policy.Policy, f policy.Features) (ou.Size, bool) {
-	k := predKey{ID: pol.ID(), Version: pol.Version(), F: f}
-	c.mu.RLock()
-	s, ok := c.pred[k]
-	c.mu.RUnlock()
-	if ok {
-		c.predHits.Add(1)
-		if c.tPredHits != nil {
-			c.tPredHits.Inc()
-		}
-		return s, true
-	}
-	c.predMisses.Add(1)
-	if c.tPredMisses != nil {
-		c.tPredMisses.Inc()
-	}
-	return ou.Size{}, false
-}
-
-// PredictStore memoizes one prediction. Exceeding the prediction cap
-// flushes the memo wholesale.
-func (c *Cache) PredictStore(pol *policy.Policy, f policy.Features, s ou.Size) {
-	k := predKey{ID: pol.ID(), Version: pol.Version(), F: f}
-	c.mu.Lock()
-	if len(c.pred) >= c.opts.MaxPredictions {
-		c.pred = make(map[predKey]ou.Size)
-		c.mu.Unlock()
-		c.countFlush()
-		c.mu.Lock()
-	}
-	c.pred[k] = s
-	c.mu.Unlock()
 }

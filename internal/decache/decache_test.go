@@ -8,10 +8,8 @@ import (
 
 	"odin/internal/accuracy"
 	"odin/internal/check"
-	"odin/internal/mlp"
 	"odin/internal/ou"
 	"odin/internal/pim"
-	"odin/internal/policy"
 	"odin/internal/reram"
 	"odin/internal/sparsity"
 	"odin/internal/telemetry"
@@ -174,15 +172,9 @@ func TestFlushDropsEntriesKeepsContexts(t *testing.T) {
 	x := c.Context(grid, cost, acc, "rb", 3)
 	k := Key{Work: testWork(), Layer: 0, Of: 4, Predicted: grid.SizeAt(0, 0), Bucket: 3}
 	x.Store(k, &Entry{Chosen: grid.SizeAt(0, 0)})
-	pol := policy.New(policy.Config{Grid: grid, Seed: 1})
-	f := policy.Features{LayerIndex: 0, LayerCount: 4, KernelSize: 3, Time: 10}
-	c.PredictStore(pol, f, grid.SizeAt(2, 2))
 	c.Flush()
 	if x.Len() != 0 {
 		t.Fatalf("flush left %d decision entries", x.Len())
-	}
-	if _, ok := c.PredictLookup(pol, f); ok {
-		t.Fatalf("flush left a memoized prediction")
 	}
 	if c.Context(grid, cost, acc, "rb", 3) != x {
 		t.Fatalf("flush dropped the interned context")
@@ -218,34 +210,6 @@ func TestDecisionCapFlushesWholesale(t *testing.T) {
 	}
 }
 
-func TestPredictMemoInvalidation(t *testing.T) {
-	t.Parallel()
-	grid, _, _ := testPlatform()
-	c := New()
-	pol := policy.New(policy.Config{Grid: grid, Seed: 1})
-	f := policy.Features{LayerIndex: 2, LayerCount: 11, Sparsity: 0.4, KernelSize: 3, Time: 1e4}
-	if _, ok := c.PredictLookup(pol, f); ok {
-		t.Fatalf("hit on empty memo")
-	}
-	c.PredictStore(pol, f, grid.SizeAt(3, 2))
-	if s, ok := c.PredictLookup(pol, f); !ok || s != grid.SizeAt(3, 2) {
-		t.Fatalf("memo miss after store: %v %v", s, ok)
-	}
-	// A weight update bumps the version: the memo must miss.
-	target := grid.SizeAt(0, 0)
-	if _, err := pol.Train([]policy.Example{{F: f, Target: target}},
-		mlp.TrainOptions{Epochs: 1, Seed: 1}); err != nil {
-		t.Fatalf("train: %v", err)
-	}
-	if _, ok := c.PredictLookup(pol, f); ok {
-		t.Fatalf("stale prediction served after Train bumped the version")
-	}
-	// A clone is a different policy identity: the memo must miss.
-	if _, ok := c.PredictLookup(pol.Clone(), f); ok {
-		t.Fatalf("stale prediction served for a cloned policy")
-	}
-}
-
 func TestTelemetryCounters(t *testing.T) {
 	t.Parallel()
 	grid, cost, acc := testPlatform()
@@ -266,6 +230,8 @@ func TestTelemetryCounters(t *testing.T) {
 		"odin_decache_decision_hits_total 1",
 		"odin_decache_decision_misses_total 1",
 		"odin_decache_flushes_total 1",
+		"odin_decache_predict_hits_total 0",
+		"odin_decache_predict_misses_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("telemetry output missing %q:\n%s", want, out)
@@ -274,20 +240,14 @@ func TestTelemetryCounters(t *testing.T) {
 }
 
 // TestHitPathAllocFree pins the cached decision hot path at zero
-// allocations: bucket resolution, decision lookup and prediction lookup.
+// allocations: bucket resolution and decision lookup.
 func TestHitPathAllocFree(t *testing.T) {
 	grid, cost, acc := testPlatform()
 	c := New()
 	x := c.Context(grid, cost, acc, "rb", 3)
 	k := Key{Work: testWork(), Layer: 3, Of: 11, Predicted: grid.SizeAt(2, 2), Bucket: 9}
 	x.Store(k, &Entry{Start: grid.SizeAt(2, 2), Chosen: grid.SizeAt(2, 2), Found: true})
-	pol := policy.New(policy.Config{Grid: grid, Seed: 1})
-	f := policy.Features{LayerIndex: 3, LayerCount: 11, Sparsity: 0.2, KernelSize: 3, Time: 1e4}
-	c.PredictStore(pol, f, grid.SizeAt(2, 2))
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := c.PredictLookup(pol, f); !ok {
-			t.Fatalf("predict miss")
-		}
 		kk := k
 		kk.Bucket = x.Bucket(3, 11, 1e4)
 		kk.Bucket = 9

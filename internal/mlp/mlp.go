@@ -136,6 +136,7 @@ func (n *Network) layers() []*linear {
 // Predict, Classify, Loss, Train or Gradients call sizes one up front, so
 // the per-example work allocates nothing. It is never stored on the
 // Network: concurrent read-only calls on a shared network stay race-free.
+// Forward keeps one across calls.
 type workspace struct {
 	acts   [][]float64 // acts[0] is the input; acts[i+1] is trunk layer i's ReLU output
 	logits [][]float64 // per head: raw logits after forward, softmax after probabilities
@@ -207,13 +208,48 @@ func (n *Network) Predict(input []float64) [][]float64 {
 
 // Classify returns the arg-max class per head.
 func (n *Network) Classify(input []float64) []int {
-	ws := n.newWorkspace(false)
-	n.forward(input, &ws)
-	out := make([]int, len(ws.logits))
-	for k, z := range ws.logits {
-		out[k] = mat.ArgMax(z)
+	f := n.NewForward()
+	return n.ClassifyInto(&f, input)
+}
+
+// Forward is a forward-only workspace for callers that classify many
+// inputs: ClassifyInto through one reused Forward allocates nothing. The
+// zero value is ready to use. A Forward remembers the network it was sized
+// for by that network's first head layer, which New, Clone and
+// UnmarshalJSON each allocate afresh, and resizes itself when handed
+// another network, at the cost of one pointer compare per call. Train
+// updates weights in place, so a Forward stays valid across it. A Forward
+// is not safe for concurrent use.
+type Forward struct {
+	sized *linear
+	ws    workspace
+	in    []float64
+	class []int
+}
+
+// NewForward returns a Forward sized for n.
+func (n *Network) NewForward() Forward {
+	return Forward{sized: n.heads[0], ws: n.newWorkspace(false),
+		in: make([]float64, n.cfg.InputDim), class: make([]int, len(n.heads))}
+}
+
+// ClassifyInto returns the arg-max class per head for input, computed in
+// f's buffers. The result is f's own slice, overwritten by the next call.
+// It copies input instead of keeping it, so input may live on the
+// caller's stack.
+func (n *Network) ClassifyInto(f *Forward, input []float64) []int {
+	if f.sized != n.heads[0] {
+		*f = n.NewForward()
 	}
-	return out
+	if len(input) != len(f.in) {
+		panic(fmt.Sprintf("mlp: input length %d, want %d", len(input), len(f.in)))
+	}
+	copy(f.in, input)
+	n.forward(f.in, &f.ws)
+	for k, z := range f.ws.logits {
+		f.class[k] = mat.ArgMax(z)
+	}
+	return f.class
 }
 
 // Example is one supervised training pair: an input vector and one target

@@ -1,8 +1,10 @@
 package mlp
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"odin/internal/check"
@@ -369,5 +371,59 @@ func TestPropTrainBitIdentical(t *testing.T) {
 			return err
 		}
 		return sameBits("trained parameters", paramValues(got), paramValues(want))
+	})
+}
+
+// refClassify is the arg-max of each head's reference logits, the first
+// index on ties.
+func refClassify(n *Network, input []float64) []int {
+	_, logits := refForward(n, input)
+	out := make([]int, len(logits))
+	for k, z := range logits {
+		for i, v := range z {
+			if v > z[out[k]] {
+				out[k] = i
+			}
+		}
+	}
+	return out
+}
+
+// TestPropClassifyIntoMatchesReference reuses one Forward across a run of
+// generated networks with 0-2 hidden layers and 1-3 heads, across every
+// input of each, and across a Train call on each: every ClassifyInto must
+// return the classes of the frozen reference forward pass. Odd-numbered
+// networks are decoded in place into the previous one's *Network, as
+// UnmarshalJSON does, and even-numbered ones are fresh pointers, so the
+// Forward must notice both kinds of replacement.
+func TestPropClassifyIntoMatchesReference(t *testing.T) {
+	t.Parallel()
+	check.RunConfig(t, check.Config{Trials: 200}, check.SliceOf(genBitCase(), 1, 4), func(cases []bitCase) error {
+		var f Forward
+		var n *Network
+		for i, c := range cases {
+			if i%2 == 0 {
+				n = New(c.Cfg)
+			} else {
+				data, err := json.Marshal(New(c.Cfg))
+				if err != nil {
+					return err
+				}
+				if err := json.Unmarshal(data, n); err != nil {
+					return err
+				}
+			}
+			for _, stage := range []string{"before Train", "after Train"} {
+				for _, e := range c.Examples {
+					got, want := n.ClassifyInto(&f, e.Input), refClassify(n, e.Input)
+					if !slices.Equal(got, want) {
+						return fmt.Errorf("network %d %v, %s: ClassifyInto(%v) = %v, reference %v",
+							i, c, stage, e.Input, got, want)
+					}
+				}
+				n.Train(c.Examples, c.Opts)
+			}
+		}
+		return nil
 	})
 }

@@ -17,7 +17,6 @@ package policy
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"odin/internal/mlp"
 	"odin/internal/ou"
@@ -37,6 +36,13 @@ const maxLogTime = 8.0
 
 // Vector encodes the features for the network: all components in ≈[0,1].
 func (f Features) Vector() []float64 {
+	v := f.encode()
+	return v[:]
+}
+
+// encode is Vector into a fixed-size array, so PredictWith allocates
+// nothing.
+func (f Features) encode() [4]float64 {
 	if err := f.Validate(); err != nil {
 		panic(fmt.Sprintf("policy: %v", err))
 	}
@@ -51,7 +57,7 @@ func (f Features) Vector() []float64 {
 	if logT > 1.25 {
 		logT = 1.25
 	}
-	return []float64{
+	return [4]float64{
 		pos,
 		f.Sparsity,
 		float64(f.KernelSize) / 7.0,
@@ -87,27 +93,7 @@ type Config struct {
 type Policy struct {
 	grid ou.Grid
 	net  *mlp.Network
-
-	// id is a process-unique identity and version counts weight updates.
-	// Together they give memoization layers (internal/decache) a sound
-	// invalidation key: two policies never share an id (so a freed pointer
-	// being reused cannot resurrect stale entries), and every Train or
-	// deserialize bumps version so cached Predict results die with the
-	// weights that produced them. Neither value is ever serialized or
-	// rendered — allocation order may differ across runs.
-	id      uint64
-	version uint64
 }
-
-// policyIDs hands out process-unique policy identities.
-var policyIDs atomic.Uint64
-
-// ID returns the process-unique identity of this policy instance.
-func (p *Policy) ID() uint64 { return p.id }
-
-// Version returns the number of weight updates applied to this policy.
-// Predict is a pure function of (ID, Version, Features).
-func (p *Policy) Version() uint64 { return p.version }
 
 // New creates a policy for the given grid.
 func New(cfg Config) *Policy {
@@ -118,7 +104,6 @@ func New(cfg Config) *Policy {
 	levels := cfg.Grid.Levels()
 	return &Policy{
 		grid: cfg.Grid,
-		id:   policyIDs.Add(1),
 		net: mlp.New(mlp.Config{
 			InputDim: 4,
 			Hidden:   hidden,
@@ -137,12 +122,29 @@ func (p *Policy) NumParams() int { return p.net.NumParams() }
 // Clone returns an independent copy (e.g. to snapshot the offline policy
 // before online adaptation).
 func (p *Policy) Clone() *Policy {
-	return &Policy{grid: p.grid, net: p.net.Clone(), id: policyIDs.Add(1)}
+	return &Policy{grid: p.grid, net: p.net.Clone()}
 }
+
+// Workspace holds the buffers of one prediction, for callers that predict
+// many times: PredictWith through one reused Workspace allocates nothing.
+// The zero value is ready to use. A Workspace stays valid across Train, and
+// resizes itself after UnmarshalJSON replaced the network. It is not safe
+// for concurrent use.
+type Workspace struct{ fwd mlp.Forward }
+
+// NewWorkspace returns a Workspace sized for p's network.
+func (p *Policy) NewWorkspace() *Workspace { return &Workspace{fwd: p.net.NewForward()} }
 
 // Predict returns the policy's OU size decision (R_j × C_j) for Φ.
 func (p *Policy) Predict(f Features) ou.Size {
-	cls := p.net.Classify(f.Vector())
+	var ws Workspace
+	return p.PredictWith(&ws, f)
+}
+
+// PredictWith is Predict computed in ws's buffers.
+func (p *Policy) PredictWith(ws *Workspace, f Features) ou.Size {
+	in := f.encode()
+	cls := p.net.ClassifyInto(&ws.fwd, in[:])
 	return p.grid.SizeAt(cls[0], cls[1])
 }
 
@@ -199,9 +201,7 @@ func (p *Policy) Train(examples []Example, opts mlp.TrainOptions) (mlp.TrainStat
 		}
 		converted = append(converted, me)
 	}
-	stats := p.net.Train(converted, opts)
-	p.version++ // weights changed: invalidate memoized predictions
-	return stats, nil
+	return p.net.Train(converted, opts), nil
 }
 
 // Agreement returns the fraction of examples where the policy's prediction

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -90,15 +91,64 @@ func TestPredictOnGrid(t *testing.T) {
 }
 
 // TestPredictAllocBudget pins Predict at no more than 7 allocations per
-// call (6 today): the feature vector, the class indices, and the forward
-// pass's buffers, which each call sizes for itself so concurrent Predicts
-// share nothing.
+// call (6 today): the buffers of a fresh Workspace, which each call sizes
+// for itself so concurrent Predicts share nothing.
 func TestPredictAllocBudget(t *testing.T) {
 	p := newTestPolicy(1)
 	f := validFeatures(4, 1e3)
 	if avg := testing.AllocsPerRun(500, func() { _ = p.Predict(f) }); avg > 7 {
 		t.Fatalf("Predict allocates %v per call, want at most 7", avg)
 	}
+}
+
+// TestPredictWithAllocFree pins line 5's path: PredictWith through a
+// reused Workspace allocates nothing.
+func TestPredictWithAllocFree(t *testing.T) {
+	p := newTestPolicy(1)
+	ws := p.NewWorkspace()
+	f := validFeatures(4, 1e3)
+	if avg := testing.AllocsPerRun(1000, func() {
+		f.Time++
+		_ = p.PredictWith(ws, f)
+	}); avg != 0 {
+		t.Fatalf("PredictWith allocates %v per call, want 0", avg)
+	}
+}
+
+// TestPredictWithMatchesPredict reuses one Workspace while the policy
+// trains and after UnmarshalJSON swaps in a network with a deeper trunk:
+// every PredictWith must equal a fresh Predict.
+func TestPredictWithMatchesPredict(t *testing.T) {
+	t.Parallel()
+	p := newTestPolicy(3)
+	ws := p.NewWorkspace()
+	same := func(stage string) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			f := validFeatures(i, math.Pow(10, float64(i)/2.5))
+			if got, want := p.PredictWith(ws, f), p.Predict(f); got != want {
+				t.Fatalf("%s: PredictWith(%+v) = %v, Predict = %v", stage, f, got, want)
+			}
+		}
+	}
+	same("fresh")
+	g := p.Grid()
+	var ex []Example
+	for i := 0; i < 20; i++ {
+		ex = append(ex, Example{F: validFeatures(i, float64(i)*1e3), Target: g.SizeAt(i%6, 5-i%6)})
+	}
+	if _, err := p.Train(ex, mlp.TrainOptions{Epochs: 20}); err != nil {
+		t.Fatal(err)
+	}
+	same("after Train")
+	data, err := json.Marshal(New(Config{Grid: g, Hidden: []int{5, 3}, Seed: 9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, p); err != nil {
+		t.Fatal(err)
+	}
+	same("after UnmarshalJSON")
 }
 
 func TestProbabilitiesNormalised(t *testing.T) {

@@ -50,9 +50,5 @@ func (p *Policy) UnmarshalJSON(data []byte) error {
 	}
 	p.grid = in.Grid
 	p.net = &net
-	// The weights were replaced wholesale: give the policy a fresh identity
-	// so any memoized predictions keyed on the old (id, version) die.
-	p.id = policyIDs.Add(1)
-	p.version = 0
 	return nil
 }

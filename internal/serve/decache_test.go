@@ -86,7 +86,7 @@ func TestReplayCachedByteIdentical(t *testing.T) {
 // chip-shaped goroutines at once — the serve worker-pool access pattern —
 // and checks every chip still decides exactly what an isolated uncached
 // controller decides. Run under -race this doubles as the data-race proof
-// for concurrent Lookup/Store/PredictLookup on the shared maps.
+// for concurrent Lookup/Store on the shared maps.
 func TestSharedCacheConcurrentChips(t *testing.T) {
 	t.Parallel()
 	sys := core.DefaultSystem()
