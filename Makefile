@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint lintfix-audit test race benchsmoke check smoke bench ci
+.PHONY: all build fmt vet lint lintfix-audit test race benchsmoke check fuzzsmoke smoke bench ci
 
 all: ci
 
@@ -64,6 +64,14 @@ benchsmoke:
 check:
 	ODINCHECK_SEED=$$(od -An -N8 -tu8 /dev/urandom | tr -d ' ') \
 		ODINCHECK_TRIALS=25 $(GO) test -count=1 -run 'Prop' ./...
+
+# Native fuzzing, time-boxed: each fuzz target runs for 10 s from its seed
+# corpus (testdata/fuzz/<target> in its package; `make test` replays those
+# seeds on every run). A failing input is written next to the seeds; fix
+# the code it exposes and commit the input as a regression seed.
+fuzzsmoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzParseInfer$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzPolicyUnmarshal$$' -fuzztime=10s ./internal/policy
 
 # The decision-log checksum the 1024-chip smoke replay below must print.
 # Comparing worker counts alone would pass a routing change that moves
@@ -144,4 +152,4 @@ bench:
 	bash _perfbench/run.sh --workload sim-fig8 --trace 1
 	bash _perfbench/run.sh --workload replay-fleet --trace 1
 
-ci: build fmt vet lint lintfix-audit test race benchsmoke check smoke
+ci: build fmt vet lint lintfix-audit test race benchsmoke check fuzzsmoke smoke

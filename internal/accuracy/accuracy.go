@@ -93,8 +93,20 @@ func (s Sensitivity) Weight(j, total int) float64 {
 	return s.WMin + (s.WMax-s.WMin)*math.Exp(-s.Decay*u)
 }
 
+// Weights returns the table w_0 … w_{total−1} of Weight: one exp per layer,
+// paid once by callers that score the same network repeatedly.
+func (s Sensitivity) Weights(total int) []float64 {
+	w := make([]float64, total)
+	for j := range w {
+		w[j] = s.Weight(j, total)
+	}
+	return w
+}
+
 // Model bundles everything needed to score a configuration's accuracy
-// impact.
+// impact. Its methods take a pointer: the line-6 search tests η on every
+// candidate size, and a value receiver would copy the whole model each
+// time.
 type Model struct {
 	Device reram.DeviceParams
 	Sens   Sensitivity
@@ -127,7 +139,7 @@ func Default(device reram.DeviceParams) Model {
 }
 
 // Validate reports configuration errors.
-func (m Model) Validate() error {
+func (m *Model) Validate() error {
 	if err := m.Device.Validate(); err != nil {
 		return err
 	}
@@ -150,7 +162,7 @@ func (m Model) Validate() error {
 }
 
 // Amplification returns A(t) = (t/t₀)^ν, clamped to 1 below t₀.
-func (m Model) Amplification(t float64) float64 {
+func (m *Model) Amplification(t float64) float64 {
 	if t < m.Device.T0 {
 		return 1
 	}
@@ -159,7 +171,7 @@ func (m Model) Amplification(t float64) float64 {
 
 // IRFraction returns NF_IR(R,C) — Eq. (4) normalised by G_ON at t = t₀,
 // extended with the aggregate-current area factor (see package comment).
-func (m Model) IRFraction(s ou.Size) float64 {
+func (m *Model) IRFraction(s ou.Size) float64 {
 	if !s.Valid() {
 		panic(fmt.Sprintf("accuracy: invalid OU size %v", s))
 	}
@@ -170,26 +182,33 @@ func (m Model) IRFraction(s ou.Size) float64 {
 
 // NF returns the effective non-ideality of layer j (of `total`) computed
 // with OU size s at device age t.
-func (m Model) NF(j, total int, s ou.Size, t float64) float64 {
-	return m.Sens.Weight(j, total) * m.IRFraction(s) * m.Amplification(t)
+func (m *Model) NF(j, total int, s ou.Size, t float64) float64 {
+	return m.NFWith(m.Sens.Weight(j, total), m.Amplification(t), s)
+}
+
+// NFWith is NF for a layer of sensitivity weight w at amplification amp:
+// the one expression (w·NF_IR(s))·A every non-ideality figure and η test
+// evaluates. Callers that hold w_j and A(t) fixed across many sizes (the
+// line-6 search, the per-run accuracy) pass them in instead of paying one
+// exp and one pow per size.
+func (m *Model) NFWith(w, amp float64, s ou.Size) float64 {
+	return w * m.IRFraction(s) * amp
 }
 
 // Satisfies reports whether the configuration meets the η constraint.
-func (m Model) Satisfies(j, total int, s ou.Size, t float64) bool {
-	return m.NF(j, total, s, t) < m.Eta
+func (m *Model) Satisfies(j, total int, s ou.Size, t float64) bool {
+	return m.SatisfiesWith(m.Sens.Weight(j, total), m.Amplification(t), s)
 }
 
-// MaxAllowedIR returns the largest NF_IR a layer may carry at age t and
-// still satisfy η — a cheap bound that lets searches prune OU sizes without
-// evaluating them.
-func (m Model) MaxAllowedIR(j, total int, t float64) float64 {
-	return m.Eta / (m.Sens.Weight(j, total) * m.Amplification(t))
+// SatisfiesWith is Satisfies for a layer of weight w at amplification amp.
+func (m *Model) SatisfiesWith(w, amp float64, s ou.Size) bool {
+	return m.NFWith(w, amp, s) < m.Eta
 }
 
 // AnySatisfiable reports whether at least one size in the grid meets the η
 // constraint for layer j at age t. Because NF is monotone in R+C, checking
 // the smallest grid size suffices.
-func (m Model) AnySatisfiable(j, total int, g ou.Grid, t float64) bool {
+func (m *Model) AnySatisfiable(j, total int, g ou.Grid, t float64) bool {
 	return m.Satisfies(j, total, g.SizeAt(0, 0), t)
 }
 
@@ -197,7 +216,7 @@ func (m Model) AnySatisfiable(j, total int, g ou.Grid, t float64) bool {
 // satisfying η for layer j — the analytic inverse of NF(t) = η. It returns
 // +Inf when the size never violates (ν = 0) and t₀ when it violates
 // already at t₀.
-func (m Model) ReprogramDeadline(j, total int, s ou.Size) float64 {
+func (m *Model) ReprogramDeadline(j, total int, s ou.Size) float64 {
 	base := m.Sens.Weight(j, total) * m.IRFraction(s)
 	if base >= m.Eta {
 		return m.Device.T0
@@ -213,14 +232,19 @@ func (m Model) ReprogramDeadline(j, total int, s ou.Size) float64 {
 // worst (sensitivity-weighted) layer dominates: corruption in an early
 // feature extractor propagates through everything downstream, so end-to-end
 // accuracy tracks the most-affected layer rather than the average.
-func (m Model) Loss(sizes []ou.Size, t float64) float64 {
+func (m *Model) Loss(sizes []ou.Size, t float64) float64 {
+	return m.LossWith(m.Sens.Weights(len(sizes)), m.Amplification(t), sizes)
+}
+
+// LossWith is Loss for per-layer weights w (w[j] = Sens.Weight(j,
+// len(sizes))) at amplification amp.
+func (m *Model) LossWith(w []float64, amp float64, sizes []ou.Size) float64 {
 	if len(sizes) == 0 {
 		return 0
 	}
-	total := len(sizes)
 	var worst float64
 	for j, s := range sizes {
-		if nf := m.NF(j, total, s, t); nf > worst {
+		if nf := m.NFWith(w[j], amp, s); nf > worst {
 			worst = nf
 		}
 	}
@@ -229,8 +253,13 @@ func (m Model) Loss(sizes []ou.Size, t float64) float64 {
 
 // Accuracy estimates the inference accuracy of a model with the given ideal
 // (fault-free) accuracy, layer OU sizes, and device age.
-func (m Model) Accuracy(ideal float64, sizes []ou.Size, t float64) float64 {
-	acc := ideal - m.Loss(sizes, t)
+func (m *Model) Accuracy(ideal float64, sizes []ou.Size, t float64) float64 {
+	return m.AccuracyWith(ideal, m.Sens.Weights(len(sizes)), m.Amplification(t), sizes)
+}
+
+// AccuracyWith is Accuracy for per-layer weights w at amplification amp.
+func (m *Model) AccuracyWith(ideal float64, w []float64, amp float64, sizes []ou.Size) float64 {
+	acc := ideal - m.LossWith(w, amp, sizes)
 	if acc < 0 {
 		return 0
 	}

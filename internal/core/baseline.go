@@ -14,6 +14,8 @@ type Baseline struct {
 	sys  System
 	wl   *Workload
 	size ou.Size
+	// weights is the sensitivity table w_j of sys for the workload's depth.
+	weights []float64
 
 	// DisableReprogram reproduces the Fig. 7 "without reprogramming"
 	// curves: the device is never rewritten and accuracy decays freely.
@@ -61,7 +63,8 @@ func NewBaseline(sys System, wl *Workload, size ou.Size) (*Baseline, error) {
 	if deadline <= sys.Device.T0 {
 		return nil, fmt.Errorf("core: OU size %v violates η even on a fresh device", size)
 	}
-	return &Baseline{sys: sys, wl: wl, size: size, deadline: deadline}, nil
+	return &Baseline{sys: sys, wl: wl, size: size, weights: sys.Acc.Sens.Weights(total),
+		deadline: deadline}, nil
 }
 
 // ReprogramInterval returns the wall time between reprogramming passes the
@@ -118,6 +121,7 @@ func (b *Baseline) RunInference(t float64) RunReport {
 		rep.Age = age
 	}
 	rep.Energy, rep.Latency = b.sys.inferenceCost(b.wl, rep.Sizes)
-	rep.Accuracy = b.sys.Acc.Accuracy(b.wl.Model.IdealAccuracy, rep.Sizes, age)
+	rep.Accuracy = b.sys.Acc.AccuracyWith(b.wl.Model.IdealAccuracy, b.weights,
+		b.sys.Acc.Amplification(age), rep.Sizes)
 	return rep
 }

@@ -82,8 +82,9 @@ func CollectExamples(sys System, models []*dnn.Model, cfg BootstrapConfig) ([]po
 	par.Each(0, len(shards), func(cell int) {
 		wl := wls[cell/len(cfg.Times)]
 		age := cfg.Times[cell%len(cfg.Times)]
+		amp := sys.Acc.Amplification(age)
 		for j := 0; j < wl.Layers(); j++ {
-			res := search.Exhaustive(grid, sys.objective(wl, j, age))
+			res := search.Exhaustive(grid, sys.objective(wl, j, sys.Acc.Sens.Weight(j, wl.Layers()), amp))
 			if !res.Found {
 				continue // no feasible size at this age — nothing to teach
 			}

@@ -182,6 +182,11 @@ type Controller struct {
 	probeBuf    []decache.Probe
 	recordProbe func(s ou.Size, feasible bool, edp float64)
 
+	// weights is the sensitivity table w_j = sys.Acc.Sens.Weight(j, L),
+	// built once from the controller's own System: every η test, age
+	// bucket and accuracy estimate reads it instead of paying one exp.
+	weights []float64
+
 	programmedAt float64 // simulation time of the last (re)programming
 	reprograms   int
 	updates      int
@@ -231,6 +236,7 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 		optim:        optim,
 		scratch:      search.NewScratch(),
 		ws:           pol.NewWorkspace(),
+		weights:      sys.Acc.Sens.Weights(wl.Layers()),
 		programmedAt: resolved.ProgrammedAt,
 	}
 	c.recordProbe = func(s ou.Size, feasible bool, edp float64) {
@@ -330,6 +336,8 @@ func (c *Controller) RunInference(t float64) RunReport {
 	}
 	defer c.running.Store(false)
 	age := c.Age(t)
+	// A(age) is the same for every layer of the run: one pow per run.
+	amp := c.sys.Acc.Amplification(age)
 	rep := RunReport{Time: t, Age: age, Sizes: make([]ou.Size, c.wl.Layers())}
 	needReprogram := false
 
@@ -349,7 +357,7 @@ func (c *Controller) RunInference(t float64) RunReport {
 	}
 
 	for j := 0; j < c.wl.Layers(); j++ {
-		out := c.decideLayer(j, age, audit != nil)
+		out := c.decideLayer(j, age, amp, audit != nil)
 		rep.Sizes[j] = out.chosen
 
 		// Lines 7–8 precondition: when no OU size can meet η, the layer
@@ -378,7 +386,7 @@ func (c *Controller) RunInference(t float64) RunReport {
 				// (size, age), so replayed (cached) and live decisions audit
 				// byte-identically; the extra comparator work is billed to
 				// auditing, not the modelled hardware.
-				score := c.sys.objective(c.wl, j, age)
+				score := c.sys.objective(c.wl, j, c.weights[j], amp)
 				cands = make([]obs.Candidate, 0, len(out.probes))
 				for _, p := range out.probes {
 					cost := score.Cost.Evaluate(score.Work, p.Size)
@@ -410,7 +418,7 @@ func (c *Controller) RunInference(t float64) RunReport {
 	}
 
 	rep.Energy, rep.Latency = c.sys.inferenceCost(c.wl, rep.Sizes)
-	rep.Accuracy = c.sys.Acc.Accuracy(c.wl.Model.IdealAccuracy, rep.Sizes, age)
+	rep.Accuracy = c.sys.Acc.AccuracyWith(c.wl.Model.IdealAccuracy, c.weights, amp, rep.Sizes)
 	c.lastSizes = rep.Sizes
 
 	if c.opts.ProactiveReprogram && !needReprogram {
@@ -461,17 +469,19 @@ type layerOutcome struct {
 }
 
 // decideLayer runs (or replays) Algorithm 1 lines 5–6 for layer j at
-// device age `age`: policy prediction, feasibility clamp, and the line-6
-// strategy search, the last two memoized through the decision cache when
-// one is attached. It touches no learning state — RunInference owns the
-// disagreement buffer — so benchmarks replay it in isolation
-// (DecisionBench). wantProbes forces candidate recording even when caching
-// is off (the audit path).
-func (c *Controller) decideLayer(j int, age float64, wantProbes bool) layerOutcome {
+// device age `age`, whose drift amplification amp = Acc.Amplification(age)
+// the caller resolves once per run: policy prediction, feasibility clamp,
+// and the line-6 strategy search, the last two memoized through the
+// decision cache when one is attached. It touches no learning state —
+// RunInference owns the disagreement buffer — so benchmarks replay it in
+// isolation (DecisionBench). wantProbes forces candidate recording even
+// when caching is off (the audit path).
+func (c *Controller) decideLayer(j int, age, amp float64, wantProbes bool) layerOutcome {
 	feat := c.wl.FeaturesAt(j, age)
 	predicted := c.pol.PredictWith(c.ws, feat) // line 5
 	grid := c.sys.Grid()
 	total := c.wl.Layers()
+	w := c.weights[j]
 
 	// Resolve the effective strategy first: a ConfidenceEX escalation
 	// switches the decision context, so it must precede the cache lookup.
@@ -488,7 +498,7 @@ func (c *Controller) decideLayer(j int, age float64, wantProbes bool) layerOutco
 	if c.cache != nil {
 		// Degenerate case via the bucket: Bucket == 0 is bit-identical to
 		// !AnySatisfiable (the same predicate on the smallest grid size).
-		bucket := dctx.Bucket(j, total, age)
+		bucket := dctx.Bucket(w, amp)
 		if bucket == 0 {
 			smallest := grid.SizeAt(0, 0)
 			return layerOutcome{predicted: predicted, start: smallest,
@@ -504,7 +514,7 @@ func (c *Controller) decideLayer(j int, age float64, wantProbes bool) layerOutco
 		}
 		// Miss: run the live pass, recording every probe so later hits can
 		// replay the audit breakdown.
-		obj := c.sys.objective(c.wl, j, age)
+		obj := c.sys.objective(c.wl, j, w, amp)
 		obj.Scratch = c.scratch
 		c.probeBuf = c.probeBuf[:0]
 		obj.Probe = c.recordProbe
@@ -533,15 +543,16 @@ func (c *Controller) decideLayer(j int, age float64, wantProbes bool) layerOutco
 
 	// Uncached path: the pre-cache control flow, bit for bit. NF is
 	// monotone in R+C, so checking the smallest grid size decides global
-	// satisfiability (lines 7–8 precondition).
-	if !c.sys.Acc.AnySatisfiable(j, total, grid, age) {
+	// satisfiability (lines 7–8 precondition; accuracy.Model.AnySatisfiable
+	// with w and A resolved).
+	if !c.sys.Acc.SatisfiesWith(w, amp, grid.SizeAt(0, 0)) {
 		smallest := grid.SizeAt(0, 0)
 		return layerOutcome{predicted: predicted, start: smallest,
 			chosen: smallest, strategy: opt.StrategyDegraded, degraded: true}
 	}
 	// Line 6: shrink the prediction into the feasible region if drift has
 	// outrun the policy, then refine with the configured strategy.
-	obj := c.sys.objective(c.wl, j, age)
+	obj := c.sys.objective(c.wl, j, w, amp)
 	obj.Scratch = c.scratch
 	if wantProbes {
 		c.probeBuf = c.probeBuf[:0]
@@ -632,8 +643,9 @@ func (c *Controller) LastSizes() []ou.Size { return c.lastSizes }
 func (c *Controller) freshDeviceLatency() float64 {
 	grid := c.sys.Grid()
 	sizes := make([]ou.Size, c.wl.Layers())
+	amp := c.sys.Acc.Amplification(c.sys.Device.T0)
 	for j := range sizes {
-		res := search.Exhaustive(grid, c.sys.objective(c.wl, j, c.sys.Device.T0))
+		res := search.Exhaustive(grid, c.sys.objective(c.wl, j, c.weights[j], amp))
 		if res.Found {
 			sizes[j] = res.Best
 		} else {

@@ -282,8 +282,8 @@ func TestCachedReprogramIgnoresPoisonedStaleEntries(t *testing.T) {
 	total := wl.Layers()
 	poisoned := 0
 	for j := 0; j < total; j++ {
-		bOld := ctrl.dctx.Bucket(j, total, ageAged)
-		bNew := ctrl.dctx.Bucket(j, total, ageFresh)
+		bOld := ctrl.dctx.Bucket(ctrl.weights[j], sys.Acc.Amplification(ageAged))
+		bNew := ctrl.dctx.Bucket(ctrl.weights[j], sys.Acc.Amplification(ageFresh))
 		if bOld == bNew {
 			continue // same bucket would make the injection legitimate
 		}
@@ -386,7 +386,7 @@ func TestPolicyUpdateReachesPrediction(t *testing.T) {
 		age := ctrl.Age(5e6)
 		for j := 0; j < wl.Layers(); j++ {
 			want := ctrl.pol.Predict(wl.FeaturesAt(j, age))
-			if got := ctrl.decideLayer(j, age, false).predicted; got != want {
+			if got := ctrl.decideLayer(j, age, sys.Acc.Amplification(age), false).predicted; got != want {
 				t.Fatalf("%s, layer %d: controller predicted %v, Predict says %v", stage, j, got, want)
 			}
 		}
@@ -418,10 +418,10 @@ func TestCachedDecisionHitPathAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const age = 1e6
-	_ = ctrl.decideLayer(0, age, false) // warm: miss populates the entry
+	_ = ctrl.decideLayer(0, age, sys.Acc.Amplification(age), false) // warm: miss populates the entry
 	var chosen ou.Size
 	if avg := testing.AllocsPerRun(1000, func() {
-		chosen = ctrl.decideLayer(0, age, false).chosen
+		chosen = ctrl.decideLayer(0, age, sys.Acc.Amplification(age), false).chosen
 	}); avg != 0 {
 		t.Fatalf("cached decision hit path allocates %v per op, want 0", avg)
 	}

@@ -19,5 +19,6 @@ func DecisionBench(sys System, wl *Workload, pol *policy.Policy, opts Controller
 	if err != nil {
 		return nil, err
 	}
-	return func() { _ = ctrl.decideLayer(j, age, false) }, nil
+	amp := sys.Acc.Amplification(age) // once per run, as RunInference does
+	return func() { _ = ctrl.decideLayer(j, age, amp, false) }, nil
 }

@@ -209,3 +209,155 @@ func TestPropControllerBatchInvariants(t *testing.T) {
 		return nil
 	})
 }
+
+// hoistCase is one point of the hoisted-arithmetic property: layer J of an
+// L-layer network at a device age of kind AgeKind (0: 0 s, 1: t₀/2, 2: t₀,
+// 3: the log-uniform draw 10^AgeExp s, up to 10⁹ s, 4: the η deadline of
+// grid size Size, where NF is within rounding of η).
+type hoistCase struct {
+	L, J    int
+	AgeKind int
+	AgeExp  float64
+	Size    int // row-major grid index of the AgeKind 4 size
+}
+
+func (c hoistCase) age(sys System) float64 {
+	t0 := sys.Device.T0
+	switch c.AgeKind {
+	case 0:
+		return 0
+	case 1:
+		return t0 / 2
+	case 2:
+		return t0
+	case 3:
+		return math.Pow(10, c.AgeExp)
+	}
+	return sys.Acc.ReprogramDeadline(c.J, c.L, sys.Grid().Sizes()[c.Size])
+}
+
+func genHoistCase() check.Gen[hoistCase] {
+	return check.Gen[hoistCase]{
+		Generate: func(t *check.T) hoistCase {
+			l := 1 + t.Rng.Intn(130)
+			return hoistCase{L: l, J: t.Rng.Intn(l), AgeKind: t.Rng.Intn(5), AgeExp: 9 * t.Rng.Float64(),
+				Size: t.Rng.Intn(36)}
+		},
+		Shrink: func(c hoistCase) []hoistCase {
+			var out []hoistCase
+			for _, v := range check.ShrinkInt(c.L, 1) {
+				m := c
+				m.L, m.J = v, min(c.J, v-1)
+				out = append(out, m)
+			}
+			for _, v := range check.ShrinkInt(c.J, 0) {
+				m := c
+				m.J = v
+				out = append(out, m)
+			}
+			for _, v := range check.ShrinkInt(c.AgeKind, 0) {
+				m := c
+				m.AgeKind = v
+				out = append(out, m)
+			}
+			for _, v := range check.ShrinkFloat(c.AgeExp, 0) {
+				m := c
+				m.AgeExp = v
+				out = append(out, m)
+			}
+			for _, v := range check.ShrinkInt(c.Size, 0) {
+				m := c
+				m.Size = v
+				out = append(out, m)
+			}
+			return out
+		},
+	}
+}
+
+// chainModel is an l-layer stack alternating 3×3 convolutions and FC
+// layers: only the depth matters to the sensitivity weights under test.
+func chainModel(l int) *dnn.Model {
+	m := &dnn.Model{
+		Name:          fmt.Sprintf("chain-%d", l),
+		Dataset:       dnn.Dataset{Name: "toy", InputH: 8, InputW: 8, Channels: 8, Classes: 10},
+		IdealAccuracy: 0.9,
+	}
+	for j := 0; j < l; j++ {
+		layer := dnn.Layer{Name: fmt.Sprintf("c%d", j), Type: dnn.Conv, KernelH: 3, KernelW: 3,
+			InChannels: 8, OutChannels: 8, InH: 8, InW: 8, Stride: 1}
+		if j%2 == 1 {
+			layer = dnn.Layer{Name: fmt.Sprintf("fc%d", j), Type: dnn.FC, KernelH: 1, KernelW: 1,
+				InChannels: 512, OutChannels: 512, InH: 1, InW: 1, Stride: 1}
+		}
+		m.Layers = append(m.Layers, layer)
+	}
+	return m
+}
+
+// TestPropHoistedArithmeticBitIdentical pins that resolving Algorithm 1's
+// age- and layer-only terms once — the sensitivity weight w_j per
+// controller, the drift amplification A(t) per run and per decision — is
+// bit-identical to accuracy.Model's per-call reference: LayerObjective's
+// Feasible and NF equal Satisfies and NF on every grid size, and the
+// per-run accuracy of a controller and of a baseline equals Accuracy, all
+// compared by math.Float64bits; NF is also compared with (w·NF_IR(s))·A
+// written out, since the reference shares NFWith's expression. Ages at a
+// size's η deadline put NF within rounding of η, where a reordered or
+// divided predicate would flip.
+func TestPropHoistedArithmeticBitIdentical(t *testing.T) {
+	t.Parallel()
+	sys := DefaultSystem()
+	grid := sys.Grid()
+	wls := map[int]*Workload{}
+	check.Run(t, genHoistCase(), func(c hoistCase) error {
+		wl := wls[c.L]
+		if wl == nil {
+			var err error
+			if wl, err = sys.Prepare(chainModel(c.L)); err != nil {
+				return err
+			}
+			wls[c.L] = wl
+		}
+		age := c.age(sys)
+		o := LayerObjective(sys, wl, c.J, age)
+		for _, s := range grid.Sizes() {
+			if got, want := o.Feasible(s), sys.Acc.Satisfies(c.J, c.L, s, age); got != want {
+				return fmt.Errorf("Feasible(%v) = %v, Satisfies says %v (age %g)", s, got, want, age)
+			}
+			if got, want := o.NF(s), sys.Acc.NF(c.J, c.L, s, age); math.Float64bits(got) != math.Float64bits(want) {
+				return fmt.Errorf("NF(%v) = %v, reference %v (age %g)", s, got, want, age)
+			}
+			// NF and Satisfies share NFWith's expression with the objective,
+			// so also pin that expression to its written-out order.
+			literal := sys.Acc.Sens.Weight(c.J, c.L) * sys.Acc.IRFraction(s) * sys.Acc.Amplification(age)
+			if got := o.NF(s); math.Float64bits(got) != math.Float64bits(literal) {
+				return fmt.Errorf("NF(%v) = %v, (w·NF_IR)·A = %v (age %g)", s, got, literal, age)
+			}
+		}
+
+		// A controller never sees an age below t₀; run it at the simulation
+		// time whose device age is the case's age, clamped there.
+		at := math.Max(age-sys.Device.T0, 0)
+		ctrl, err := NewController(sys, wl, freshPolicy(sys), DefaultControllerOptions())
+		if err != nil {
+			return err
+		}
+		rep := ctrl.RunInference(at)
+		want := sys.Acc.Accuracy(wl.Model.IdealAccuracy, rep.Sizes, rep.Age)
+		if math.Float64bits(rep.Accuracy) != math.Float64bits(want) {
+			return fmt.Errorf("controller accuracy %v, reference %v (age %g)", rep.Accuracy, want, rep.Age)
+		}
+		base, err := NewBaseline(sys, wl, grid.SizeAt(0, 0))
+		if err != nil {
+			return err
+		}
+		base.DisableReprogram = true
+		brep := base.RunInference(at)
+		want = sys.Acc.Accuracy(wl.Model.IdealAccuracy, brep.Sizes, brep.Age)
+		if math.Float64bits(brep.Accuracy) != math.Float64bits(want) {
+			return fmt.Errorf("baseline accuracy %v, reference %v (age %g)", brep.Accuracy, want, brep.Age)
+		}
+		return nil
+	})
+}

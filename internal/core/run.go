@@ -88,17 +88,22 @@ func (s System) reprogramCost(wl *Workload) (energy, latency float64) {
 // of the workload at device age `age` — the quantity Algorithm 1's line 6
 // optimises. Exported for the experiment drivers and design-space tooling.
 func LayerObjective(s System, wl *Workload, j int, age float64) search.Objective {
-	return s.objective(wl, j, age)
+	return s.objective(wl, j, s.Acc.Sens.Weight(j, wl.Layers()), s.Acc.Amplification(age))
 }
 
-// objective builds the per-layer search objective at device age `age`.
-func (s System) objective(wl *Workload, j int, age float64) search.Objective {
+// objective builds the per-layer search objective for layer j, whose
+// sensitivity weight is w = Acc.Sens.Weight(j, wl.Layers()), at drift
+// amplification amp = Acc.Amplification(age). It is the one constructor of
+// search.Objective: callers that hold w and A fixed across many decisions
+// (a controller's weight table, a run's age) pass them in.
+func (s System) objective(wl *Workload, j int, w, amp float64) search.Objective {
 	return search.Objective{
 		Cost:  s.Arch.CostModel(),
 		Work:  wl.Works[j],
 		Acc:   s.Acc,
 		Layer: j,
 		Of:    wl.Layers(),
-		Time:  age,
+		W:     w,
+		Amp:   amp,
 	}
 }

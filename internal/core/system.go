@@ -146,7 +146,7 @@ func (w *Workload) Layers() int { return len(w.Works) }
 
 // FeaturesAt returns the policy features Φ of layer j at device age t.
 func (w *Workload) FeaturesAt(j int, age float64) policy.Features {
-	l := w.Model.Layers[j]
+	l := &w.Model.Layers[j]
 	return policy.Features{
 		LayerIndex: j,
 		LayerCount: len(w.Model.Layers),

@@ -18,11 +18,12 @@
 // onto an age-free structure:
 //
 //   - NF_IR is age-free and EDP is age-free, so the feasible set at age t
-//     is the lower level set {s : NF_IR(s) < η/(w_j·A(t))} of the fixed
-//     NF_IR ordering. Counting the feasible sizes therefore identifies the
-//     set exactly — that count is the "age bucket". Sizes with equal NF_IR
-//     (e.g. 4×8 and 8×4) enter or leave feasibility together, so the count
-//     is unambiguous.
+//     is a lower level set of the fixed NF_IR ordering (in real numbers
+//     {s : NF_IR(s) < η/(w_j·A(t))}; the code never divides, it tests
+//     (w_j·NF_IR(s))·A(t) < η). Counting the feasible sizes therefore
+//     identifies the set exactly — that count is the "age bucket". Sizes
+//     with equal NF_IR (e.g. 4×8 and 8×4) enter or leave feasibility
+//     together, so the count is unambiguous.
 //   - NF-order comparisons (RB's infeasible descent, the TPE infeasible
 //     ranking, the Pareto dominance test) compare (w·NF_IR(s_a))·A against
 //     (w·NF_IR(s_b))·A: multiplying both sides by the same positive scalar
@@ -39,9 +40,11 @@
 // asserted end to end by `make smoke`.
 //
 // The bucket predicate reuses accuracy.Model.Satisfies' exact expression
-// shape ((w·ir)·A < η with ir precomputed per grid size), so bucketing is
-// bit-identical to the checks the uncached path performs, including the
-// bucket==0 ⇔ !AnySatisfiable degenerate case.
+// shape ((w·ir)·A < η with ir precomputed per grid size, and w_j and A(t)
+// passed in by the caller, which resolves them once per controller and
+// once per run), so bucketing is bit-identical to the checks the uncached
+// path performs, including the bucket==0 ⇔ !AnySatisfiable degenerate
+// case.
 //
 // # Invalidation contract
 //
@@ -223,8 +226,9 @@ type Entry struct {
 }
 
 // Context is the per-(platform, strategy, budget) decision table. It
-// precomputes the sorted NF_IR values of the grid so age buckets resolve
-// with one exp, one pow and a binary search.
+// precomputes the sorted NF_IR values of the grid so an age bucket is one
+// binary search over them, given the w_j and A(t) the caller already
+// holds.
 type Context struct {
 	cache *Cache
 	acc   accuracy.Model
@@ -273,15 +277,15 @@ func (c *Cache) Context(g ou.Grid, cost ou.CostModel, acc accuracy.Model, strate
 	return x
 }
 
-// Bucket returns the age bucket of layer j (of total) at device age t: the
-// number of grid sizes satisfying the η constraint. The predicate is the
-// exact expression accuracy.Model.Satisfies evaluates — (w·ir)·A < η with
-// ir precomputed — so bucket membership is bit-identical to the checks the
-// uncached search performs; in particular Bucket == 0 exactly when
-// accuracy.Model.AnySatisfiable reports false.
-func (x *Context) Bucket(j, total int, t float64) int {
-	w := x.acc.Sens.Weight(j, total)
-	amp := x.acc.Amplification(t)
+// Bucket returns the age bucket of a layer with sensitivity weight w at
+// drift amplification amp — w = Sens.Weight(j, total) and amp =
+// Amplification(t) of the context's accuracy model for layer j at device
+// age t: the number of grid sizes satisfying the η constraint. The
+// predicate is the exact expression accuracy.Model.Satisfies evaluates —
+// (w·ir)·A < η with ir precomputed — so bucket membership is bit-identical
+// to the checks the uncached search performs; in particular Bucket == 0
+// exactly when accuracy.Model.AnySatisfiable reports false.
+func (x *Context) Bucket(w, amp float64) int {
 	eta := x.acc.Eta
 	// Feasibility is non-increasing along the ascending NF_IR order
 	// (multiplying by positive w then amp is weakly monotone in IEEE-754),

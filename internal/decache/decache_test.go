@@ -80,7 +80,7 @@ func TestPropBucketMatchesSatisfies(t *testing.T) {
 				}
 			}
 		}
-		got := x.Bucket(c.J, c.Total, age)
+		got := x.Bucket(acc.Sens.Weight(c.J, c.Total), acc.Amplification(age))
 		if got != want {
 			return fmt.Errorf("bucket %d, brute-force feasible count %d (layer %d/%d age 1e%.3f)",
 				got, want, c.J, c.Total, c.AgeExp)
@@ -108,8 +108,9 @@ func TestPropBucketMonotoneInAge(t *testing.T) {
 			if a1 > a2 {
 				a1, a2 = a2, a1
 			}
-			b1 := x.Bucket(c.J, c.Total, a1)
-			b2 := x.Bucket(c.J, c.Total, a2)
+			w := acc.Sens.Weight(c.J, c.Total)
+			b1 := x.Bucket(w, acc.Amplification(a1))
+			b2 := x.Bucket(w, acc.Amplification(a2))
 			if b2 > b1 {
 				return fmt.Errorf("bucket grew with age: %d at %g s -> %d at %g s", b1, a1, b2, a2)
 			}
@@ -249,7 +250,7 @@ func TestHitPathAllocFree(t *testing.T) {
 	x.Store(k, &Entry{Start: grid.SizeAt(2, 2), Chosen: grid.SizeAt(2, 2), Found: true})
 	allocs := testing.AllocsPerRun(1000, func() {
 		kk := k
-		kk.Bucket = x.Bucket(3, 11, 1e4)
+		kk.Bucket = x.Bucket(acc.Sens.Weight(3, 11), acc.Amplification(1e4))
 		kk.Bucket = 9
 		if _, ok := x.Lookup(kk); !ok {
 			t.Fatalf("decision miss")

@@ -1,8 +1,9 @@
-package opt
+package opt_test
 
 import (
 	"testing"
 
+	"odin/internal/opt"
 	"odin/internal/search"
 )
 
@@ -13,15 +14,15 @@ import (
 // deliberately exempt — its Result carries the non-dominated front, whose
 // allocation is the strategy's documented output, not overhead.
 func TestOptAllocFree(t *testing.T) {
-	_, _, grid := fixtures()
+	grid := platform.Grid()
 	o := testObjective(2, 8, 1e4)
 	start := grid.SizeAt(2, 2)
 	cases := []struct {
 		name string
 		fn   func()
 	}{
-		{"rb", func() { _ = (ResourceBounded{}).Optimize(grid, o, start, 3) }},
-		{"ex", func() { _ = (Exhaustive{}).Optimize(grid, o, start, 0) }},
+		{"rb", func() { _ = (opt.ResourceBounded{}).Optimize(grid, o, start, 3) }},
+		{"ex", func() { _ = (opt.Exhaustive{}).Optimize(grid, o, start, 0) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -40,11 +41,11 @@ func TestOptAllocFree(t *testing.T) {
 // scratch every call pays the full buffer setup, which is the documented
 // fallback, not a regression.
 func TestBOAllocBudget(t *testing.T) {
-	_, _, grid := fixtures()
+	grid := platform.Grid()
 	o := testObjective(2, 8, 1e4)
 	o.Scratch = search.NewScratch()
 	start := grid.SizeAt(2, 2)
-	bo := Bayesian{}
+	bo := opt.Bayesian{}
 	warm := bo.Optimize(grid, o, start, 0) // first call allocates the scratch buffers
 	if avg := testing.AllocsPerRun(200, func() {
 		got := bo.Optimize(grid, o, start, 0)

@@ -1,12 +1,12 @@
-package opt
+package opt_test
 
 import (
 	"fmt"
 	"math"
 	"testing"
 
-	"odin/internal/accuracy"
 	"odin/internal/check"
+	"odin/internal/opt"
 	"odin/internal/ou"
 	"odin/internal/search"
 )
@@ -67,15 +67,9 @@ func genOptCase() check.Gen[optCase] {
 	}
 }
 
-func (c optCase) objective(acc accuracy.Model, cm ou.CostModel) search.Objective {
-	return search.Objective{
-		Cost:  cm,
-		Work:  ou.LayerWork{Xbars: c.Xbars, RowsUsed: c.Rows, ColsUsed: c.Cols},
-		Acc:   acc,
-		Layer: c.Layer,
-		Of:    c.Total,
-		Time:  acc.Device.T0 * math.Pow(10, c.AgeExp),
-	}
+func (c optCase) objective() search.Objective {
+	return layerObjective(ou.LayerWork{Xbars: c.Xbars, RowsUsed: c.Rows, ColsUsed: c.Cols},
+		c.Layer, c.Total, platform.Device.T0*math.Pow(10, c.AgeExp))
 }
 
 // TestPropBOBudgetAndIncumbent pins the Bayesian optimizer's Algorithm 1
@@ -85,11 +79,11 @@ func (c optCase) objective(acc accuracy.Model, cm ou.CostModel) search.Objective
 // guarantee RB gives line 6).
 func TestPropBOBudgetAndIncumbent(t *testing.T) {
 	t.Parallel()
-	acc, cm, grid := fixtures()
+	grid := platform.Grid()
 	check.Run(t, genOptCase(), func(c optCase) error {
-		o := c.objective(acc, cm)
+		o := c.objective()
 		start := grid.SizeAt(c.StartR, c.StartC)
-		res := (Bayesian{}).Optimize(grid, o, start, c.Budget)
+		res := (opt.Bayesian{}).Optimize(grid, o, start, c.Budget)
 		maxEvals := c.Budget
 		if total := grid.Levels() * grid.Levels(); maxEvals > total {
 			maxEvals = total
@@ -126,9 +120,9 @@ func TestPropBOBudgetAndIncumbent(t *testing.T) {
 // odincheck trial-0 seed line replay a BO decision exactly.
 func TestPropBOSeedReplayable(t *testing.T) {
 	t.Parallel()
-	acc, cm, grid := fixtures()
+	grid := platform.Grid()
 	check.Run(t, genOptCase(), func(c optCase) error {
-		o := c.objective(acc, cm)
+		o := c.objective()
 		start := grid.SizeAt(c.StartR, c.StartC)
 		type ev struct {
 			s        ou.Size
@@ -136,20 +130,20 @@ func TestPropBOSeedReplayable(t *testing.T) {
 			edpBits  uint64
 		}
 		var seqA, seqB []ev
-		var resA, resB Result
+		var resA, resB opt.Result
 		{
 			oo := o
 			oo.Probe = func(s ou.Size, feasible bool, edp float64) {
 				seqA = append(seqA, ev{s, feasible, math.Float64bits(edp)})
 			}
-			resA = (Bayesian{}).Optimize(grid, oo, start, c.Budget)
+			resA = (opt.Bayesian{}).Optimize(grid, oo, start, c.Budget)
 		}
 		{
 			oo := o
 			oo.Probe = func(s ou.Size, feasible bool, edp float64) {
 				seqB = append(seqB, ev{s, feasible, math.Float64bits(edp)})
 			}
-			resB = (Bayesian{}).Optimize(grid, oo, start, c.Budget)
+			resB = (opt.Bayesian{}).Optimize(grid, oo, start, c.Budget)
 		}
 		if resA.Best != resB.Best || resA.Found != resB.Found ||
 			resA.Evaluations != resB.Evaluations ||
@@ -179,10 +173,10 @@ func TestPropBOSeedReplayable(t *testing.T) {
 //   - like EX it always evaluates the full grid.
 func TestPropParetoFrontContract(t *testing.T) {
 	t.Parallel()
-	acc, cm, grid := fixtures()
+	grid := platform.Grid()
 	check.Run(t, genOptCase(), func(c optCase) error {
-		o := c.objective(acc, cm)
-		res := (Pareto{}).Optimize(grid, o, grid.SizeAt(c.StartR, c.StartC), c.Budget)
+		o := c.objective()
+		res := (opt.Pareto{}).Optimize(grid, o, grid.SizeAt(c.StartR, c.StartC), c.Budget)
 		ex := search.Exhaustive(grid, o)
 		if res.Evaluations != ex.Evaluations {
 			return fmt.Errorf("pareto evaluated %d candidates, want the full grid %d", res.Evaluations, ex.Evaluations)
@@ -214,7 +208,7 @@ func TestPropParetoFrontContract(t *testing.T) {
 				continue
 			}
 			cost := o.Cost.Evaluate(o.Work, s)
-			p := Point{Size: s, Energy: cost.Energy, Latency: cost.Latency, NF: o.NF(s), EDP: cost.EDP()}
+			p := opt.Point{Size: s, Energy: cost.Energy, Latency: cost.Latency, NF: o.NF(s), EDP: cost.EDP()}
 			dominated := false
 			for _, q := range res.Front {
 				if q.Dominates(p) {
@@ -240,11 +234,11 @@ func TestPropParetoFrontContract(t *testing.T) {
 // candidates against budgets regardless of strategy.
 func TestPropProbeCountsEveryCandidate(t *testing.T) {
 	t.Parallel()
-	acc, cm, grid := fixtures()
+	grid := platform.Grid()
 	check.Run(t, genOptCase(), func(c optCase) error {
-		o := c.objective(acc, cm)
+		o := c.objective()
 		start := grid.SizeAt(c.StartR, c.StartC)
-		for _, strat := range All() {
+		for _, strat := range opt.All() {
 			probes := 0
 			bad := false
 			oo := o

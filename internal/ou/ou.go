@@ -222,23 +222,15 @@ func adcBits(r int) float64 { return math.Log2(float64(r)) }
 // Latency returns the layer latency in seconds for OU size s (Eq. 1 plus
 // the per-cycle control overhead). Crossbars of a layer operate in
 // parallel, so latency does not scale with Xbar_j.
-func (m CostModel) Latency(w LayerWork, s Size) float64 {
-	cycles := float64(w.Cycles(s))
-	return (float64(s.C)*adcBits(s.R)*m.LatencyUnit + m.CycleLatency) * cycles
-}
+func (m CostModel) Latency(w LayerWork, s Size) float64 { return m.Evaluate(w, s).Latency }
 
 // Energy returns the layer inference energy in joules for OU size s (Eq. 2
 // plus the per-cycle control overhead).
-func (m CostModel) Energy(w LayerWork, s Size) float64 {
-	cycles := float64(w.Cycles(s))
-	perCycle := adcBits(s.R)*float64(s.R)*float64(s.C)*m.EnergyUnit + m.CycleEnergy
-	return float64(w.Xbars) * perCycle * cycles
-}
+func (m CostModel) Energy(w LayerWork, s Size) float64 { return m.Evaluate(w, s).Energy }
 
-// EDP returns Energy·Latency for the layer at OU size s.
-func (m CostModel) EDP(w LayerWork, s Size) float64 {
-	return m.Energy(w, s) * m.Latency(w, s)
-}
+// EDP returns Energy·Latency for the layer at OU size s, counting the OU
+// cycles once.
+func (m CostModel) EDP(w LayerWork, s Size) float64 { return m.Evaluate(w, s).EDP() }
 
 // Cost bundles the three metrics for one evaluation.
 type Cost struct {
@@ -250,7 +242,8 @@ type Cost struct {
 // EDP returns the energy-delay product of the bundled cost.
 func (c Cost) EDP() float64 { return c.Energy * c.Latency }
 
-// Evaluate computes all metrics at once (one cycle count shared by both).
+// Evaluate computes all metrics at once (one cycle count shared by both):
+// the only place the Eq. 1 and Eq. 2 expressions are written.
 func (m CostModel) Evaluate(w LayerWork, s Size) Cost {
 	cycles := w.Cycles(s)
 	fc := float64(cycles)

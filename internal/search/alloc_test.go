@@ -1,9 +1,10 @@
-package search
+package search_test
 
 import (
 	"testing"
 
 	"odin/internal/ou"
+	"odin/internal/search"
 )
 
 // TestSearchAllocFree pins the candidate-evaluation hot path at zero
@@ -20,9 +21,9 @@ func TestSearchAllocFree(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Exhaustive", func() { _ = Exhaustive(g, o) }},
-		{"ResourceBounded", func() { _ = ResourceBounded(g, o, start, 3) }},
-		{"ClampFeasible", func() { _ = ClampFeasible(g, o, infeasibleStart) }},
+		{"Exhaustive", func() { _ = search.Exhaustive(g, o) }},
+		{"ResourceBounded", func() { _ = search.ResourceBounded(g, o, start, 3) }},
+		{"ClampFeasible", func() { _ = search.ClampFeasible(g, o, infeasibleStart) }},
 	}
 	for _, c := range cases {
 		c := c

@@ -1,10 +1,11 @@
-package search
+package search_test
 
 import (
 	"math"
 	"testing"
 
 	"odin/internal/ou"
+	"odin/internal/search"
 )
 
 // TestProbeObservesEveryEvaluation: the audit hook sees exactly
@@ -15,14 +16,14 @@ func TestProbeObservesEveryEvaluation(t *testing.T) {
 	g := ou.DefaultGrid(128)
 	for _, tc := range []struct {
 		name string
-		run  func(o Objective) Result
+		run  func(o search.Objective) search.Result
 	}{
-		{"exhaustive", func(o Objective) Result { return Exhaustive(g, o) }},
-		{"rb-feasible-start", func(o Objective) Result {
-			return ResourceBounded(g, o, g.SizeAt(2, 2), 3)
+		{"exhaustive", func(o search.Objective) search.Result { return search.Exhaustive(g, o) }},
+		{"rb-feasible-start", func(o search.Objective) search.Result {
+			return search.ResourceBounded(g, o, g.SizeAt(2, 2), 3)
 		}},
-		{"rb-infeasible-start", func(o Objective) Result {
-			return ResourceBounded(g, o, g.SizeAt(g.Levels()-1, g.Levels()-1), 3)
+		{"rb-infeasible-start", func(o search.Objective) search.Result {
+			return search.ResourceBounded(g, o, g.SizeAt(g.Levels()-1, g.Levels()-1), 3)
 		}},
 	} {
 		tc := tc

@@ -1,15 +1,13 @@
-package search
+package search_test
 
 import (
 	"fmt"
 	"math"
 	"testing"
 
-	"odin/internal/accuracy"
 	"odin/internal/check"
 	"odin/internal/ou"
-	"odin/internal/pim"
-	"odin/internal/reram"
+	"odin/internal/search"
 )
 
 // searchCase is one generated search problem: a workload, a layer position,
@@ -66,20 +64,14 @@ func genSearchCase() check.Gen[searchCase] {
 	}
 }
 
-func (c searchCase) objective(acc accuracy.Model, cm ou.CostModel) Objective {
-	return Objective{
-		Cost:  cm,
-		Work:  ou.LayerWork{Xbars: c.Xbars, RowsUsed: c.Rows, ColsUsed: c.Cols},
-		Acc:   acc,
-		Layer: c.Layer,
-		Of:    c.Total,
-		Time:  acc.Device.T0 * math.Pow(10, c.AgeExp),
-	}
+func (c searchCase) objective() search.Objective {
+	return layerObjective(ou.LayerWork{Xbars: c.Xbars, RowsUsed: c.Rows, ColsUsed: c.Cols},
+		c.Layer, c.Total, c.age())
 }
 
-func propFixtures() (accuracy.Model, ou.CostModel, ou.Grid) {
-	arch := pim.DefaultArch()
-	return accuracy.Default(reram.DefaultDeviceParams()), arch.CostModel(), arch.Grid()
+// age is the case's device age, T0 · 10^AgeExp.
+func (c searchCase) age() float64 {
+	return platform.Device.T0 * math.Pow(10, c.AgeExp)
 }
 
 // TestPropExhaustiveOptimalOnGrid pins the EX search contract: it evaluates
@@ -87,10 +79,10 @@ func propFixtures() (accuracy.Model, ou.CostModel, ou.Grid) {
 // its answer matches a brute-force feasible-minimum recomputation.
 func TestPropExhaustiveOptimalOnGrid(t *testing.T) {
 	t.Parallel()
-	acc, cm, grid := propFixtures()
+	grid := platform.Grid()
 	check.Run(t, genSearchCase(), func(c searchCase) error {
-		o := c.objective(acc, cm)
-		res := Exhaustive(grid, o)
+		o := c.objective()
+		res := search.Exhaustive(grid, o)
 		if want := grid.Levels() * grid.Levels(); res.Evaluations != want {
 			return fmt.Errorf("EX evaluated %d candidates, want the full grid %d", res.Evaluations, want)
 		}
@@ -129,11 +121,11 @@ func TestPropExhaustiveOptimalOnGrid(t *testing.T) {
 // incumbent guarantee Algorithm 1 relies on).
 func TestPropResourceBoundedBudgetAndLegality(t *testing.T) {
 	t.Parallel()
-	acc, cm, grid := propFixtures()
+	grid := platform.Grid()
 	check.Run(t, genSearchCase(), func(c searchCase) error {
-		o := c.objective(acc, cm)
+		o := c.objective()
 		start := grid.SizeAt(c.StartR, c.StartC)
-		res := ResourceBounded(grid, o, start, c.K)
+		res := search.ResourceBounded(grid, o, start, c.K)
 		if res.Evaluations < 1 || res.Evaluations > 1+4*c.K {
 			return fmt.Errorf("RB evaluations %d outside [1, 1+4·%d]", res.Evaluations, c.K)
 		}
@@ -228,17 +220,10 @@ func genOffGridCase() check.Gen[offGridCase] {
 //     size on either axis.
 func TestPropOffGridStartSnapsPerAxis(t *testing.T) {
 	t.Parallel()
-	acc, cm, _ := propFixtures()
 	check.Run(t, genOffGridCase(), func(c offGridCase) error {
 		grid := ou.DefaultGrid(offGridCrossbars[c.Crossbar])
-		o := Objective{
-			Cost:  cm,
-			Work:  ou.LayerWork{Xbars: 2, RowsUsed: 100, ColsUsed: 80},
-			Acc:   acc,
-			Layer: c.Layer,
-			Of:    c.Total,
-			Time:  acc.Device.T0 * math.Pow(10, c.AgeExp),
-		}
+		o := layerObjective(ou.LayerWork{Xbars: 2, RowsUsed: 100, ColsUsed: 80},
+			c.Layer, c.Total, platform.Device.T0*math.Pow(10, c.AgeExp))
 		// Brute-force per-axis nearest: the level values are 2^(MinLevel+i).
 		nearest := func(dim int) int {
 			best, bestDist := 0, math.MaxFloat64
@@ -258,7 +243,7 @@ func TestPropOffGridStartSnapsPerAxis(t *testing.T) {
 		snap := grid.SizeAt(grid.NearestIndex(c.StartR), grid.NearestIndex(c.StartC))
 
 		start := ou.Size{R: c.StartR, C: c.StartC}
-		res := ResourceBounded(grid, o, start, c.K)
+		res := search.ResourceBounded(grid, o, start, c.K)
 		if res.Evaluations < 1 || res.Evaluations > 1+4*c.K {
 			return fmt.Errorf("RB evaluations %d outside [1, 1+4·%d] from off-grid start %v", res.Evaluations, c.K, start)
 		}
@@ -280,7 +265,7 @@ func TestPropOffGridStartSnapsPerAxis(t *testing.T) {
 			}
 		}
 
-		got := ClampFeasible(grid, o, start)
+		got := search.ClampFeasible(grid, o, start)
 		if _, _, ok := grid.IndexOf(got); !ok {
 			return fmt.Errorf("ClampFeasible returned off-grid size %v from start %v", got, start)
 		}
@@ -296,11 +281,11 @@ func TestPropOffGridStartSnapsPerAxis(t *testing.T) {
 // on-grid start is returned unchanged; and the walk only ever shrinks.
 func TestPropClampFeasibleContract(t *testing.T) {
 	t.Parallel()
-	acc, cm, grid := propFixtures()
+	grid := platform.Grid()
 	check.Run(t, genSearchCase(), func(c searchCase) error {
-		o := c.objective(acc, cm)
+		o := c.objective()
 		start := grid.SizeAt(c.StartR, c.StartC)
-		got := ClampFeasible(grid, o, start)
+		got := search.ClampFeasible(grid, o, start)
 		if _, _, ok := grid.IndexOf(got); !ok {
 			return fmt.Errorf("ClampFeasible returned off-grid size %v", got)
 		}
@@ -313,7 +298,7 @@ func TestPropClampFeasibleContract(t *testing.T) {
 			}
 			return nil
 		}
-		if o.Acc.AnySatisfiable(c.Layer, c.Total, grid, o.Time) && !o.Feasible(got) {
+		if o.Acc.AnySatisfiable(c.Layer, c.Total, grid, c.age()) && !o.Feasible(got) {
 			return fmt.Errorf("ClampFeasible returned infeasible %v although the grid has feasible sizes", got)
 		}
 		return nil

@@ -24,13 +24,23 @@ import (
 )
 
 // Objective scores candidate OU sizes for one layer at one point in time.
+// Build it with core.LayerObjective: W and Amp must be the values
+// Acc.Sens.Weight(Layer, Of) and Acc.Amplification(age) of the decision, so
+// Feasible and NF are bit-identical to Acc.Satisfies and Acc.NF at that age.
+// Its methods take a pointer so scoring a candidate copies neither the
+// Objective nor its accuracy model.
 type Objective struct {
 	Cost  ou.CostModel
 	Work  ou.LayerWork
 	Acc   accuracy.Model
-	Layer int     // layer index j
-	Of    int     // total layer count
-	Time  float64 // device age (s)
+	Layer int // layer index j
+	Of    int // total layer count
+
+	// W is the layer's sensitivity weight w_j and Amp the drift
+	// amplification A(t) at the decision's device age: the two factors of
+	// the non-ideality that do not depend on the candidate size, resolved
+	// once per decision rather than once per candidate.
+	W, Amp float64
 
 	// Probe, when non-nil, observes every candidate evaluation a search
 	// performs (the decision-audit hook, internal/obs): the size, whether
@@ -75,24 +85,24 @@ func (sc *Scratch) Priv(mk func() any) any {
 func (sc *Scratch) SetPriv(v any) { sc.priv = v }
 
 // probe reports one candidate evaluation to the audit hook, if any.
-func (o Objective) probe(s ou.Size, feasible bool, edp float64) {
+func (o *Objective) probe(s ou.Size, feasible bool, edp float64) {
 	if o.Probe != nil {
 		o.Probe(s, feasible, edp)
 	}
 }
 
 // EDP returns the energy-delay product of the layer at size s.
-func (o Objective) EDP(s ou.Size) float64 { return o.Cost.EDP(o.Work, s) }
+func (o *Objective) EDP(s ou.Size) float64 { return o.Cost.EDP(o.Work, s) }
 
-// Feasible reports whether s meets the non-ideality constraint at o.Time.
-func (o Objective) Feasible(s ou.Size) bool {
-	return o.Acc.Satisfies(o.Layer, o.Of, s, o.Time)
+// Feasible reports whether s meets the non-ideality constraint.
+func (o *Objective) Feasible(s ou.Size) bool {
+	return o.Acc.SatisfiesWith(o.W, o.Amp, s)
 }
 
 // NF returns the effective non-ideality of s (used to steer RB search out
 // of infeasible regions).
-func (o Objective) NF(s ou.Size) float64 {
-	return o.Acc.NF(o.Layer, o.Of, s, o.Time)
+func (o *Objective) NF(s ou.Size) float64 {
+	return o.Acc.NFWith(o.W, o.Amp, s)
 }
 
 // ClampFeasible shrinks a (possibly infeasible) starting size to the

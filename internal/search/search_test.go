@@ -1,39 +1,41 @@
-package search
+package search_test
 
 import (
 	"math"
 	"testing"
 
-	"odin/internal/accuracy"
+	"odin/internal/core"
 	"odin/internal/ou"
-	"odin/internal/pim"
-	"odin/internal/reram"
+	"odin/internal/search"
 	"odin/internal/sparsity"
 )
 
-func testObjective(layer, of int, t float64) Objective {
-	arch := pim.DefaultArch()
-	work := ou.LayerWork{
+// platform is the default platform every test objective scores against.
+var platform = core.DefaultSystem()
+
+// layerObjective builds, through core.LayerObjective (the one constructor
+// of search.Objective), the platform's objective for a layer with workload
+// work at position layer of an of-layer network, at device age t.
+func layerObjective(work ou.LayerWork, layer, of int, t float64) search.Objective {
+	works := make([]ou.LayerWork, of)
+	works[layer] = work
+	return core.LayerObjective(platform, &core.Workload{Works: works}, layer, t)
+}
+
+func testObjective(layer, of int, t float64) search.Objective {
+	return layerObjective(ou.LayerWork{
 		Xbars:    8,
 		RowsUsed: 120,
 		ColsUsed: 128,
 		Sparsity: sparsity.Profile{Weight: 0.6, Cluster: 0.85},
-	}
-	return Objective{
-		Cost:  arch.CostModel(),
-		Work:  work,
-		Acc:   accuracy.Default(reram.DefaultDeviceParams()),
-		Layer: layer,
-		Of:    of,
-		Time:  t,
-	}
+	}, layer, of, t)
 }
 
 func TestExhaustiveFindsGlobalOptimum(t *testing.T) {
 	t.Parallel()
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
-	res := Exhaustive(g, o)
+	res := search.Exhaustive(g, o)
 	if !res.Found {
 		t.Fatal("no feasible size at t0 — calibration broken")
 	}
@@ -56,7 +58,7 @@ func TestExhaustiveRespectsConstraint(t *testing.T) {
 	g := ou.DefaultGrid(128)
 	// Late enough that only small OUs pass for an early layer.
 	o := testObjective(0, 20, 1e7)
-	res := Exhaustive(g, o)
+	res := search.Exhaustive(g, o)
 	if res.Found && !o.Feasible(res.Best) {
 		t.Fatalf("EX returned infeasible size %v", res.Best)
 	}
@@ -72,7 +74,7 @@ func TestExhaustiveInfeasibleEverywhere(t *testing.T) {
 	t.Parallel()
 	g := ou.DefaultGrid(128)
 	o := testObjective(0, 20, 1e13) // far past any deadline
-	res := Exhaustive(g, o)
+	res := search.Exhaustive(g, o)
 	if res.Found {
 		t.Fatalf("found %v despite universal violation", res.Best)
 	}
@@ -85,8 +87,8 @@ func TestResourceBoundedFromOptimumStaysThere(t *testing.T) {
 	t.Parallel()
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
-	ex := Exhaustive(g, o)
-	rb := ResourceBounded(g, o, ex.Best, 3)
+	ex := search.Exhaustive(g, o)
+	rb := search.ResourceBounded(g, o, ex.Best, 3)
 	if !rb.Found {
 		t.Fatal("RB lost a feasible start")
 	}
@@ -99,8 +101,8 @@ func TestResourceBoundedCheaperThanExhaustive(t *testing.T) {
 	t.Parallel()
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
-	ex := Exhaustive(g, o)
-	rb := ResourceBounded(g, o, g.SizeAt(2, 2), 3)
+	ex := search.Exhaustive(g, o)
+	rb := search.ResourceBounded(g, o, g.SizeAt(2, 2), 3)
 	if rb.Evaluations >= ex.Evaluations {
 		t.Fatalf("RB (%d evals) not cheaper than EX (%d)", rb.Evaluations, ex.Evaluations)
 	}
@@ -116,7 +118,7 @@ func TestResourceBoundedImprovesOnBadStart(t *testing.T) {
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
 	start := g.SizeAt(5, 5) // 128×128 — likely far from optimal
-	rb := ResourceBounded(g, o, start, 3)
+	rb := search.ResourceBounded(g, o, start, 3)
 	if !rb.Found {
 		t.Fatal("RB found nothing from a feasible region")
 	}
@@ -130,13 +132,13 @@ func TestResourceBoundedEscapesInfeasibleStart(t *testing.T) {
 	g := ou.DefaultGrid(128)
 	// Early layer at high drift: large OUs infeasible, small ones OK.
 	o := testObjective(0, 20, 5e6)
-	small := Exhaustive(g, o)
+	small := search.Exhaustive(g, o)
 	if !small.Found {
 		t.Skip("calibration leaves nothing feasible at this time")
 	}
 	// The feasible region may sit at the far corner of the 6×6 level grid;
 	// give the walk enough budget to traverse it (Manhattan diameter 10).
-	rb := ResourceBounded(g, o, g.SizeAt(5, 5), 12)
+	rb := search.ResourceBounded(g, o, g.SizeAt(5, 5), 12)
 	if !rb.Found {
 		t.Fatalf("RB failed to walk from 128×128 toward feasible %v", small.Best)
 	}
@@ -149,7 +151,7 @@ func TestResourceBoundedOffGridStartSnaps(t *testing.T) {
 	t.Parallel()
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
-	rb := ResourceBounded(g, o, ou.Size{R: 9, C: 8}, 3) // the 9×8 baseline is off-grid
+	rb := search.ResourceBounded(g, o, ou.Size{R: 9, C: 8}, 3) // the 9×8 baseline is off-grid
 	if !rb.Found {
 		t.Fatal("RB from off-grid start found nothing")
 	}
@@ -162,7 +164,7 @@ func TestResourceBoundedZeroStepsEvaluatesStartOnly(t *testing.T) {
 	t.Parallel()
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
-	rb := ResourceBounded(g, o, g.SizeAt(2, 2), 0)
+	rb := search.ResourceBounded(g, o, g.SizeAt(2, 2), 0)
 	if rb.Evaluations != 1 {
 		t.Fatalf("K=0 evaluated %d configs, want 1", rb.Evaluations)
 	}
@@ -176,7 +178,7 @@ func TestResourceBoundedEvaluationBudget(t *testing.T) {
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
 	for _, k := range []int{1, 2, 3, 5} {
-		rb := ResourceBounded(g, o, g.SizeAt(3, 3), k)
+		rb := search.ResourceBounded(g, o, g.SizeAt(3, 3), k)
 		if max := 1 + 4*k; rb.Evaluations > max {
 			t.Fatalf("K=%d evaluated %d configs, budget %d", k, rb.Evaluations, max)
 		}
@@ -192,8 +194,8 @@ func TestSearchAgreementOverTimeSweep(t *testing.T) {
 	prev := g.SizeAt(2, 2)
 	for _, tt := range []float64{1, 1e2, 1e4, 1e6} {
 		o := testObjective(3, 20, tt)
-		ex := Exhaustive(g, o)
-		rb := ResourceBounded(g, o, prev, 3)
+		ex := search.Exhaustive(g, o)
+		rb := search.ResourceBounded(g, o, prev, 3)
 		if ex.Found != rb.Found && ex.Found {
 			// RB may need a couple of runs to walk far; allow one miss but
 			// not a feasibility disagreement when seeded adjacent.
@@ -213,7 +215,7 @@ func TestClampFeasibleIdentityWhenFeasible(t *testing.T) {
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
 	s := g.SizeAt(2, 2)
-	if got := ClampFeasible(g, o, s); got != s {
+	if got := search.ClampFeasible(g, o, s); got != s {
 		t.Fatalf("feasible start %v clamped to %v", s, got)
 	}
 }
@@ -223,7 +225,7 @@ func TestClampFeasibleShrinksToFeasible(t *testing.T) {
 	g := ou.DefaultGrid(128)
 	// Early layer at high drift: large sizes infeasible.
 	o := testObjective(0, 20, 5e6)
-	got := ClampFeasible(g, o, g.SizeAt(5, 5))
+	got := search.ClampFeasible(g, o, g.SizeAt(5, 5))
 	if !o.Feasible(got) {
 		t.Fatalf("clamp returned infeasible %v", got)
 	}
@@ -236,7 +238,7 @@ func TestClampFeasibleBottomsOutAtSmallest(t *testing.T) {
 	t.Parallel()
 	g := ou.DefaultGrid(128)
 	o := testObjective(0, 20, 1e13) // nothing feasible
-	if got := ClampFeasible(g, o, g.SizeAt(5, 5)); got != g.SizeAt(0, 0) {
+	if got := search.ClampFeasible(g, o, g.SizeAt(5, 5)); got != g.SizeAt(0, 0) {
 		t.Fatalf("clamp should bottom out at 4×4, got %v", got)
 	}
 }
@@ -245,7 +247,7 @@ func TestClampFeasibleSnapsOffGrid(t *testing.T) {
 	t.Parallel()
 	g := ou.DefaultGrid(128)
 	o := testObjective(5, 20, 1)
-	got := ClampFeasible(g, o, ou.Size{R: 9, C: 8})
+	got := search.ClampFeasible(g, o, ou.Size{R: 9, C: 8})
 	if _, _, ok := g.IndexOf(got); !ok {
 		t.Fatalf("off-grid start not snapped: %v", got)
 	}
@@ -262,7 +264,7 @@ func TestClampFeasibleProperty(t *testing.T) {
 			anyFeasible := o.Feasible(g.SizeAt(0, 0))
 			for r := 0; r < g.Levels(); r++ {
 				for c := 0; c < g.Levels(); c++ {
-					got := ClampFeasible(g, o, g.SizeAt(r, c))
+					got := search.ClampFeasible(g, o, g.SizeAt(r, c))
 					if _, _, ok := g.IndexOf(got); !ok {
 						t.Fatalf("off-grid clamp result %v", got)
 					}

@@ -287,7 +287,14 @@ func (s *Server) process(req *Request) {
 	s.met.queueDepth.Observe(float64(len(c.pending)))
 	c.pending = append(c.pending, req)
 	// If the chip is known-idle this dispatches immediately; otherwise the
-	// request waits for the in-flight batch's virtual completion.
+	// request waits for the in-flight batch's virtual completion. Live mode
+	// advances to +Inf, as onWake does: a decision pass can take less wall
+	// time than its batch's modelled latency, so an idle chip's virtual
+	// free time can lie past this arrival's clock reading, and gating on t
+	// would strand the request — no batch is in flight to wake the chip.
+	if s.cfg.Live {
+		t = math.Inf(1)
+	}
 	s.advance(c, t, false)
 	s.met.chipDepth.With(c.label).Set(float64(len(c.pending)))
 }

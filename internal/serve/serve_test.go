@@ -233,6 +233,30 @@ func TestLiveDrainCompletes(t *testing.T) {
 	}
 }
 
+// TestLiveIdleChipStartsAheadOfClock regression-tests a Live-mode stall. A
+// decision pass can take less wall time than its batch's modelled latency,
+// so a client's next request can reach an idle chip with a clock reading
+// before the chip's virtual free time. The dispatcher must still start the
+// batch, at that free time: no batch is in flight to wake the chip later.
+// Holding the virtual clock at 0 makes that ordering certain.
+func TestLiveIdleChipStartsAheadOfClock(t *testing.T) {
+	t.Parallel()
+	s, _ := tinyServer(t, 1, Config{Live: true})
+	defer s.Close()
+	first := <-s.Submit("tiny")
+	if first.Err != "" || first.Shed || !(first.Latency > 0) {
+		t.Fatalf("first request answered %+v, want a served batch with positive latency", first)
+	}
+	select {
+	case r := <-s.Submit("tiny"):
+		if r.Err != "" || r.Shed || !(r.Wait > 0) {
+			t.Fatalf("second request answered %+v, want it served after waiting for the chip", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a request on an idle chip whose free time lies past the clock was never started")
+	}
+}
+
 func TestUnknownModelErrors(t *testing.T) {
 	t.Parallel()
 	s, _ := tinyServer(t, 1, Config{})

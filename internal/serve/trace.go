@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"odin/internal/clock"
 	"odin/internal/rng"
@@ -168,56 +167,57 @@ func ReplayOps(s *Server, clk *clock.Virtual, tr Trace, ops []FleetOp) ReplayRes
 
 // WriteLog renders the per-request OU decision log: one line per request in
 // request-id order, byte-identical across replays of the same trace/seed.
+// Each line is appended into one reused buffer and written with one Write.
 func (r ReplayResult) WriteLog(w io.Writer) error {
+	line := make([]byte, 0, 256)
 	for i := range r.Responses {
-		if err := writeLogLine(w, &r.Responses[i]); err != nil {
+		line = appendLogLine(line[:0], &r.Responses[i])
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeLogLine(w io.Writer, resp *Response) error {
-	var sb strings.Builder
-	sb.WriteString("req=")
+// appendLogLine appends one request's decision-log line to dst.
+func appendLogLine(dst []byte, resp *Response) []byte {
+	dst = append(dst, "req="...)
 	if resp.Rejected {
-		sb.WriteString("rejected")
+		dst = append(dst, "rejected"...)
 	} else {
-		sb.WriteString(strconv.FormatUint(resp.ID, 10))
+		dst = strconv.AppendUint(dst, resp.ID, 10)
 	}
 	switch {
 	case resp.Err != "":
-		sb.WriteString(" err=")
-		sb.WriteString(strconv.Quote(resp.Err))
+		dst = append(dst, " err="...)
+		dst = strconv.AppendQuote(dst, resp.Err)
 	case resp.Shed:
-		sb.WriteString(" chip=")
-		sb.WriteString(strconv.Itoa(resp.Chip))
-		sb.WriteString(" shed=true")
+		dst = append(dst, " chip="...)
+		dst = strconv.AppendInt(dst, int64(resp.Chip), 10)
+		dst = append(dst, " shed=true"...)
 	default:
-		sb.WriteString(" chip=")
-		sb.WriteString(strconv.Itoa(resp.Chip))
-		sb.WriteString(" batch=")
-		sb.WriteString(strconv.FormatUint(resp.Batch, 10))
-		sb.WriteString(" ou=")
+		dst = append(dst, " chip="...)
+		dst = strconv.AppendInt(dst, int64(resp.Chip), 10)
+		dst = append(dst, " batch="...)
+		dst = strconv.AppendUint(dst, resp.Batch, 10)
+		dst = append(dst, " ou="...)
 		for j, sz := range resp.Sizes {
 			if j > 0 {
-				sb.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			sb.WriteString(strconv.Itoa(sz.R))
-			sb.WriteByte('x')
-			sb.WriteString(strconv.Itoa(sz.C))
+			dst = strconv.AppendInt(dst, int64(sz.R), 10)
+			dst = append(dst, 'x')
+			dst = strconv.AppendInt(dst, int64(sz.C), 10)
 		}
-		sb.WriteString(" E=")
-		sb.WriteString(strconv.FormatFloat(resp.Energy, 'g', -1, 64))
-		sb.WriteString(" L=")
-		sb.WriteString(strconv.FormatFloat(resp.Latency, 'g', -1, 64))
-		sb.WriteString(" wait=")
-		sb.WriteString(strconv.FormatFloat(resp.Wait, 'g', -1, 64))
+		dst = append(dst, " E="...)
+		dst = strconv.AppendFloat(dst, resp.Energy, 'g', -1, 64)
+		dst = append(dst, " L="...)
+		dst = strconv.AppendFloat(dst, resp.Latency, 'g', -1, 64)
+		dst = append(dst, " wait="...)
+		dst = strconv.AppendFloat(dst, resp.Wait, 'g', -1, 64)
 		if resp.Reprogrammed {
-			sb.WriteString(" reprogram=true")
+			dst = append(dst, " reprogram=true"...)
 		}
 	}
-	sb.WriteByte('\n')
-	_, err := io.WriteString(w, sb.String())
-	return err
+	return append(dst, '\n')
 }
