@@ -71,6 +71,7 @@ check:
 # the code it exposes and commit the input as a regression seed.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseInfer$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzAdminChips$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzPolicyUnmarshal$$' -fuzztime=10s ./internal/policy
 
 # The decision-log checksum the 1024-chip smoke replay below must print.

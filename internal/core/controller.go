@@ -267,6 +267,10 @@ func (c *Controller) Strategy() string { return c.optim.Name() }
 // Policy returns the (adapting) policy.
 func (c *Controller) Policy() *policy.Policy { return c.pol }
 
+// Workload returns the prepared workload the controller runs. The
+// controller only reads it, so controllers of one model may share it.
+func (c *Controller) Workload() *Workload { return c.wl }
+
 // Reprograms returns the reprogramming count so far.
 func (c *Controller) Reprograms() int { return c.reprograms }
 

@@ -90,7 +90,11 @@ func New(cfg Config) *Network {
 		panic(fmt.Sprintf("mlp: %v", err))
 	}
 	src := rng.New(cfg.Seed ^ 0x6f64696e6d6c70) // decorrelate from other subsystems
-	n := &Network{cfg: cfg}
+	n := &Network{
+		cfg:   cfg,
+		trunk: make([]*linear, 0, len(cfg.Hidden)),
+		heads: make([]*linear, 0, len(cfg.Heads)),
+	}
 	in := cfg.InputDim
 	for _, h := range cfg.Hidden {
 		n.trunk = append(n.trunk, newLinear(in, h, src))
@@ -318,8 +322,9 @@ func zero(ls []*linear) {
 }
 
 // accumulate adds ∂loss/∂θ for a single example into g (laid out like
-// layers) and returns that example's loss.
-func (n *Network) accumulate(e Example, g []*linear, ws *workspace) float64 {
+// layers). With withLoss it also returns that example's loss; without, it
+// skips the logarithms and returns 0.
+func (n *Network) accumulate(e Example, g []*linear, ws *workspace, withLoss bool) float64 {
 	probs := n.probabilities(e.Input, ws)
 	top := ws.acts[len(n.trunk)] // trunk output (or raw input when no hidden layers)
 
@@ -329,7 +334,9 @@ func (n *Network) accumulate(e Example, g []*linear, ws *workspace) float64 {
 	dTop := ws.grad[len(n.trunk)]
 	clear(dTop)
 	for k, p := range probs {
-		loss += -math.Log(math.Max(p[e.Targets[k]], 1e-300))
+		if withLoss {
+			loss += -math.Log(math.Max(p[e.Targets[k]], 1e-300))
+		}
 		// dLogits = p - onehot(target)
 		dz := p // reuse; p is this head's workspace buffer
 		dz[e.Targets[k]] -= 1
@@ -440,6 +447,9 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	stats := TrainStats{Epochs: opts.Epochs}
 	adamStep := 0
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
+		// TrainStats reports the first and the last epoch's loss, so only
+		// those two epochs compute it.
+		withLoss := epoch == 0 || epoch == opts.Epochs-1
 		src.PermInto(order)
 		var epochLoss float64
 		for start := 0; start < len(order); start += batch {
@@ -449,7 +459,7 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 			}
 			zero(g)
 			for _, idx := range order[start:end] {
-				epochLoss += n.accumulate(examples[idx], g, &ws)
+				epochLoss += n.accumulate(examples[idx], g, &ws, withLoss)
 			}
 			scale := 1.0 / float64(end-start)
 			switch opts.Optimizer {
@@ -460,11 +470,13 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 				applyAdam(params, g, m1, m2, scale, adamStep, opts)
 			}
 		}
-		meanLoss := epochLoss / float64(len(examples))
-		if epoch == 0 {
-			stats.FirstLoss = meanLoss
+		if withLoss {
+			meanLoss := epochLoss / float64(len(examples))
+			if epoch == 0 {
+				stats.FirstLoss = meanLoss
+			}
+			stats.FinalLoss = meanLoss
 		}
-		stats.FinalLoss = meanLoss
 	}
 	return stats
 }
@@ -519,7 +531,7 @@ func (n *Network) Gradients(examples []Example) []float64 {
 	g := zeroLike(n.layers())
 	ws := n.newWorkspace(true)
 	for _, e := range examples {
-		n.accumulate(e, g, &ws)
+		n.accumulate(e, g, &ws, false)
 	}
 	scale := 0.0
 	if len(examples) > 0 {

@@ -1,8 +1,9 @@
 // Package par provides the repository's bounded, determinism-preserving
 // fan-out primitive. Every parallel sweep in the experiment engine — the
 // per-experiment worker pool, the heavy drivers' age/size/parameter sweeps,
-// and core's bootstrap example collection — runs through ForEach so the
-// concurrency discipline lives in one place:
+// and core's bootstrap example collection — and the serving layer's
+// per-chip fleet construction run through ForEach so the concurrency
+// discipline lives in one place:
 //
 //   - index-sharded writes: the caller's fn(i) must write only its own
 //     shard out[i] of any pre-sized result slice, never shared accumulators,

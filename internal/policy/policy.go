@@ -236,8 +236,13 @@ func NewBuffer(capacity int) *Buffer {
 
 // Add stores an example and reports whether the buffer is now full.
 // Examples beyond capacity are dropped (the buffer should be drained when
-// full).
+// full). The first Add into an empty buffer allocates the full capacity at
+// once, so filling it never regrows the slice; NewBuffer allocates nothing,
+// so a controller that never learns pays nothing.
 func (b *Buffer) Add(e Example) bool {
+	if b.examples == nil {
+		b.examples = make([]Example, 0, b.capacity)
+	}
 	if len(b.examples) < b.capacity {
 		b.examples = append(b.examples, e)
 	}

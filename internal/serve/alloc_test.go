@@ -17,33 +17,25 @@ import (
 // and every decision-cache hit allocate nothing.
 const arrivalAllocBudget = 6
 
-// TestArrivalAllocsFlatInFleetSize replays the shape of the replay-fleet
-// benchmark workload at 64 and at 1024 chips: drift routing, a quota tenant
-// and a priority tenant, chips alternating VGG11 and ResNet18 staggered
-// across one forced-reprogram deadline, offered 16 times capacity, for
-// 16,384 arrivals. It counts heap allocations from the first arrival until
-// the dispatcher has handled the last one, so building the fleet is not
-// counted, and bounds them per arrival by the same arrivalAllocBudget at
-// both sizes: the dispatcher's cost per arrival must not grow with the
-// fleet. The count is process-wide, so the test does not run in parallel.
-func TestArrivalAllocsFlatInFleetSize(t *testing.T) {
-	for _, chips := range []int{64, 1024} {
-		got := arrivalAllocs(t, chips, 16384)
-		t.Logf("%d chips: %.2f allocations per arrival", chips, got)
-		if got > arrivalAllocBudget {
-			t.Errorf("%d chips: %.2f allocations per arrival, want at most %d", chips, got, arrivalAllocBudget)
-		}
-	}
-}
+// newServerAllocBudget bounds NewServer's heap allocations per chip on the
+// replay-fleet shape, at every fleet size. Each distinct model is prepared
+// once per fleet, so what a chip adds is its own policy network,
+// controller and dispatcher record.
+const newServerAllocBudget = 40
 
-// arrivalAllocs replays n arrivals through the replay-fleet shape at the
-// given fleet size and returns the heap allocations per arrival.
-func arrivalAllocs(t *testing.T, chips, n int) float64 {
+// fleetModels are the two zoo models of the replay-fleet shape.
+var fleetModels = []string{"VGG11", "ResNet18"}
+
+// fleetConfig returns the shape of the replay-fleet benchmark workload at
+// the given fleet size, on a fresh virtual clock: drift routing, a quota
+// tenant and a priority tenant, chips alternating VGG11 and ResNet18
+// staggered across one forced-reprogram deadline. lat is the slower
+// model's service latency on a fresh chip.
+func fleetConfig(t testing.TB, chips int) (cfg Config, clk *clock.Virtual, lat float64) {
 	t.Helper()
-	models := []string{"VGG11", "ResNet18"}
 	sys := core.DefaultSystem()
-	var lat, deadline float64
-	for _, name := range models {
+	var deadline float64
+	for _, name := range fleetModels {
 		m, err := dnn.ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -61,8 +53,8 @@ func arrivalAllocs(t *testing.T, chips, n int) float64 {
 			deadline = d
 		}
 	}
-	clk := clock.NewVirtual(0)
-	cfg := Config{
+	clk = clock.NewVirtual(0)
+	cfg = Config{
 		Router: "drift",
 		Tenants: []TenantConfig{
 			{Name: "bulk", Quota: chips * 8 / 2},
@@ -74,18 +66,43 @@ func arrivalAllocs(t *testing.T, chips, n int) float64 {
 	}
 	for i := 0; i < chips; i++ {
 		cfg.Chips = append(cfg.Chips, ChipConfig{
-			Model:        models[i%len(models)],
+			Model:        fleetModels[i%len(fleetModels)],
 			Seed:         uint64(i) + 1,
 			ProgrammedAt: -deadline * float64(i) / float64(chips),
 		})
 	}
+	return cfg, clk, lat
+}
+
+// TestArrivalAllocsFlatInFleetSize replays the replay-fleet shape at 64
+// and at 1024 chips, offered 16 times capacity, for 16,384 arrivals. It
+// counts heap allocations from the first arrival until the dispatcher has
+// handled the last one, so building the fleet is not counted, and bounds
+// them per arrival by the same arrivalAllocBudget at both sizes: the
+// dispatcher's cost per arrival must not grow with the fleet. The count is
+// process-wide, so the test does not run in parallel.
+func TestArrivalAllocsFlatInFleetSize(t *testing.T) {
+	for _, chips := range []int{64, 1024} {
+		got := arrivalAllocs(t, chips, 16384)
+		t.Logf("%d chips: %.2f allocations per arrival", chips, got)
+		if got > arrivalAllocBudget {
+			t.Errorf("%d chips: %.2f allocations per arrival, want at most %d", chips, got, arrivalAllocBudget)
+		}
+	}
+}
+
+// arrivalAllocs replays n arrivals through the replay-fleet shape at the
+// given fleet size and returns the heap allocations per arrival.
+func arrivalAllocs(t *testing.T, chips, n int) float64 {
+	t.Helper()
+	cfg, clk, lat := fleetConfig(t, chips)
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, err := GenTrace(TraceConfig{
 		Seed: 1, Rate: 16 * float64(chips) / lat, Requests: n,
-		Models: models, Tenants: []string{"bulk", "gold"},
+		Models: fleetModels, Tenants: []string{"bulk", "gold"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,4 +126,40 @@ func arrivalAllocs(t *testing.T, chips, n int) float64 {
 		<-ch
 	}
 	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// TestNewServerAllocsPerChip builds the replay-fleet shape at 64 and at
+// 1024 chips and bounds NewServer's heap allocations per chip by
+// newServerAllocBudget at both sizes: preparing a model is paid once per
+// fleet, not once per chip. The count is process-wide and includes the
+// construction goroutines' allocations, so the test does not run in
+// parallel.
+func TestNewServerAllocsPerChip(t *testing.T) {
+	for _, chips := range []int{64, 1024} {
+		cfg, _, _ := fleetConfig(t, chips)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewServer(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.Mallocs-before.Mallocs) / float64(chips)
+		t.Logf("%d chips: %.1f allocations and %.0f bytes per chip", chips, got,
+			float64(after.TotalAlloc-before.TotalAlloc)/float64(chips))
+		if got > newServerAllocBudget {
+			t.Errorf("%d chips: %.1f allocations per chip, want at most %d", chips, got, newServerAllocBudget)
+		}
+	}
+}
+
+// BenchmarkNewServer measures building the 1024-chip replay-fleet shape,
+// the construction the benchmark's setup_s times.
+func BenchmarkNewServer(b *testing.B) {
+	cfg, _, _ := fleetConfig(b, 1024)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewServer(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,10 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"strconv"
 	"testing"
+
+	"odin/internal/clock"
 )
 
 // FuzzParseInfer pins the /infer decoding contract on arbitrary bodies and
@@ -30,4 +36,115 @@ func FuzzParseInfer(f *testing.F) {
 			t.Fatalf("accepted %+v (status %d): want a model and a count of at least 1", req, status)
 		}
 	})
+}
+
+// FuzzAdminChips pins the fleet control plane's contract on arbitrary
+// POST /admin/chips bodies and DELETE /admin/chips/{id} ids, sent to a
+// started one-chip fleet on a virtual clock, or to one that is draining:
+// each success adds exactly one FleetInfo row or marks exactly one row
+// removed, and changes nothing else; each failure answers 400, 404 or 503
+// with a JSON error body and changes nothing. The id is deleted twice, so
+// removing a removed chip is covered; ids the mux answers without calling
+// the handler are not. Its seed inputs are the files in
+// testdata/fuzz/FuzzAdminChips.
+func FuzzAdminChips(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, id string, draining bool) {
+		s, err := NewServer(Config{Clock: clock.NewVirtual(0), Chips: []ChipConfig{{Custom: tinyModel("tiny")}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		defer s.Close()
+		if draining {
+			s.Close()
+		}
+		h := NewHandlerOpts(s, HandlerOptions{Admin: true})
+		rows := adminRows(t, s, draining)
+
+		post := &http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/admin/chips"},
+			Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(body))}
+		var asked adminAddRequest
+		_ = json.NewDecoder(io.LimitReader(bytes.NewReader(body), maxInferBody)).Decode(&asked) // a 200 must have decoded
+		var added adminAddReply
+		rows = checkAdminCall(t, s, h, post, rows, draining, &added, func(before, after []ChipInfo) bool {
+			return added.ID == len(before) && len(after) == len(before)+1 &&
+				after[added.ID].ID == added.ID && after[added.ID].Model == asked.Model && !after[added.ID].Removed &&
+				reflect.DeepEqual(before, after[:len(before)])
+		})
+		for range 2 {
+			del := &http.Request{Method: http.MethodDelete,
+				URL:    &url.URL{Path: "/admin/chips/" + id, RawPath: "/admin/chips/" + url.PathEscape(id)},
+				Header: http.Header{}, Body: http.NoBody}
+			if _, pattern := h.(*http.ServeMux).Handler(del); pattern != "DELETE /admin/chips/{id}" {
+				return // the mux answers ids such as "", "." or "/" itself
+			}
+			var removed struct{ Removed int }
+			rows = checkAdminCall(t, s, h, del, rows, draining, &removed, func(before, after []ChipInfo) bool {
+				n := removed.Removed
+				if want, err := strconv.Atoi(id); err != nil || n != want {
+					return false
+				}
+				if len(after) != len(before) || n < 0 || n >= len(before) || before[n].Removed || !after[n].Removed {
+					return false
+				}
+				return reflect.DeepEqual(before[:n], after[:n]) && reflect.DeepEqual(before[n+1:], after[n+1:])
+			})
+		}
+	})
+}
+
+// checkAdminCall serves one admin request and checks it against the
+// contract: a 200 decodes into reply and passes changed(before, after),
+// any other status is 400, 404 or 503 with a JSON error body and leaves
+// the rows as they were. It returns the rows after the call.
+func checkAdminCall(t *testing.T, s *Server, h http.Handler, r *http.Request, before []ChipInfo,
+	draining bool, reply any, changed func(before, after []ChipInfo) bool) []ChipInfo {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, r)
+	after := adminRows(t, s, draining)
+	what := r.Method + " " + r.URL.EscapedPath()
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), reply); err != nil {
+			t.Fatalf("%s: 200 with undecodable body %q: %v", what, rec.Body, err)
+		}
+		if draining || !changed(before, after) {
+			t.Fatalf("%s: 200 %s, but the fleet went from\n%+v\nto\n%+v", what, rec.Body, before, after)
+		}
+		return after
+	}
+	switch rec.Code {
+	case http.StatusBadRequest, http.StatusNotFound, http.StatusServiceUnavailable:
+	default:
+		t.Fatalf("%s: status %d (%s), want 200, 400, 404 or 503", what, rec.Code, rec.Body)
+	}
+	var e httpError
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("%s: %d with Content-Type %q, want a JSON error body", what, rec.Code, ct)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Fatalf("%s: %d with body %q, want a JSON error body (%v)", what, rec.Code, rec.Body, err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("%s: failed with %d (%s), but the fleet went from\n%+v\nto\n%+v", what, rec.Code, e.Error, before, after)
+	}
+	return after
+}
+
+// adminRows is the fleet's FleetInfo snapshot; once the server drains,
+// which refuses FleetInfo, it is the same rows built from Stats.
+func adminRows(t *testing.T, s *Server, draining bool) []ChipInfo {
+	t.Helper()
+	if !draining {
+		info, err := s.FleetInfo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	var rows []ChipInfo
+	for _, st := range s.Stats() {
+		rows = append(rows, ChipInfo{ID: st.ID, Model: st.Model, Removed: st.Removed})
+	}
+	return rows
 }

@@ -1,6 +1,7 @@
 // Package serve is the concurrent inference-serving layer over a simulated
-// fleet of ReRAM chips. Each chip owns one prepared workload, one Odin
-// controller (policy, training buffer, drift bookkeeping), and one
+// fleet of ReRAM chips. Each chip runs one prepared workload, shared
+// read-only with the other chips of its model, and owns one Odin
+// controller (policy, training buffer, drift bookkeeping) and one
 // reprogram budget; requests are routed to chips by one of three routers
 // (round-robin, least-loaded, or drift-aware — see router.go), admitted
 // through bounded per-chip queues (shed with a 429-style rejection when
@@ -77,6 +78,7 @@ import (
 	"odin/internal/dnn"
 	"odin/internal/obs"
 	"odin/internal/ou"
+	"odin/internal/par"
 	"odin/internal/policy"
 	"odin/internal/pulse"
 	"odin/internal/telemetry"
@@ -450,6 +452,12 @@ type Server struct {
 	router  router
 	margin  float64 // drift router's steering margin
 
+	// workloads holds every model prepared so far, shared read-only by all
+	// of its chips: core never writes a Workload after Prepare. It is kept
+	// when a model's last host leaves, so a later hot add reuses it.
+	// Dispatcher-owned once NewServer returns.
+	workloads map[workloadKey]*core.Workload
+
 	// models mirrors the live-host counts for HTTP-side lookups
 	// (HasModel/Models run on handler goroutines while the dispatcher
 	// changes the fleet).
@@ -506,12 +514,17 @@ type Server struct {
 	dispatcher sync.WaitGroup
 }
 
-// NewServer builds the fleet: each chip prepares its own workload instance
-// and a fresh policy. Chips share no mutable learning state; the one
-// deliberately shared structure is the decision cache (internal/decache),
-// whose entries are pure functions of their keys, so cross-chip reuse is
-// safe and chips running the same model at the same age bucket replay each
-// other's line-6 searches.
+// NewServer builds the fleet. Every distinct model is prepared once (pruned,
+// mapped onto crossbars, its activation traffic routed over the NoC), and
+// all of its chips share the one read-only workload; each chip then gets
+// its own policy and controller. Those are built in parallel, each into
+// its own slot, from inputs fixed before the parallel phase starts, so the
+// fleet, and every replay over it, is the same at any GOMAXPROCS. Chips
+// share no mutable learning state; the one deliberately shared mutable
+// structure is the decision cache (internal/decache), whose entries are
+// pure functions of their keys, so cross-chip reuse is safe and chips
+// running the same model at the same age bucket replay each other's line-6
+// searches.
 func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Chips) == 0 {
 		return nil, fmt.Errorf("serve: config needs at least one chip")
@@ -538,16 +551,17 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg:     cfg,
-		clk:     cfg.Clock,
-		met:     newMetrics(cfg.Registry),
-		sys:     sys,
-		byModel: make(map[string]*modelIndex),
-		models:  make(map[string]int),
-		events:  make(chan event, 64+len(cfg.Chips)*cfg.QueueDepth),
-		jobs:    make(chan *batch, len(cfg.Chips)),
-		wakec:   make(chan struct{}, 1),
-		drainc:  make(chan chan struct{}),
+		cfg:       cfg,
+		clk:       cfg.Clock,
+		met:       newMetrics(cfg.Registry),
+		sys:       sys,
+		byModel:   make(map[string]*modelIndex),
+		workloads: make(map[workloadKey]*core.Workload),
+		models:    make(map[string]int),
+		events:    make(chan event, 64+len(cfg.Chips)*cfg.QueueDepth),
+		jobs:      make(chan *batch, len(cfg.Chips)),
+		wakec:     make(chan struct{}, 1),
+		drainc:    make(chan chan struct{}),
 	}
 	router, err := parseRouter(cfg.Router)
 	if err != nil {
@@ -576,11 +590,34 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s.inline = s.quotaOn && !cfg.Live
+
+	// Resolve every chip's model in id order, preparing each distinct one
+	// before any chip is built: Prepare prunes a custom model in place, and
+	// chips may share one. Resolution stops at the first chip that fails.
+	chips := make([]chip, len(cfg.Chips))
+	wls := make([]*core.Workload, len(cfg.Chips))
+	ready := len(chips)
+	var resolveErr error
 	for i, cc := range cfg.Chips {
-		c, err := s.newChip(i, cc)
-		if err != nil {
-			return nil, err
+		if chips[i].model, wls[i], resolveErr = s.workload(i, cc); resolveErr != nil {
+			ready = i
+			break
 		}
+	}
+	// Build chips [0, ready) in parallel. ForEach reports the failure with
+	// the smallest index, the one a sequential loop would stop on; only if
+	// they all build does chip ready's resolution error stand.
+	if err := par.ForEach(0, ready, func(i int) error {
+		return s.initChip(&chips[i], i, cfg.Chips[i], wls[i])
+	}); err != nil {
+		return nil, err
+	}
+	if resolveErr != nil {
+		return nil, resolveErr
+	}
+	s.chips = make([]*chip, 0, len(chips))
+	for i := range chips {
+		c := &chips[i]
 		s.chips = append(s.chips, c)
 		s.host(c)
 		s.models[c.model]++
@@ -626,29 +663,65 @@ func (s *Server) tenant(name string) *tenantState {
 	return ts
 }
 
-// newChip prepares one chip: its own workload instance, a fresh policy,
-// and a controller wired to the fleet's shared cache/tracer. Used both by
-// NewServer and by hot adds, so a chip joining mid-flight is constructed
-// exactly like a seed chip with the same id would have been.
-func (s *Server) newChip(id int, cc ChipConfig) (*chip, error) {
-	model := cc.Custom
-	name := cc.Model
-	if model == nil {
+// workloadKey identifies one prepared model: a zoo model by name, a custom
+// model by pointer, so a custom model named like a zoo model is never
+// mistaken for it.
+type workloadKey struct {
+	zoo    string
+	custom *dnn.Model
+}
+
+// workload resolves chip id's model name and its prepared workload,
+// preparing the model on first use. It runs on one goroutine at a time:
+// NewServer's, then the dispatcher's.
+func (s *Server) workload(id int, cc ChipConfig) (string, *core.Workload, error) {
+	name, key := cc.Model, workloadKey{zoo: cc.Model}
+	if cc.Custom != nil {
+		key = workloadKey{custom: cc.Custom}
 		if name == "" {
-			return nil, fmt.Errorf("serve: chip %d names no model", id)
+			name = cc.Custom.Name
 		}
+	} else if name == "" {
+		return "", nil, fmt.Errorf("serve: chip %d names no model", id)
+	}
+	if wl := s.workloads[key]; wl != nil {
+		return name, wl, nil
+	}
+	model := cc.Custom
+	if model == nil {
 		m, err := dnn.ByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("serve: chip %d: %w", id, err)
+			return "", nil, fmt.Errorf("serve: chip %d: %w", id, err)
 		}
 		model = m
-	} else if name == "" {
-		name = model.Name
 	}
 	wl, err := s.sys.Prepare(model)
 	if err != nil {
-		return nil, fmt.Errorf("serve: chip %d (%s): %w", id, name, err)
+		return "", nil, fmt.Errorf("serve: chip %d (%s): %w", id, name, err)
 	}
+	s.workloads[key] = wl
+	return name, wl, nil
+}
+
+// newChip resolves and builds one hot-added chip, exactly as NewServer
+// builds a seed chip with the same id.
+func (s *Server) newChip(id int, cc ChipConfig) (*chip, error) {
+	name, wl, err := s.workload(id, cc)
+	if err != nil {
+		return nil, err
+	}
+	c := &chip{model: name}
+	if err := s.initChip(c, id, cc, wl); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// initChip builds chip id's own parts into c, whose model is resolved: a
+// policy seeded from the chip, and a controller over the shared workload
+// wired to the fleet's cache, tracer and pulse bus. It writes only c and
+// reads only configuration, so NewServer runs it for many chips at once.
+func (s *Server) initChip(c *chip, id int, cc ChipConfig, wl *core.Workload) error {
 	seed := cc.Seed
 	if seed == 0 {
 		seed = uint64(id) + 1
@@ -671,7 +744,7 @@ func (s *Server) newChip(id int, cc ChipConfig) (*chip, error) {
 		// replay worker-count invariant. Callers who bring their own
 		// AuditLog keep it — decision events are then absent rather than
 		// double-recorded.
-		chipID, chipModel := id, name
+		chipID, chipModel := id, c.model
 		opts.Audit = obs.NewAuditLogTap(1, func(r obs.RunAudit) {
 			p.Publish(pulse.DecisionEvent(chipID, chipModel, r))
 		})
@@ -679,17 +752,14 @@ func (s *Server) newChip(id int, cc ChipConfig) (*chip, error) {
 	pol := policy.New(policy.Config{Grid: s.sys.Grid(), Seed: seed})
 	ctrl, err := core.NewController(s.sys, wl, pol, opts)
 	if err != nil {
-		return nil, fmt.Errorf("serve: chip %d (%s): %w", id, name, err)
+		return fmt.Errorf("serve: chip %d (%s): %w", id, c.model, err)
 	}
-	c := &chip{
-		id:      id,
-		label:   strconv.Itoa(id),
-		model:   name,
-		ctrl:    ctrl,
-		results: make(chan *batch, 1),
-	}
+	c.id = id
+	c.label = strconv.Itoa(id)
+	c.ctrl = ctrl
+	c.results = make(chan *batch, 1)
 	c.nearAt = s.nearFrom(c)
-	return c, nil
+	return nil
 }
 
 // Start launches the dispatcher and the worker pool.
