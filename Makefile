@@ -73,6 +73,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseInfer$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzAdminChips$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzPolicyUnmarshal$$' -fuzztime=10s ./internal/policy
+	$(GO) test -run='^$$' -fuzz='^FuzzNetworkUnmarshal$$' -fuzztime=10s ./internal/mlp
 
 # The decision-log checksum the 1024-chip smoke replay below must print.
 # Comparing worker counts alone would pass a routing change that moves

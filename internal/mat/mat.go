@@ -22,6 +22,9 @@ func NewDense(rows, cols int) *Dense {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("mat: non-positive dimensions %dx%d", rows, cols))
 	}
+	if rows > math.MaxInt/cols {
+		panic(fmt.Sprintf("mat: dimensions %dx%d overflow int", rows, cols))
+	}
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 

@@ -27,7 +27,9 @@ func TestNewDenseZeroed(t *testing.T) {
 
 func TestNewDensePanicsOnBadDims(t *testing.T) {
 	t.Parallel()
-	for _, dims := range [][2]int{{0, 1}, {1, 0}, {-2, 3}} {
+	// 4×2⁶² wraps to 0 elements and 4×(2⁶²+1) to 4, so an overflowing
+	// shape must panic before make sees the product.
+	for _, dims := range [][2]int{{0, 1}, {1, 0}, {-2, 3}, {4, 1 << 62}, {1 << 62, 4}, {4, 1<<62 + 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -1,0 +1,46 @@
+package mlp
+
+import (
+	"testing"
+
+	"odin/internal/rng"
+)
+
+// BenchmarkTrain measures one online policy update on the shape
+// Algorithm 1's line 11 trains: the 4→16→(6, 6) network, 100 full-batch
+// SGD epochs over a 50-example buffer. In "live" the network is freshly
+// initialised and every example reaches the heads through the trunk. In
+// "dead-trunk" its trunk biases are shifted down until every example
+// leaves the trunk output all zeros, the state Fig. 8's online policies
+// spend most of their training passes in, so only the head biases learn.
+// Each iteration starts from the same parameters.
+func BenchmarkTrain(b *testing.B) {
+	src := rng.New(3)
+	examples := make([]Example, 50)
+	for i := range examples {
+		examples[i] = Example{
+			Input:   []float64{src.Float64(), src.Float64(), src.Float64(), src.Float64()},
+			Targets: []int{src.Intn(6), src.Intn(6)},
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		shift float64
+	}{{"live", 0}, {"dead-trunk", 100}} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := New(Config{InputDim: 4, Hidden: []int{16}, Heads: []int{6, 6}, Seed: 1})
+			for j := range n.trunk[0].B {
+				n.trunk[0].B[j] -= bc.shift
+			}
+			params := n.Parameters()
+			start := paramValues(n)
+			b.ReportAllocs()
+			for b.Loop() {
+				for i, p := range params {
+					*p = start[i]
+				}
+				n.Train(examples, TrainOptions{})
+			}
+		})
+	}
+}

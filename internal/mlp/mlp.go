@@ -146,6 +146,13 @@ type workspace struct {
 	logits [][]float64 // per head: raw logits after forward, softmax after probabilities
 	grad   [][]float64 // grad[i] is ∂loss/∂acts[i] (training only)
 	back   []float64   // one head's Wᵀ·dz before it joins the trunk output's grad (training only)
+
+	// dead is each head's softmax for an all-zero trunk output, which
+	// depends on the head biases alone (training only). deadFresh says it
+	// matches the current parameters, deadFinite that every probability
+	// in it is finite.
+	dead                  [][]float64
+	deadFresh, deadFinite bool
 }
 
 func (n *Network) newWorkspace(train bool) workspace {
@@ -164,13 +171,18 @@ func (n *Network) newWorkspace(train bool) workspace {
 			ws.grad[i+1] = make([]float64, len(l.B))
 		}
 		ws.back = make([]float64, len(ws.grad[len(n.trunk)]))
+		ws.dead = make([][]float64, len(n.heads))
+		for k, l := range n.heads {
+			ws.dead[k] = make([]float64, len(l.B))
+		}
 	}
 	return ws
 }
 
-// forward runs the network on input, leaving every post-activation in
-// ws.acts and the raw logits per head in ws.logits.
-func (n *Network) forward(input []float64, ws *workspace) {
+// trunkPass runs the ReLU trunk on input, leaving every post-activation in
+// ws.acts, and returns the top one: the input itself when there is no
+// hidden layer.
+func (n *Network) trunkPass(input []float64, ws *workspace) []float64 {
 	if len(input) != n.cfg.InputDim {
 		panic(fmt.Sprintf("mlp: input length %d, want %d", len(input), n.cfg.InputDim))
 	}
@@ -186,22 +198,40 @@ func (n *Network) forward(input []float64, ws *workspace) {
 		}
 		h = z
 	}
+	return h
+}
+
+// headPass writes each head's raw logits for the trunk output h into
+// logits.
+func (n *Network) headPass(h []float64, logits [][]float64) {
 	for k, l := range n.heads {
-		z := l.W.MulVec(h, ws.logits[k])
+		z := l.W.MulVec(h, logits[k])
 		for j := range z {
 			z[j] += l.B[j]
 		}
 	}
 }
 
+// forward runs the network on input, leaving every post-activation in
+// ws.acts and the raw logits per head in ws.logits.
+func (n *Network) forward(input []float64, ws *workspace) {
+	n.headPass(n.trunkPass(input, ws), ws.logits)
+}
+
+// softmaxInPlace replaces each head's logits with their softmax and
+// returns logits.
+func softmaxInPlace(logits [][]float64) [][]float64 {
+	for _, z := range logits {
+		mat.Softmax(z, z)
+	}
+	return logits
+}
+
 // probabilities runs forward and replaces each head's logits with their
 // softmax in place, returning ws.logits.
 func (n *Network) probabilities(input []float64, ws *workspace) [][]float64 {
 	n.forward(input, ws)
-	for _, z := range ws.logits {
-		mat.Softmax(z, z)
-	}
-	return ws.logits
+	return softmaxInPlace(ws.logits)
 }
 
 // Predict returns per-head softmax probability vectors for the input.
@@ -321,14 +351,70 @@ func zero(ls []*linear) {
 	}
 }
 
+// deadProbs returns each head's softmax for the all-zero trunk output top,
+// or nil when some probability is NaN or ±Inf. Only the first call after
+// the parameters changed runs the head code and the softmax on top; every
+// other call reads ws.dead.
+func (n *Network) deadProbs(top []float64, ws *workspace) [][]float64 {
+	if !ws.deadFresh {
+		n.headPass(top, ws.dead)
+		ws.deadFresh, ws.deadFinite = true, true
+		for _, p := range softmaxInPlace(ws.dead) {
+			for _, v := range p {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					ws.deadFinite = false
+				}
+			}
+		}
+	}
+	if !ws.deadFinite {
+		return nil
+	}
+	return ws.dead
+}
+
+// allZero reports whether every element of v is ±0; NaN is not.
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // accumulate adds ∂loss/∂θ for a single example into g (laid out like
 // layers). With withLoss it also returns that example's loss; without, it
 // skips the logarithms and returns 0.
+//
+// When the top trunk output is all zeros and the cached probabilities
+// are finite, only the head biases' gradient p − onehot(target) is
+// added; DESIGN §2 argues why every other term of the dense path leaves
+// g's bits as they are.
 func (n *Network) accumulate(e Example, g []*linear, ws *workspace, withLoss bool) float64 {
-	probs := n.probabilities(e.Input, ws)
-	top := ws.acts[len(n.trunk)] // trunk output (or raw input when no hidden layers)
-
+	top := n.trunkPass(e.Input, ws)
 	var loss float64
+	if allZero(top) {
+		if probs := n.deadProbs(top, ws); probs != nil {
+			for k, p := range probs {
+				tgt := e.Targets[k]
+				if withLoss {
+					loss += -math.Log(math.Max(p[tgt], 1e-300))
+				}
+				gb := g[len(n.trunk)+k].B
+				for j, dz := range p {
+					if j == tgt {
+						dz -= 1
+					}
+					gb[j] += dz
+				}
+			}
+			return loss
+		}
+	}
+	n.headPass(top, ws.logits)
+	probs := softmaxInPlace(ws.logits)
+
 	// dTop accumulates the gradient flowing back into the trunk output from
 	// every head.
 	dTop := ws.grad[len(n.trunk)]
@@ -469,6 +555,7 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 				adamStep++
 				applyAdam(params, g, m1, m2, scale, adamStep, opts)
 			}
+			ws.deadFresh = false // the step moved the parameters
 		}
 		if withLoss {
 			meanLoss := epochLoss / float64(len(examples))

@@ -268,10 +268,41 @@ type bitCase struct {
 	Cfg      Config
 	Examples []Example
 	Opts     TrainOptions
+	// DeadShift is subtracted from every bias of the top trunk layer, so
+	// that some or all examples leave its output all zeros.
+	DeadShift float64
+	// Poison, when Poisoned, overwrites parameter PoisonAt (in Parameters
+	// order) with a non-finite or near-overflowing value.
+	Poisoned  bool
+	PoisonAt  int
+	PoisonVal float64
 }
 
 func (c bitCase) String() string {
-	return fmt.Sprintf("{hidden %v heads %v, %d examples, opts %+v}", c.Cfg.Hidden, c.Cfg.Heads, len(c.Examples), c.Opts)
+	s := fmt.Sprintf("{hidden %v heads %v, %d examples, opts %+v", c.Cfg.Hidden, c.Cfg.Heads, len(c.Examples), c.Opts)
+	if c.DeadShift > 0 {
+		s += fmt.Sprintf(", top trunk biases -%v", c.DeadShift)
+	}
+	if c.Poisoned {
+		s += fmt.Sprintf(", parameter %d = %v", c.PoisonAt, c.PoisonVal)
+	}
+	return s + "}"
+}
+
+// network builds the case's network: New(c.Cfg), then the bias shift and
+// the poisoned parameter.
+func (c bitCase) network() *Network {
+	n := New(c.Cfg)
+	if len(n.trunk) > 0 {
+		top := n.trunk[len(n.trunk)-1]
+		for j := range top.B {
+			top.B[j] -= c.DeadShift
+		}
+	}
+	if c.Poisoned {
+		*n.Parameters()[c.PoisonAt] = c.PoisonVal
+	}
+	return n
 }
 
 func genBitCase() check.Gen[bitCase] {
@@ -312,7 +343,28 @@ func genBitCase() check.Gen[bitCase] {
 		if r.Bernoulli(0.3) {
 			opts.Momentum = r.Float64()
 		}
-		return bitCase{Cfg: cfg, Examples: examples, Opts: opts}
+		c := bitCase{Cfg: cfg, Examples: examples, Opts: opts}
+		if len(cfg.Hidden) > 0 && r.Bernoulli(0.5) {
+			// The smaller shifts leave some examples alive, and training
+			// can kill or revive more; 1000 kills every example for good.
+			c.DeadShift = []float64{0.5, 1, 2, 4, 1000}[r.Intn(5)]
+		}
+		if r.Bernoulli(0.3) {
+			// Half the poisoned parameters belong to a head, where a
+			// non-finite value reaches the all-zero-trunk probabilities.
+			n := New(cfg)
+			first := 0
+			if r.Bernoulli(0.5) {
+				first = n.NumParams()
+				for _, l := range n.heads {
+					first -= len(l.W.Data) + len(l.B)
+				}
+			}
+			c.Poisoned = true
+			c.PoisonAt = first + r.Intn(n.NumParams()-first)
+			c.PoisonVal = []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e308}[r.Intn(5)]
+		}
+		return c
 	}}
 }
 
@@ -344,11 +396,15 @@ func paramValues(n *Network) []float64 {
 // probability and the loss, compared by math.Float64bits. The cases cover
 // 0-2 hidden layers (two reach the trunk's MulVecT backprop), 1-3 heads,
 // SGD and Adam with and without L2, and batch sizes that do and do not
-// divide the example count.
+// divide the example count. Half the cases with a hidden layer shift its
+// top biases down, so that some or all examples take the all-zero-trunk
+// path, whose cached probabilities every optimizer step invalidates, also
+// within an epoch; three in ten set one parameter to ±Inf, NaN or
+// ±1e308, which sends those examples down the dense path instead.
 func TestPropTrainBitIdentical(t *testing.T) {
 	t.Parallel()
 	check.RunConfig(t, check.Config{Trials: 300}, genBitCase(), func(c bitCase) error {
-		got, want := New(c.Cfg), New(c.Cfg)
+		got, want := c.network(), c.network()
 		for _, e := range c.Examples {
 			_, logits := refForward(want, e.Input)
 			for k, p := range got.Predict(e.Input) {

@@ -3,8 +3,9 @@ package mlp
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
-	"odin/internal/rng"
+	"odin/internal/mat"
 )
 
 // networkJSON is the stable on-disk representation of a Network.
@@ -33,14 +34,17 @@ func (lj linearJSON) toLinear() (*linear, error) {
 	if lj.Rows < 1 || lj.Cols < 1 {
 		return nil, fmt.Errorf("mlp: invalid layer shape %dx%d", lj.Rows, lj.Cols)
 	}
+	// Rows·Cols must not wrap: 4×2⁶², say, would match zero weights.
+	if lj.Rows > math.MaxInt/lj.Cols {
+		return nil, fmt.Errorf("mlp: layer shape %dx%d overflows int", lj.Rows, lj.Cols)
+	}
 	if len(lj.Weights) != lj.Rows*lj.Cols {
 		return nil, fmt.Errorf("mlp: layer has %d weights, want %d", len(lj.Weights), lj.Rows*lj.Cols)
 	}
 	if len(lj.Biases) != lj.Rows {
 		return nil, fmt.Errorf("mlp: layer has %d biases, want %d", len(lj.Biases), lj.Rows)
 	}
-	// Allocate with a throwaway RNG; the parameters are overwritten next.
-	l := newLinear(lj.Cols, lj.Rows, rng.New(0))
+	l := &linear{W: mat.NewDense(lj.Rows, lj.Cols), B: make([]float64, lj.Rows)}
 	copy(l.W.Data, lj.Weights)
 	copy(l.B, lj.Biases)
 	return l, nil

@@ -61,6 +61,11 @@ func TestNetworkJSONNoHidden(t *testing.T) {
 	}
 }
 
+// shapeOverflow is a one-head network whose head declares 4×2⁶² weights
+// and holds none.
+const shapeOverflow = `{"config":{"InputDim":4611686018427387904,"Heads":[4]},` +
+	`"heads":[{"rows":4,"cols":4611686018427387904,"weights":[],"biases":[0,0,0,0]}]}`
+
 func TestNetworkUnmarshalRejectsCorruption(t *testing.T) {
 	t.Parallel()
 	n := New(Config{InputDim: 4, Hidden: []int{8}, Heads: []int{6, 6}, Seed: 1})
@@ -79,6 +84,7 @@ func TestNetworkUnmarshalRejectsCorruption(t *testing.T) {
 			return strings.Replace(s, `"InputDim":4`, `"InputDim":0`, 1)
 		}},
 		{"not json", func(string) string { return "{" }},
+		{"shape overflows int", func(string) string { return shapeOverflow }},
 	}
 	for _, c := range corruptions {
 		var back Network

@@ -145,8 +145,10 @@ func NewHandlerOpts(s *Server, opts HandlerOptions) http.Handler {
 	if s.cfg.Pulse.Enabled() {
 		registerPulse(mux, s)
 	}
+	var h http.Handler = mux
 	if opts.Admin {
 		registerAdmin(mux, s)
+		h = chipIDGuard(mux)
 	}
 	if opts.Tracer.Enabled() {
 		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -166,7 +168,7 @@ func NewHandlerOpts(s *Server, opts HandlerOptions) http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return mux
+	return h
 }
 
 // writeJSON emits one JSON response. Headers must be set before
@@ -280,6 +282,22 @@ func registerAdmin(mux *http.ServeMux, s *Server) {
 		writeJSON(w, http.StatusOK, struct {
 			Removed int `json:"removed"`
 		}{Removed: id})
+	})
+}
+
+// chipIDGuard answers DELETE /admin/chips/{id} itself when the id is "",
+// "." or "..", or holds a slash, as the handler answers any other id that
+// is not a number. The mux would answer some of these without calling the
+// handler: "", "/" (sent as %2F) and ids spanning several path segments
+// with a plain-text 404, "." and ".." with a redirect to the cleaned path.
+func chipIDGuard(mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id, ok := strings.CutPrefix(r.URL.Path, "/admin/chips/")
+		if ok && r.Method == http.MethodDelete && (id == "" || id == "." || id == ".." || strings.Contains(id, "/")) {
+			writeError(w, http.StatusBadRequest, "odinserve: chip id %q is not a number", id)
+			return
+		}
+		mux.ServeHTTP(w, r)
 	})
 }
 

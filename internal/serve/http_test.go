@@ -300,6 +300,8 @@ func TestHTTPAdminFleet(t *testing.T) {
 		{"remove-unknown-id", http.MethodDelete, "/admin/chips/99", "", http.StatusNotFound},
 		{"remove-twice", http.MethodDelete, "/admin/chips/1", "", http.StatusNotFound},
 		{"remove-non-numeric", http.MethodDelete, "/admin/chips/x", "", http.StatusBadRequest},
+		{"remove-dot-dot", http.MethodDelete, "/admin/chips/..", "", http.StatusBadRequest},
+		{"remove-two-segments", http.MethodDelete, "/admin/chips/1/2", "", http.StatusBadRequest},
 	} {
 		if rec := do(tc.method, tc.target, tc.body); rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
