@@ -68,12 +68,15 @@ check:
 # Native fuzzing, time-boxed: each fuzz target runs for 10 s from its seed
 # corpus (testdata/fuzz/<target> in its package; `make test` replays those
 # seeds on every run). A failing input is written next to the seeds; fix
-# the code it exposes and commit the input as a regression seed.
+# the code it exposes and commit the input as a regression seed. Go spends
+# up to 60 s by default minimizing each new interesting input, during
+# which the target executes nothing new; 1 s keeps most of the 10 s for
+# fuzzing.
 fuzzsmoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzParseInfer$$' -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzAdminChips$$' -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzPolicyUnmarshal$$' -fuzztime=10s ./internal/policy
-	$(GO) test -run='^$$' -fuzz='^FuzzNetworkUnmarshal$$' -fuzztime=10s ./internal/mlp
+	$(GO) test -run='^$$' -fuzz='^FuzzParseInfer$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzAdminChips$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzPolicyUnmarshal$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/policy
+	$(GO) test -run='^$$' -fuzz='^FuzzNetworkUnmarshal$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mlp
 
 # The decision-log checksum the 1024-chip smoke replay below must print.
 # Comparing worker counts alone would pass a routing change that moves

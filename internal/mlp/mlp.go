@@ -153,6 +153,12 @@ type workspace struct {
 	// in it is finite.
 	dead                  [][]float64
 	deadFresh, deadFinite bool
+
+	// zeroTop is an all-zero top trunk output, which deadProbs runs the
+	// heads on; trunkAt holds the trunk parameters, weights then biases
+	// per layer, under which Train's dead verdicts were found (training
+	// only).
+	zeroTop, trunkAt []float64
 }
 
 func (n *Network) newWorkspace(train bool) workspace {
@@ -175,6 +181,13 @@ func (n *Network) newWorkspace(train bool) workspace {
 		for k, l := range n.heads {
 			ws.dead[k] = make([]float64, len(l.B))
 		}
+		trunkParams := 0
+		for _, l := range n.trunk {
+			trunkParams += len(l.W.Data) + len(l.B)
+		}
+		top := len(ws.grad[len(n.trunk)])
+		buf := make([]float64, top+trunkParams)
+		ws.zeroTop, ws.trunkAt = buf[:top:top], buf[top:]
 	}
 	return ws
 }
@@ -351,13 +364,13 @@ func zero(ls []*linear) {
 	}
 }
 
-// deadProbs returns each head's softmax for the all-zero trunk output top,
-// or nil when some probability is NaN or ±Inf. Only the first call after
-// the parameters changed runs the head code and the softmax on top; every
-// other call reads ws.dead.
-func (n *Network) deadProbs(top []float64, ws *workspace) [][]float64 {
+// deadProbs returns each head's softmax for an all-zero trunk output, or
+// nil when some probability is NaN or ±Inf. Only the first call after the
+// parameters changed runs the head code and the softmax on ws.zeroTop;
+// every other call reads ws.dead.
+func (n *Network) deadProbs(ws *workspace) [][]float64 {
 	if !ws.deadFresh {
-		n.headPass(top, ws.dead)
+		n.headPass(ws.zeroTop, ws.dead)
 		ws.deadFresh, ws.deadFinite = true, true
 		for _, p := range softmaxInPlace(ws.dead) {
 			for _, v := range p {
@@ -385,17 +398,24 @@ func allZero(v []float64) bool {
 
 // accumulate adds ∂loss/∂θ for a single example into g (laid out like
 // layers). With withLoss it also returns that example's loss; without, it
-// skips the logarithms and returns 0.
+// skips the logarithms and returns 0. *dead is the example's verdict: true
+// when its top trunk output is known to be all zeros under the current
+// trunk parameters, which spares it trunkPass; accumulate sets it when
+// trunkPass finds so.
 //
 // When the top trunk output is all zeros and the cached probabilities
 // are finite, only the head biases' gradient p − onehot(target) is
-// added; DESIGN §2 argues why every other term of the dense path leaves
-// g's bits as they are.
-func (n *Network) accumulate(e Example, g []*linear, ws *workspace, withLoss bool) float64 {
-	top := n.trunkPass(e.Input, ws)
-	var loss float64
-	if allZero(top) {
-		if probs := n.deadProbs(top, ws); probs != nil {
+// added, and accumulate reports that it took this bias-only path; DESIGN
+// §2 argues why every other term of the dense path leaves g's bits as
+// they are.
+func (n *Network) accumulate(e Example, dead *bool, g []*linear, ws *workspace, withLoss bool) (loss float64, biasOnly bool) {
+	var top []float64
+	if !*dead {
+		top = n.trunkPass(e.Input, ws)
+		*dead = allZero(top)
+	}
+	if *dead {
+		if probs := n.deadProbs(ws); probs != nil {
 			for k, p := range probs {
 				tgt := e.Targets[k]
 				if withLoss {
@@ -409,7 +429,10 @@ func (n *Network) accumulate(e Example, g []*linear, ws *workspace, withLoss boo
 					gb[j] += dz
 				}
 			}
-			return loss
+			return loss, true
+		}
+		if top == nil {
+			top = n.trunkPass(e.Input, ws)
 		}
 	}
 	n.headPass(top, ws.logits)
@@ -454,7 +477,26 @@ func (n *Network) accumulate(e Example, g []*linear, ws *workspace, withLoss boo
 			d = n.trunk[i].W.MulVecT(d, ws.grad[i])
 		}
 	}
-	return loss
+	return loss, false
+}
+
+// trunkMoved reports whether any trunk parameter's bits differ from those
+// in at, laid out as in workspace.trunkAt, and copies them into at.
+func (n *Network) trunkMoved(at []float64) bool {
+	moved := false
+	i := 0
+	for _, l := range n.trunk {
+		for _, vs := range [2][]float64{l.W.Data, l.B} {
+			for _, v := range vs {
+				if math.Float64bits(v) != math.Float64bits(at[i]) {
+					moved = true
+					at[i] = v
+				}
+				i++
+			}
+		}
+	}
+	return moved
 }
 
 // Optimizer selects the parameter-update rule used by Train.
@@ -508,6 +550,14 @@ type TrainStats struct {
 // Train fits the network to the examples and reports first/final epoch mean
 // loss. Training is deterministic given the options' seed. Its buffers are
 // sized once per call, so epochs and examples allocate nothing.
+//
+// Two shortcuts change no bit of the result (DESIGN §2, "Frozen
+// trunks"). An example whose top trunk output was all zeros skips
+// trunkPass until a step moves a trunk parameter. A step in which every
+// example took the bias-only path wrote only the head-bias gradients, so
+// the next step clears only those; and once such an SGD step left every
+// other parameter and velocity as it was, later ones update only the
+// head biases.
 func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	if len(examples) == 0 {
 		return TrainStats{}
@@ -528,6 +578,15 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 		m1, m2 = zeroLike(params), zeroLike(params)
 	}
 	ws := n.newWorkspace(true)
+	// dead[i] says example i's top trunk output is all zeros under the
+	// trunk parameters in ws.trunkAt.
+	dead := make([]bool, len(examples))
+	n.trunkMoved(ws.trunkAt) // copies the starting trunk into ws.trunkAt
+	headGrads := g[len(n.trunk):]
+	// clean says every gradient cell but the head biases' holds +0;
+	// settled, that the last SGD step had such a gradient and left every
+	// parameter and velocity but the head biases' as it was.
+	clean, settled := true, false
 	order := make([]int, len(examples))
 	src := rng.New(opts.Seed)
 	stats := TrainStats{Epochs: opts.Epochs}
@@ -543,19 +602,38 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 			if end > len(order) {
 				end = len(order)
 			}
-			zero(g)
+			if clean {
+				for _, l := range headGrads {
+					clear(l.B)
+				}
+			} else {
+				zero(g)
+			}
+			clean = true
 			for _, idx := range order[start:end] {
-				epochLoss += n.accumulate(examples[idx], g, &ws, withLoss)
+				loss, biasOnly := n.accumulate(examples[idx], &dead[idx], g, &ws, withLoss)
+				epochLoss += loss
+				clean = clean && biasOnly
 			}
 			scale := 1.0 / float64(end-start)
+			ws.deadFresh = false // the step moves the parameters
+			if settled && clean {
+				// Only the head biases move, so the trunk stands still.
+				for k, l := range n.heads {
+					sgdBiases(l.B, headGrads[k].B, vel[len(n.trunk)+k].B, scale, opts)
+				}
+				continue
+			}
 			switch opts.Optimizer {
 			case SGD:
-				applySGD(params, g, vel, scale, opts)
+				settled = !applySGD(params, g, vel, scale, opts, len(n.trunk)) && clean
 			case Adam:
 				adamStep++
 				applyAdam(params, g, m1, m2, scale, adamStep, opts)
 			}
-			ws.deadFresh = false // the step moved the parameters
+			if n.trunkMoved(ws.trunkAt) {
+				clear(dead)
+			}
 		}
 		if withLoss {
 			meanLoss := epochLoss / float64(len(examples))
@@ -568,20 +646,44 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	return stats
 }
 
-func applySGD(params, g, vel []*linear, scale float64, opts TrainOptions) {
+// applySGD takes one SGD-with-momentum step on params and reports whether
+// it changed any bit of a parameter or velocity other than the biases of
+// the head layers params[firstHead:].
+func applySGD(params, g, vel []*linear, scale float64, opts TrainOptions, firstHead int) bool {
+	moved := false
 	for i, param := range params {
-		grad, v := g[i], vel[i]
-		for k := range param.W.Data {
-			dw := grad.W.Data[k]*scale + opts.L2*param.W.Data[k]
-			v.W.Data[k] = opts.Momentum*v.W.Data[k] - opts.LearningRate*dw
-			param.W.Data[k] += v.W.Data[k]
-		}
-		for k := range param.B {
-			db := grad.B[k] * scale
-			v.B[k] = opts.Momentum*v.B[k] - opts.LearningRate*db
-			param.B[k] += v.B[k]
-		}
+		w := sgdWeights(param.W.Data, g[i].W.Data, vel[i].W.Data, scale, opts)
+		b := sgdBiases(param.B, g[i].B, vel[i].B, scale, opts)
+		moved = moved || w || (b && i < firstHead)
 	}
+	return moved
+}
+
+// sgdWeights steps the weights w, with gradient sums gw and velocities v,
+// and reports whether any bit of w or v changed.
+func sgdWeights(w, gw, v []float64, scale float64, opts TrainOptions) bool {
+	var diff uint64
+	for k, wk := range w {
+		dw := gw[k]*scale + opts.L2*wk
+		vk := opts.Momentum*v[k] - opts.LearningRate*dw
+		nw := wk + vk
+		diff |= (math.Float64bits(vk) ^ math.Float64bits(v[k])) | (math.Float64bits(nw) ^ math.Float64bits(wk))
+		v[k], w[k] = vk, nw
+	}
+	return diff != 0
+}
+
+// sgdBiases is sgdWeights for biases, which take no weight decay.
+func sgdBiases(b, gb, v []float64, scale float64, opts TrainOptions) bool {
+	var diff uint64
+	for k, bk := range b {
+		db := gb[k] * scale
+		vk := opts.Momentum*v[k] - opts.LearningRate*db
+		nb := bk + vk
+		diff |= (math.Float64bits(vk) ^ math.Float64bits(v[k])) | (math.Float64bits(nb) ^ math.Float64bits(bk))
+		v[k], b[k] = vk, nb
+	}
+	return diff != 0
 }
 
 func applyAdam(params, g, m1, m2 []*linear, scale float64, step int, opts TrainOptions) {
@@ -618,7 +720,8 @@ func (n *Network) Gradients(examples []Example) []float64 {
 	g := zeroLike(n.layers())
 	ws := n.newWorkspace(true)
 	for _, e := range examples {
-		n.accumulate(e, g, &ws, false)
+		var dead bool
+		n.accumulate(e, &dead, g, &ws, false)
 	}
 	scale := 0.0
 	if len(examples) > 0 {

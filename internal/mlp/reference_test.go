@@ -400,7 +400,10 @@ func paramValues(n *Network) []float64 {
 // top biases down, so that some or all examples take the all-zero-trunk
 // path, whose cached probabilities every optimizer step invalidates, also
 // within an epoch; three in ten set one parameter to ±Inf, NaN or
-// ±1e308, which sends those examples down the dense path instead.
+// ±1e308, which sends those examples down the dense path instead. The
+// shifted cases also drive Train's frozen-trunk shortcuts (DESIGN §2):
+// dead verdicts forgotten whenever a trunk bit moves, and all-dead steps
+// that clear and, once settled, update only the head biases.
 func TestPropTrainBitIdentical(t *testing.T) {
 	t.Parallel()
 	check.RunConfig(t, check.Config{Trials: 300}, genBitCase(), func(c bitCase) error {

@@ -180,26 +180,26 @@ type Example struct {
 	Target ou.Size
 }
 
-// toMLP converts an example, validating that the target lies on the grid.
-func (p *Policy) toMLP(e Example) (mlp.Example, error) {
-	r, c, ok := p.grid.IndexOf(e.Target)
-	if !ok {
-		return mlp.Example{}, fmt.Errorf("policy: target %v off the OU grid", e.Target)
-	}
-	return mlp.Example{Input: e.F.Vector(), Targets: []int{r, c}}, nil
-}
-
 // Train runs supervised learning on the examples (Algorithm 1, line 11).
 // The paper trains for 100 epochs per update; opts.Epochs = 0 uses that
-// default.
+// default. Every target must lie on the grid. The converted examples share
+// one input and one target array, so a call allocates the same for any
+// number of examples.
 func (p *Policy) Train(examples []Example, opts mlp.TrainOptions) (mlp.TrainStats, error) {
-	converted := make([]mlp.Example, 0, len(examples))
-	for _, e := range examples {
-		me, err := p.toMLP(e)
-		if err != nil {
-			return mlp.TrainStats{}, err
+	converted := make([]mlp.Example, len(examples))
+	inputs := make([]float64, 4*len(examples))
+	targets := make([]int, 2*len(examples))
+	for i, e := range examples {
+		r, c, ok := p.grid.IndexOf(e.Target)
+		if !ok {
+			return mlp.TrainStats{}, fmt.Errorf("policy: target %v off the OU grid", e.Target)
 		}
-		converted = append(converted, me)
+		v := e.F.encode()
+		in := inputs[4*i : 4*i+4 : 4*i+4]
+		copy(in, v[:])
+		tg := targets[2*i : 2*i+2 : 2*i+2]
+		tg[0], tg[1] = r, c
+		converted[i] = mlp.Example{Input: in, Targets: tg}
 	}
 	return p.net.Train(converted, opts), nil
 }

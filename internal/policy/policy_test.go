@@ -214,6 +214,30 @@ func TestTrainRejectsOffGridTarget(t *testing.T) {
 	}
 }
 
+// TestTrainAllocsFlatInExamples pins that a line-11 update allocates the
+// same for 1 and for 50 buffered examples: Train converts them into one
+// shared input array and one shared target array, and the network sizes
+// its training buffers once per call.
+func TestTrainAllocsFlatInExamples(t *testing.T) {
+	p := newTestPolicy(6)
+	g := p.Grid()
+	examples := make([]Example, 50)
+	for i := range examples {
+		examples[i] = Example{F: validFeatures(i%20, float64(i)*100),
+			Target: g.SizeAt(i%g.Levels(), (i+1)%g.Levels())}
+	}
+	allocs := func(ex []Example) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := p.Train(ex, mlp.TrainOptions{Epochs: 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(examples[:1]), allocs(examples); a != b {
+		t.Errorf("Train allocates %v for 1 example, %v for 50", a, b)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	t.Parallel()
 	p := newTestPolicy(6)
