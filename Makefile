@@ -9,8 +9,13 @@ GO ?= go
 
 all: ci
 
+# _perfbench is its own module, so `./...` skips it; build, vet and test
+# compile it too, so a change that breaks an API the benchmark calls fails
+# here rather than in `make bench`. Its one package is a command, which
+# `go build` would write into _perfbench/, hence -o /dev/null.
 build:
 	$(GO) build ./...
+	$(GO) -C _perfbench build -o /dev/null ./...
 
 # Fail (and list offenders) if any file is not gofmt-clean.
 fmt:
@@ -21,6 +26,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C _perfbench vet ./...
 
 # Project-specific static analysis: the five per-file rules (determinism,
 # float-equality hygiene, unit-family safety, panic prefixes, dropped
@@ -47,6 +53,7 @@ lintfix-audit:
 # fixed-seed property suites and the goldens (internal/check) run here.
 test:
 	$(GO) test ./...
+	$(GO) -C _perfbench test ./...
 
 race:
 	$(GO) test -race ./...
@@ -75,6 +82,7 @@ check:
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseInfer$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzAdminChips$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzEventsResume$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzPolicyUnmarshal$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/policy
 	$(GO) test -run='^$$' -fuzz='^FuzzNetworkUnmarshal$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mlp
 

@@ -16,11 +16,10 @@ import (
 // comprising of neural layer features and optimized OU configurations of
 // known DNNs").
 type BootstrapConfig struct {
-	MaxExamples  int       // cap on training examples (paper: 500)
-	Times        []float64 // device ages sampled per model
-	Epochs       int       // offline training epochs
-	LearningRate float64
-	Seed         uint64
+	MaxExamples int       // cap on training examples (paper: 500)
+	Times       []float64 // device ages sampled per model
+	Epochs      int       // offline training epochs
+	Seed        uint64
 }
 
 // DefaultBootstrapConfig returns the paper's settings with ages spanning
@@ -121,9 +120,8 @@ func BootstrapPolicy(sys System, models []*dnn.Model, cfg BootstrapConfig) (*pol
 		return pol, 0, nil
 	}
 	if _, err := pol.Train(examples, mlp.TrainOptions{
-		Epochs:       cfg.Epochs,
-		LearningRate: cfg.LearningRate,
-		Seed:         cfg.Seed,
+		Epochs: cfg.Epochs,
+		Seed:   cfg.Seed,
 	}); err != nil {
 		return nil, 0, err
 	}

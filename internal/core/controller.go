@@ -33,8 +33,6 @@ type ControllerOptions struct {
 	// UpdateEpochs is the supervised-learning epoch count per policy update
 	// (paper: 100).
 	UpdateEpochs int
-	// LearningRate for policy updates; 0 uses the mlp default.
-	LearningRate float64
 	// TrainSeed makes online updates deterministic.
 	TrainSeed uint64
 
@@ -625,9 +623,8 @@ func (c *Controller) recordRunSpans(rep RunReport, strat []string, evals []int) 
 func (c *Controller) updatePolicy() {
 	examples := c.buf.Drain()
 	_, err := c.pol.Train(examples, mlp.TrainOptions{
-		Epochs:       c.opts.UpdateEpochs,
-		LearningRate: c.opts.LearningRate,
-		Seed:         c.opts.TrainSeed,
+		Epochs: c.opts.UpdateEpochs,
+		Seed:   c.opts.TrainSeed,
 	})
 	if err != nil {
 		// Targets come from the grid-constrained search, so this is a

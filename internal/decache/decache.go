@@ -75,22 +75,16 @@ import (
 	"odin/internal/telemetry"
 )
 
+// maxDecisions caps the decision entries per context; exceeding it
+// flushes that context wholesale (deterministically: the flush depends only
+// on insertion count, never on map order).
+const maxDecisions = 4096
+
 // Options tune a Cache.
 type Options struct {
-	// MaxDecisions caps the decision entries per context; exceeding it
-	// flushes that context wholesale (deterministically: the flush depends
-	// only on insertion count, never on map order). 0 means 4096.
-	MaxDecisions int
 	// Registry, when non-nil, exports the hit/miss/flush counters as
 	// odin_decache_* Prometheus series.
 	Registry *telemetry.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxDecisions <= 0 {
-		o.MaxDecisions = 4096
-	}
-	return o
 }
 
 // Counters is a point-in-time snapshot of cache activity. Counter values
@@ -108,8 +102,6 @@ type Counters struct {
 
 // Cache memoizes line-6 decisions.
 type Cache struct {
-	opts Options
-
 	mu   sync.RWMutex
 	ctxs map[ctxKey]*Context
 
@@ -121,15 +113,12 @@ type Cache struct {
 	tFlushes             *telemetry.Counter
 }
 
-// New creates a cache with default limits and no telemetry.
+// New creates a cache with no telemetry.
 func New() *Cache { return NewWith(Options{}) }
 
 // NewWith creates a cache with explicit options.
 func NewWith(opts Options) *Cache {
-	c := &Cache{
-		opts: opts.withDefaults(),
-		ctxs: make(map[ctxKey]*Context),
-	}
+	c := &Cache{ctxs: make(map[ctxKey]*Context)}
 	if r := opts.Registry; r != nil {
 		c.tDecHits = r.Counter("odin_decache_decision_hits_total",
 			"line-6 decisions served from the decision cache")
@@ -320,7 +309,7 @@ func (x *Context) Lookup(k Key) (*Entry, bool) {
 // caches stay deterministic.
 func (x *Context) Store(k Key, e *Entry) {
 	x.mu.Lock()
-	if x.inserts >= x.cache.opts.MaxDecisions {
+	if x.inserts >= maxDecisions {
 		x.entries = make(map[Key]*Entry)
 		x.inserts = 0
 		x.mu.Unlock()

@@ -185,23 +185,23 @@ func TestFlushDropsEntriesKeepsContexts(t *testing.T) {
 	}
 }
 
-// TestDecisionCapFlushesWholesale: overflowing MaxDecisions must flush the
+// TestDecisionCapFlushesWholesale: overflowing maxDecisions must flush the
 // context deterministically (insertion-count trigger) rather than evicting
 // a map-order-dependent victim.
 func TestDecisionCapFlushesWholesale(t *testing.T) {
 	t.Parallel()
 	grid, cost, acc := testPlatform()
-	c := NewWith(Options{MaxDecisions: 4})
+	c := New()
 	x := c.Context(grid, cost, acc, "rb", 3)
 	w := testWork()
-	for i := 0; i < 4; i++ {
-		x.Store(Key{Work: w, Layer: i, Of: 8, Predicted: grid.SizeAt(0, 0), Bucket: 3},
+	for i := 0; i < maxDecisions; i++ {
+		x.Store(Key{Work: w, Layer: i, Of: maxDecisions + 1, Predicted: grid.SizeAt(0, 0), Bucket: 3},
 			&Entry{Chosen: grid.SizeAt(0, 0)})
 	}
-	if x.Len() != 4 || c.Counters().Flushes != 0 {
+	if x.Len() != maxDecisions || c.Counters().Flushes != 0 {
 		t.Fatalf("pre-overflow: len %d flushes %d", x.Len(), c.Counters().Flushes)
 	}
-	x.Store(Key{Work: w, Layer: 4, Of: 8, Predicted: grid.SizeAt(0, 0), Bucket: 3},
+	x.Store(Key{Work: w, Layer: maxDecisions, Of: maxDecisions + 1, Predicted: grid.SizeAt(0, 0), Bucket: 3},
 		&Entry{Chosen: grid.SizeAt(0, 0)})
 	if x.Len() != 1 {
 		t.Fatalf("overflow kept %d entries, want 1 (the new one)", x.Len())

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,12 +168,11 @@ func TestFig5AgreementAndOverhead(t *testing.T) {
 	}
 }
 
+// TestFig6Orderings asserts on the fig6 run whose bytes TestGoldenArtifacts
+// freezes.
 func TestFig6Orderings(t *testing.T) {
 	t.Parallel()
-	res, err := Fig6(core.DefaultSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, "fig6").(Fig6Result)
 	if len(res.Rows) != 5 {
 		t.Fatalf("expected 4 baselines + Odin, got %d rows", len(res.Rows))
 	}
@@ -202,6 +203,39 @@ func TestFig6Orderings(t *testing.T) {
 	// 16×16's reprogramming burden dominates its totals.
 	if byName["16×16"].TotalEnergy < 2*byName["16×16"].InferenceEnergy {
 		t.Error("16×16 total energy should be dominated by reprogramming")
+	}
+}
+
+// TestFig8Claims makes EXPERIMENTS.md's Fig. 8 who-wins statement
+// executable: Odin's normalised EDP is the lowest of the five
+// configurations on every workload but DenseNet121, where the order is
+// 9×8 < 16×4 < Odin < 8×4 < 16×16, and Odin's mean EDP reduction against
+// every baseline exceeds 1.
+func TestFig8Claims(t *testing.T) {
+	t.Parallel()
+	res := runOnce(t, "fig8").(Fig8Result)
+	if len(res.Rows) != 9 {
+		t.Fatalf("fig8 has %d workloads, want 9", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		order := []string{"16×16", "16×4", "9×8", "8×4", "Odin"}
+		slices.SortStableFunc(order, func(a, b string) int { return cmp.Compare(row.EDP[a], row.EDP[b]) })
+		got := strings.Join(order, " < ")
+		if row.Workload == "DenseNet121" {
+			if want := "9×8 < 16×4 < Odin < 8×4 < 16×16"; got != want {
+				t.Errorf("DenseNet121: normalised EDP order %s, want %s (%v)", got, want, row.EDP)
+			}
+		} else if order[0] != "Odin" {
+			t.Errorf("%s: normalised EDP order %s, want Odin lowest (%v)", row.Workload, got, row.EDP)
+		}
+	}
+	for name, red := range res.MeanReduction {
+		if !(red > 1) {
+			t.Errorf("mean EDP reduction of Odin vs %s = %v, want > 1", name, red)
+		}
+	}
+	if len(res.MeanReduction) != 4 {
+		t.Errorf("mean reductions for %d baselines, want 4", len(res.MeanReduction))
 	}
 }
 

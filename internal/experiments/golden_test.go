@@ -3,10 +3,43 @@ package experiments
 import (
 	"bytes"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"odin/internal/check"
 )
+
+// runs maps an experiment id to its Run, memoised: runOnce runs each
+// experiment at most once per test binary, so a test asserting on an
+// experiment's result reuses the run its golden renders.
+var (
+	runsMu sync.Mutex
+	runs   = map[string]func() (Result, error){}
+)
+
+// runOnce returns the result of experiment id's Run, computed by the first
+// caller and shared read-only with every later one.
+func runOnce(t *testing.T, id string) Result {
+	t.Helper()
+	runsMu.Lock()
+	run, ok := runs[id]
+	if !ok {
+		run = sync.OnceValues(func() (Result, error) {
+			e, err := ByID(id)
+			if err != nil {
+				return nil, err
+			}
+			return e.Run()
+		})
+		runs[id] = run
+	}
+	runsMu.Unlock()
+	res, err := run()
+	if err != nil {
+		t.Fatalf("experiment %s: %v", id, err)
+	}
+	return res
+}
 
 // TestGoldenArtifacts freezes the rendered output of a representative slice
 // of the paper's tables and figures: the two static platform tables, one
@@ -33,16 +66,8 @@ func TestGoldenArtifacts(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatalf("experiment %s: %v", id, err)
-			}
 			var buf bytes.Buffer
-			res.Render(&buf)
+			runOnce(t, id).Render(&buf)
 			check.Golden(t, filepath.Join("testdata", id+".golden"), buf.Bytes())
 		})
 	}

@@ -7,8 +7,8 @@
 // shared ReLU trunk feeding two 6-way heads that independently classify the
 // OU height level (R) and width level (C). Go has no ML ecosystem to lean
 // on, so the full stack — forward pass, backprop, cross-entropy over multiple
-// heads, SGD with momentum, and Adam — is implemented here from scratch and
-// verified against numerical gradients in the tests.
+// heads and SGD with momentum — is implemented here without dependencies
+// and verified against numerical gradients in the tests.
 package mlp
 
 import (
@@ -131,7 +131,7 @@ func (n *Network) NumParams() int {
 }
 
 // layers returns the trunk then the heads: the parameter order of
-// Parameters and Gradients, and the shape of gradients and optimizer state.
+// Parameters and Gradients, and the shape of gradients and velocities.
 func (n *Network) layers() []*linear {
 	return append(append(make([]*linear, 0, len(n.trunk)+len(n.heads)), n.trunk...), n.heads...)
 }
@@ -347,8 +347,8 @@ func (n *Network) Loss(examples []Example) float64 {
 	return total / float64(len(examples))
 }
 
-// zeroLike returns zeroed layers shaped like ls: gradients and optimizer
-// state in parameter order.
+// zeroLike returns zeroed layers shaped like ls: gradients and velocities
+// in parameter order.
 func zeroLike(ls []*linear) []*linear {
 	out := make([]*linear, len(ls))
 	for i, l := range ls {
@@ -499,40 +499,22 @@ func (n *Network) trunkMoved(at []float64) bool {
 	return moved
 }
 
-// Optimizer selects the parameter-update rule used by Train.
-type Optimizer int
-
-const (
-	// SGD is stochastic gradient descent with momentum.
-	SGD Optimizer = iota
-	// Adam is the Adam rule (Kingma & Ba) with the usual defaults.
-	Adam
-)
-
-// TrainOptions configures Train. Zero values get sensible defaults.
+// TrainOptions configures Train. Zero values get the defaults.
 type TrainOptions struct {
-	Epochs       int       // default 100 (the paper trains the policy 100 epochs per update)
-	LearningRate float64   // default 0.05 for SGD, 0.01 for Adam
-	Momentum     float64   // SGD momentum, default 0.9
-	BatchSize    int       // default: full batch
-	L2           float64   // weight decay coefficient, default 0
-	Optimizer    Optimizer // default SGD
-	Seed         uint64    // shuffling seed, default 1
+	Epochs       int     // default 100 (the paper trains the policy 100 epochs per update)
+	LearningRate float64 // default 0.05
+	Seed         uint64  // shuffling seed, default 1
 }
+
+// momentum is the SGD momentum coefficient.
+const momentum = 0.9
 
 func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Epochs == 0 {
 		o.Epochs = 100
 	}
 	if o.LearningRate == 0 {
-		if o.Optimizer == Adam {
-			o.LearningRate = 0.01
-		} else {
-			o.LearningRate = 0.05
-		}
-	}
-	if o.Momentum == 0 && o.Optimizer == SGD {
-		o.Momentum = 0.9
+		o.LearningRate = 0.05
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -547,90 +529,68 @@ type TrainStats struct {
 	FirstLoss float64
 }
 
-// Train fits the network to the examples and reports first/final epoch mean
-// loss. Training is deterministic given the options' seed. Its buffers are
-// sized once per call, so epochs and examples allocate nothing.
+// Train fits the network to the examples by full-batch SGD with momentum,
+// one step per epoch over the examples in a seeded shuffled order, and
+// reports first/final epoch mean loss. Training is deterministic given
+// the options' seed. Its buffers are sized once per call, so epochs and
+// examples allocate nothing.
 //
 // Two shortcuts change no bit of the result (DESIGN §2, "Frozen
 // trunks"). An example whose top trunk output was all zeros skips
 // trunkPass until a step moves a trunk parameter. A step in which every
 // example took the bias-only path wrote only the head-bias gradients, so
-// the next step clears only those; and once such an SGD step left every
-// other parameter and velocity as it was, later ones update only the
-// head biases.
+// the next step clears only those; and once such a step left every other
+// parameter and velocity as it was, later ones update only the head
+// biases.
 func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	if len(examples) == 0 {
 		return TrainStats{}
 	}
 	n.mustCheck(examples)
 	opts = opts.withDefaults()
-	batch := opts.BatchSize
-	if batch <= 0 || batch > len(examples) {
-		batch = len(examples)
-	}
 	params := n.layers()
-	g := zeroLike(params)
-	var vel, m1, m2 []*linear
-	switch opts.Optimizer {
-	case SGD:
-		vel = zeroLike(params)
-	case Adam:
-		m1, m2 = zeroLike(params), zeroLike(params)
-	}
+	g, vel := zeroLike(params), zeroLike(params)
 	ws := n.newWorkspace(true)
 	// dead[i] says example i's top trunk output is all zeros under the
 	// trunk parameters in ws.trunkAt.
 	dead := make([]bool, len(examples))
 	n.trunkMoved(ws.trunkAt) // copies the starting trunk into ws.trunkAt
-	headGrads := g[len(n.trunk):]
+	headGrads, headVel := g[len(n.trunk):], vel[len(n.trunk):]
 	// clean says every gradient cell but the head biases' holds +0;
-	// settled, that the last SGD step had such a gradient and left every
+	// settled, that the last step had such a gradient and left every
 	// parameter and velocity but the head biases' as it was.
 	clean, settled := true, false
 	order := make([]int, len(examples))
 	src := rng.New(opts.Seed)
+	scale := 1.0 / float64(len(examples))
 	stats := TrainStats{Epochs: opts.Epochs}
-	adamStep := 0
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		// TrainStats reports the first and the last epoch's loss, so only
 		// those two epochs compute it.
 		withLoss := epoch == 0 || epoch == opts.Epochs-1
 		src.PermInto(order)
+		if clean {
+			for _, l := range headGrads {
+				clear(l.B)
+			}
+		} else {
+			zero(g)
+		}
+		clean = true
 		var epochLoss float64
-		for start := 0; start < len(order); start += batch {
-			end := start + batch
-			if end > len(order) {
-				end = len(order)
+		for _, idx := range order {
+			loss, biasOnly := n.accumulate(examples[idx], &dead[idx], g, &ws, withLoss)
+			epochLoss += loss
+			clean = clean && biasOnly
+		}
+		ws.deadFresh = false // the step moves the parameters
+		if settled && clean {
+			// Only the head biases move, so the trunk stands still.
+			for k, l := range n.heads {
+				sgd(l.B, headGrads[k].B, headVel[k].B, scale, opts.LearningRate)
 			}
-			if clean {
-				for _, l := range headGrads {
-					clear(l.B)
-				}
-			} else {
-				zero(g)
-			}
-			clean = true
-			for _, idx := range order[start:end] {
-				loss, biasOnly := n.accumulate(examples[idx], &dead[idx], g, &ws, withLoss)
-				epochLoss += loss
-				clean = clean && biasOnly
-			}
-			scale := 1.0 / float64(end-start)
-			ws.deadFresh = false // the step moves the parameters
-			if settled && clean {
-				// Only the head biases move, so the trunk stands still.
-				for k, l := range n.heads {
-					sgdBiases(l.B, headGrads[k].B, vel[len(n.trunk)+k].B, scale, opts)
-				}
-				continue
-			}
-			switch opts.Optimizer {
-			case SGD:
-				settled = !applySGD(params, g, vel, scale, opts, len(n.trunk)) && clean
-			case Adam:
-				adamStep++
-				applyAdam(params, g, m1, m2, scale, adamStep, opts)
-			}
+		} else {
+			settled = !applySGD(params, g, vel, scale, opts.LearningRate, len(n.trunk)) && clean
 			if n.trunkMoved(ws.trunkAt) {
 				clear(dead)
 			}
@@ -649,66 +609,27 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 // applySGD takes one SGD-with-momentum step on params and reports whether
 // it changed any bit of a parameter or velocity other than the biases of
 // the head layers params[firstHead:].
-func applySGD(params, g, vel []*linear, scale float64, opts TrainOptions, firstHead int) bool {
+func applySGD(params, g, vel []*linear, scale, lr float64, firstHead int) bool {
 	moved := false
 	for i, param := range params {
-		w := sgdWeights(param.W.Data, g[i].W.Data, vel[i].W.Data, scale, opts)
-		b := sgdBiases(param.B, g[i].B, vel[i].B, scale, opts)
+		w := sgd(param.W.Data, g[i].W.Data, vel[i].W.Data, scale, lr)
+		b := sgd(param.B, g[i].B, vel[i].B, scale, lr)
 		moved = moved || w || (b && i < firstHead)
 	}
 	return moved
 }
 
-// sgdWeights steps the weights w, with gradient sums gw and velocities v,
-// and reports whether any bit of w or v changed.
-func sgdWeights(w, gw, v []float64, scale float64, opts TrainOptions) bool {
+// sgd steps the parameters p, with gradient sums gp and velocities v, and
+// reports whether any bit of p or v changed.
+func sgd(p, gp, v []float64, scale, lr float64) bool {
 	var diff uint64
-	for k, wk := range w {
-		dw := gw[k]*scale + opts.L2*wk
-		vk := opts.Momentum*v[k] - opts.LearningRate*dw
-		nw := wk + vk
-		diff |= (math.Float64bits(vk) ^ math.Float64bits(v[k])) | (math.Float64bits(nw) ^ math.Float64bits(wk))
-		v[k], w[k] = vk, nw
+	for k, pk := range p {
+		vk := momentum*v[k] - lr*(gp[k]*scale)
+		np := pk + vk
+		diff |= (math.Float64bits(vk) ^ math.Float64bits(v[k])) | (math.Float64bits(np) ^ math.Float64bits(pk))
+		v[k], p[k] = vk, np
 	}
 	return diff != 0
-}
-
-// sgdBiases is sgdWeights for biases, which take no weight decay.
-func sgdBiases(b, gb, v []float64, scale float64, opts TrainOptions) bool {
-	var diff uint64
-	for k, bk := range b {
-		db := gb[k] * scale
-		vk := opts.Momentum*v[k] - opts.LearningRate*db
-		nb := bk + vk
-		diff |= (math.Float64bits(vk) ^ math.Float64bits(v[k])) | (math.Float64bits(nb) ^ math.Float64bits(bk))
-		v[k], b[k] = vk, nb
-	}
-	return diff != 0
-}
-
-func applyAdam(params, g, m1, m2 []*linear, scale float64, step int, opts TrainOptions) {
-	const (
-		beta1 = 0.9
-		beta2 = 0.999
-		eps   = 1e-8
-	)
-	bc1 := 1 - math.Pow(beta1, float64(step))
-	bc2 := 1 - math.Pow(beta2, float64(step))
-	for i, param := range params {
-		grad, a, b := g[i], m1[i], m2[i]
-		for k := range param.W.Data {
-			dw := grad.W.Data[k]*scale + opts.L2*param.W.Data[k]
-			a.W.Data[k] = beta1*a.W.Data[k] + (1-beta1)*dw
-			b.W.Data[k] = beta2*b.W.Data[k] + (1-beta2)*dw*dw
-			param.W.Data[k] -= opts.LearningRate * (a.W.Data[k] / bc1) / (math.Sqrt(b.W.Data[k]/bc2) + eps)
-		}
-		for k := range param.B {
-			db := grad.B[k] * scale
-			a.B[k] = beta1*a.B[k] + (1-beta1)*db
-			b.B[k] = beta2*b.B[k] + (1-beta2)*db*db
-			param.B[k] -= opts.LearningRate * (a.B[k] / bc1) / (math.Sqrt(b.B[k]/bc2) + eps)
-		}
-	}
 }
 
 // Gradients computes the mean analytic gradient over the examples and

@@ -202,23 +202,6 @@ func TestTrainMultiHead(t *testing.T) {
 	}
 }
 
-func TestTrainAdam(t *testing.T) {
-	t.Parallel()
-	n := New(Config{InputDim: 2, Hidden: []int{16}, Heads: []int{2}, Seed: 3})
-	var examples []Example
-	for _, in := range [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
-		cls := 0
-		if (in[0] > 0.5) != (in[1] > 0.5) {
-			cls = 1
-		}
-		examples = append(examples, Example{Input: in, Targets: []int{cls}})
-	}
-	stats := n.Train(examples, TrainOptions{Epochs: 400, Optimizer: Adam})
-	if stats.FinalLoss > 0.1 {
-		t.Fatalf("Adam did not learn XOR: final loss %v", stats.FinalLoss)
-	}
-}
-
 func TestTrainDeterministic(t *testing.T) {
 	t.Parallel()
 	build := func() (*Network, []Example) {
@@ -312,8 +295,7 @@ func TestGradientsEmptyIsZero(t *testing.T) {
 
 // TestTrainAllocFree pins that training allocates nothing per example or
 // epoch: everything Train allocates is sized once per call, so its count is
-// the same at 1 and 100 epochs and at 10 and 50 examples, for both
-// optimizers and a batch size that leaves a ragged last batch. Gradients
+// the same at 1 and 100 epochs and at 10 and 50 examples. Gradients
 // likewise allocates the same for 1 and 50 examples.
 func TestTrainAllocFree(t *testing.T) {
 	cfg := Config{InputDim: 4, Hidden: []int{16}, Heads: []int{6, 6}, Seed: 1}
@@ -325,19 +307,17 @@ func TestTrainAllocFree(t *testing.T) {
 			Targets: []int{src.Intn(6), src.Intn(6)},
 		}
 	}
-	for _, opt := range []Optimizer{SGD, Adam} {
-		train := func(ex []Example, epochs int) float64 {
-			n := New(cfg)
-			return testing.AllocsPerRun(5, func() {
-				n.Train(ex, TrainOptions{Epochs: epochs, BatchSize: 7, Optimizer: opt})
-			})
-		}
-		if a, b := train(examples, 1), train(examples, 100); a != b {
-			t.Errorf("optimizer %d: Train allocates %v at 1 epoch, %v at 100", opt, a, b)
-		}
-		if a, b := train(examples[:10], 20), train(examples, 20); a != b {
-			t.Errorf("optimizer %d: Train allocates %v for 10 examples, %v for 50", opt, a, b)
-		}
+	train := func(ex []Example, epochs int) float64 {
+		n := New(cfg)
+		return testing.AllocsPerRun(5, func() {
+			n.Train(ex, TrainOptions{Epochs: epochs})
+		})
+	}
+	if a, b := train(examples, 1), train(examples, 100); a != b {
+		t.Errorf("Train allocates %v at 1 epoch, %v at 100", a, b)
+	}
+	if a, b := train(examples[:10], 20), train(examples, 20); a != b {
+		t.Errorf("Train allocates %v for 10 examples, %v for 50", a, b)
 	}
 	n := New(cfg)
 	grads := func(ex []Example) float64 {

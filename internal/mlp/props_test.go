@@ -96,8 +96,8 @@ func maxParamRelDiff(a, b *Network) float64 {
 func TestPropTrainPermutationInvariant(t *testing.T) {
 	t.Parallel()
 	cfg := Config{InputDim: propInputDim, Hidden: []int{4}, Heads: []int{propClasses}, Seed: 11}
-	opts := func(n, epochs int) TrainOptions {
-		return TrainOptions{Epochs: epochs, BatchSize: n, Seed: 5}
+	opts := func(epochs int) TrainOptions {
+		return TrainOptions{Epochs: epochs, Seed: 5}
 	}
 	check.RunConfig(t, check.Config{Trials: 40}, genTrainCase(), func(tc trainCase) error {
 		n := len(tc.Inputs)
@@ -112,8 +112,8 @@ func TestPropTrainPermutationInvariant(t *testing.T) {
 		if math.Abs(lossA-lossB) > 1e-12*math.Max(lossA, 1) {
 			return fmt.Errorf("loss not permutation-invariant before training: %g vs %g", lossA, lossB)
 		}
-		na.Train(straight, opts(n, tc.Epochs))
-		nb.Train(permuted, opts(n, tc.Epochs))
+		na.Train(straight, opts(tc.Epochs))
+		nb.Train(permuted, opts(tc.Epochs))
 		if d := maxParamRelDiff(na, nb); d > 1e-8 {
 			return fmt.Errorf("full-batch training diverged under a dataset permutation: max rel param diff %g (n=%d, epochs=%d)",
 				d, n, tc.Epochs)

@@ -91,30 +91,6 @@ func (m Mesh) XYRoute(a, b int) []int {
 	return path
 }
 
-// YXRoute returns the dimension-ordered route resolving Y first, then X —
-// the complementary deadlock-free ordering to XYRoute. Offering both lets
-// traffic studies check how sensitive a placement is to the routing
-// function (their per-link loads differ even though path lengths match).
-func (m Mesh) YXRoute(a, b int) []int {
-	ca, cb := m.CoordOf(a), m.CoordOf(b)
-	path := []int{a}
-	cur := ca
-	for cur.Y != cb.Y {
-		cur.Y += sign(cb.Y - cur.Y)
-		path = append(path, m.NodeAt(cur))
-	}
-	for cur.X != cb.X {
-		cur.X += sign(cb.X - cur.X)
-		path = append(path, m.NodeAt(cur))
-	}
-	return path
-}
-
-// RouteYX is Route with YX (Y-first) dimension ordering.
-func (m Mesh) RouteYX(flows []Flow) TrafficCost {
-	return m.routeWith(flows, m.YXRoute)
-}
-
 // Flits returns the flit count for a payload of the given bits.
 func (m Mesh) Flits(bits int) int {
 	if bits <= 0 {
@@ -160,10 +136,6 @@ type TrafficCost struct {
 // delay of the most loaded link — flows sharing a link take turns — and
 // (b) the longest single uncontended transfer.
 func (m Mesh) Route(flows []Flow) TrafficCost {
-	return m.routeWith(flows, m.XYRoute)
-}
-
-func (m Mesh) routeWith(flows []Flow, route func(a, b int) []int) TrafficCost {
 	loads := make(map[link]int)
 	var cost TrafficCost
 	var longest float64
@@ -172,7 +144,7 @@ func (m Mesh) routeWith(flows []Flow, route func(a, b int) []int) TrafficCost {
 			continue
 		}
 		flits := m.Flits(f.Bits)
-		path := route(f.Src, f.Dst)
+		path := m.XYRoute(f.Src, f.Dst)
 		hops := len(path) - 1
 		for i := 0; i < hops; i++ {
 			loads[link{path[i], path[i+1]}] += flits

@@ -216,71 +216,3 @@ func TestRouteEnergyMatchesFlitHops(t *testing.T) {
 		t.Fatal("energy inconsistent with flit-hop count")
 	}
 }
-
-func TestYXRouteProperty(t *testing.T) {
-	t.Parallel()
-	m := DefaultMesh()
-	f := func(aRaw, bRaw uint8) bool {
-		a := int(aRaw) % m.Nodes()
-		b := int(bRaw) % m.Nodes()
-		path := m.YXRoute(a, b)
-		if len(path)-1 != m.Hops(a, b) {
-			return false
-		}
-		if path[0] != a || path[len(path)-1] != b {
-			return false
-		}
-		for i := 0; i+1 < len(path); i++ {
-			if m.Hops(path[i], path[i+1]) != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestYXRouteGoesYFirst(t *testing.T) {
-	t.Parallel()
-	m := DefaultMesh()
-	// Node 0 = (0,0) to node 13 = (1,2): YX must pass (0,1) first.
-	path := m.YXRoute(0, 13)
-	if path[1] != m.NodeAt(Coord{X: 0, Y: 1}) {
-		t.Fatalf("YX routing must resolve Y first, got path %v", path)
-	}
-}
-
-func TestRoutingDiversityChangesBottlenecks(t *testing.T) {
-	t.Parallel()
-	m := DefaultMesh()
-	// All flows into one column from one row: XY funnels them through the
-	// destination column's vertical links; YX spreads them over the rows'
-	// own columns first — the per-link loads must differ.
-	var flows []Flow
-	for i := 0; i < 5; i++ {
-		flows = append(flows, Flow{Src: i, Dst: 30 + i/2, Bits: 8 * 32})
-	}
-	xy := m.Route(flows)
-	yx := m.RouteYX(flows)
-	// Path lengths (hence energy) identical under both orderings.
-	if math.Abs(xy.Energy-yx.Energy) > 1e-21 {
-		t.Fatalf("dimension ordering changed energy: %v vs %v", xy.Energy, yx.Energy)
-	}
-	if xy.TotalFlitHops != yx.TotalFlitHops {
-		t.Fatalf("flit-hops differ: %d vs %d", xy.TotalFlitHops, yx.TotalFlitHops)
-	}
-	// But the congestion structure differs for this traffic.
-	if xy.BottleneckLoad == yx.BottleneckLoad && xy.Latency == yx.Latency {
-		t.Log("note: identical bottlenecks for this pattern; trying an adversarial one")
-		var adv []Flow
-		for i := 0; i < 6; i++ {
-			adv = append(adv, Flow{Src: i, Dst: 35, Bits: 8 * 32})
-		}
-		xy, yx = m.Route(adv), m.RouteYX(adv)
-		if xy.BottleneckLoad == yx.BottleneckLoad {
-			t.Fatal("XY and YX produced identical bottlenecks on funnel traffic")
-		}
-	}
-}

@@ -18,8 +18,6 @@ type Options struct {
 	// Interval is the virtual-time width of one series bucket in seconds
 	// (default 1).
 	Interval float64
-	// Window bounds the closed buckets retained per chip (default 32).
-	Window int
 	// Registry receives the odin_pulse_* meters; nil creates a private one.
 	Registry *telemetry.Registry
 }
@@ -54,9 +52,6 @@ type Bus struct {
 func New(opts Options) *Bus {
 	if opts.Interval <= 0 {
 		opts.Interval = 1
-	}
-	if opts.Window <= 0 {
-		opts.Window = 32
 	}
 	if opts.Registry == nil {
 		opts.Registry = telemetry.NewRegistry()

@@ -228,7 +228,7 @@ func TestWriteLogCanonicalOrder(t *testing.T) {
 }
 
 func TestSeriesBucketsAndSnapshot(t *testing.T) {
-	b := New(Options{Interval: 1, Window: 4})
+	b := New(Options{Interval: 1})
 	b.Register(0, "VGG11")
 
 	// Bucket [0,1): two batches.

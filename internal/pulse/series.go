@@ -13,6 +13,9 @@ var LatencyBounds = []float64{
 	1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1, 3, 10,
 }
 
+// window bounds the closed buckets retained per chip.
+const window = 32
+
 // Bucket is one closed fixed-interval series sample for a chip. Quantiles
 // are computed from the bucket's own latency histogram at close; empty
 // quantiles render as 0, not NaN, so buckets marshal as plain JSON.
@@ -35,7 +38,6 @@ type chipSeries struct {
 	model    string
 	removed  bool
 	interval float64
-	window   int
 
 	cur     Bucket
 	started bool                 // cur.Start is meaningful
@@ -55,7 +57,6 @@ func newChipSeries(model string, opts Options) *chipSeries {
 	return &chipSeries{
 		model:    model,
 		interval: opts.Interval,
-		window:   opts.Window,
 		hist:     telemetry.NewHistogram(LatencyBounds),
 		cum:      telemetry.NewHistogram(LatencyBounds),
 		deadline: math.Inf(1),
@@ -85,11 +86,11 @@ func (cs *chipSeries) closeBucket() {
 	b.P50 = finiteOrZero(cs.hist.Quantile(0.50))
 	b.P90 = finiteOrZero(cs.hist.Quantile(0.90))
 	b.P99 = finiteOrZero(cs.hist.Quantile(0.99))
-	if len(cs.closed) < cs.window {
+	if len(cs.closed) < window {
 		cs.closed = append(cs.closed, b)
 	} else {
 		cs.closed[cs.head] = b
-		cs.head = (cs.head + 1) % cs.window
+		cs.head = (cs.head + 1) % window
 	}
 }
 

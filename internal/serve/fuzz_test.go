@@ -3,15 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"odin/internal/clock"
+	"odin/internal/pulse"
 )
 
 // FuzzParseInfer pins the /infer decoding contract on arbitrary bodies and
@@ -144,4 +149,86 @@ func adminRows(t *testing.T, s *Server, draining bool) []ChipInfo {
 		rows = append(rows, ChipInfo{ID: st.ID, Model: st.Model, Removed: st.Removed})
 	}
 	return rows
+}
+
+// FuzzEventsResume pins GET /events's resume contract on arbitrary
+// Last-Event-ID headers and ?last_id= values, sent to a bus that has
+// assigned 7 events and retains the last 4, with a pre-cancelled request
+// context so that only the ring backfill is written. The header wins when
+// it is non-empty. A value that is not a decimal uint64 gets a 400; any
+// other request streams exactly the retained events with a sequence
+// number above the value, or all of them, after a comment, when the value
+// is above the last number assigned. A resume-gap comment appears exactly
+// when a known value lies before the oldest retained event. Its seed
+// inputs are the files in testdata/fuzz/FuzzEventsResume.
+func FuzzEventsResume(f *testing.F) {
+	s, bus, _ := pulseServer(f, pulse.Options{Ring: 4})
+	defer s.Close()
+	for i := 1; i <= 7; i++ {
+		bus.Publish(pulse.Event{Time: float64(i), Kind: pulse.KindBatch, Chip: 0,
+			Model: "tiny", Batch: uint64(i), Size: 1, Latency: 0.01, Deadline: 10})
+	}
+	h := NewHandler(s)
+	retained, assigned := bus.Since(0, pulse.AllKinds), bus.LastSeq()
+	f.Fuzz(func(t *testing.T, header, query string) {
+		v := header
+		if v == "" {
+			v = query
+		}
+		rec := getEvents(t, h, "/events?"+url.Values{"last_id": {query}}.Encode(), map[string]string{"Last-Event-ID": header})
+		last, ok := decimalUint64(v)
+		if v != "" && !ok {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("id %q: status %d (%s), want 400", v, rec.Code, rec.Body)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("id %q: status %d (%s), want 200", v, rec.Code, rec.Body)
+		}
+		body := rec.Body.String()
+		unknown := last > assigned
+		if got := strings.HasPrefix(body, ": unknown event id "); got != unknown {
+			t.Fatalf("id %q: unknown-id comment %v, want %v:\n%s", v, got, unknown, body)
+		}
+		if unknown {
+			last = 0
+		}
+		gap := last > 0 && retained[0].Seq-1 > last
+		if got := strings.Contains(body, ": resume gap, "); got != gap {
+			t.Fatalf("id %q: resume-gap comment %v, want %v:\n%s", v, got, gap, body)
+		}
+		if gap && !strings.Contains(body, fmt.Sprintf(": resume gap, %d events evicted\n", retained[0].Seq-1-last)) {
+			t.Fatalf("id %q: resume-gap comment counts the wrong events:\n%s", v, body)
+		}
+		var want []string
+		for _, e := range retained {
+			if e.Seq > last {
+				want = append(want, strconv.FormatUint(e.Seq, 10))
+			}
+		}
+		var got []string
+		for _, line := range strings.Split(body, "\n") {
+			if id, ok := strings.CutPrefix(line, "id: "); ok {
+				got = append(got, id)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("id %q: streamed events %v, want %v:\n%s", v, got, want, body)
+		}
+	})
+}
+
+// decimalUint64 parses s as a non-empty run of ASCII digits whose value
+// fits in a uint64, independently of strconv.
+func decimalUint64(s string) (uint64, bool) {
+	var n uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i] - '0')
+		if s[i] < '0' || s[i] > '9' || n > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, s != ""
 }

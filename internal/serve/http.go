@@ -307,7 +307,8 @@ func chipIDGuard(mux *http.ServeMux) http.Handler {
 //	GET /events    Server-Sent Events stream of pulse events. ?types=a,b
 //	               filters by kind; Last-Event-ID (or ?last_id=N) resumes
 //	               from the bus's ring, best-effort — events older than
-//	               the ring are gone, reported as a comment frame.
+//	               the ring are gone, reported as a comment frame, and an
+//	               id above the last one assigned streams the whole ring.
 //	GET /statusz   one JSON snapshot of every chip's series tail.
 //
 // The stream carries no keepalive timer: serve code never reads a wall
@@ -332,21 +333,15 @@ func registerPulse(mux *http.ServeMux, s *Server) {
 			}
 			kinds = ks
 		}
+		v, what := r.Header.Get("Last-Event-ID"), "Last-Event-ID"
+		if v == "" {
+			v, what = r.URL.Query().Get("last_id"), "last_id"
+		}
 		var last uint64
-		if v := r.Header.Get("Last-Event-ID"); v == "" {
-			v = r.URL.Query().Get("last_id")
-			if v != "" {
-				n, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "odinserve: last_id %q is not a number", v)
-					return
-				}
-				last = n
-			}
-		} else {
+		if v != "" {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "odinserve: Last-Event-ID %q is not a number", v)
+				writeError(w, http.StatusBadRequest, "odinserve: %s %q is not a number", what, v)
 				return
 			}
 			last = n
@@ -365,8 +360,15 @@ func registerPulse(mux *http.ServeMux, s *Server) {
 		w.Header().Set("Cache-Control", "no-cache")
 		w.WriteHeader(http.StatusOK)
 		var buf []byte
-		if oldest := p.Since(0, pulse.AllKinds); last > 0 && len(oldest) > 0 && oldest[0].Seq > last+1 {
-			fmt.Fprintf(w, ": resume gap, %d events evicted\n\n", oldest[0].Seq-last-1)
+		// An id this bus never assigned, such as an EventSource's after a
+		// server restart, would skip every event up to it: stream from the
+		// oldest retained event instead, as for a fresh connection.
+		if assigned := p.LastSeq(); last > assigned {
+			fmt.Fprintf(w, ": unknown event id %d, last assigned %d; streaming from the oldest retained event\n\n", last, assigned)
+			last = 0
+		}
+		if oldest := p.Since(0, pulse.AllKinds); last > 0 && len(oldest) > 0 && oldest[0].Seq-1 > last {
+			fmt.Fprintf(w, ": resume gap, %d events evicted\n\n", oldest[0].Seq-1-last)
 		}
 		for _, e := range p.Since(last, kinds) {
 			buf = e.AppendSSE(buf[:0])

@@ -171,7 +171,7 @@ func getEvents(t *testing.T, h http.Handler, target string, hdr map[string]strin
 
 // TestHTTPEventsStream pins the SSE surface: valid frames, kind filtering,
 // Last-Event-ID resume (header and ?last_id), the resume-gap comment on
-// ring eviction, and the 400 paths.
+// ring eviction, ids the bus never assigned, and the 400 paths.
 func TestHTTPEventsStream(t *testing.T) {
 	t.Parallel()
 	s, bus, _ := pulseServer(t, pulse.Options{Ring: 4})
@@ -224,6 +224,22 @@ func TestHTTPEventsStream(t *testing.T) {
 	body = rec.Body.String()
 	if !strings.Contains(body, ": resume gap, 2 events evicted") {
 		t.Fatalf("resume gap comment missing:\n%s", body)
+	}
+
+	// An id the bus never assigned (it has assigned 7) streams every retained
+	// event after a comment, as a fresh connection would; the largest
+	// uint64 must not wrap into a false resume gap.
+	for _, id := range []string{"8", "100", "18446744073709551615"} {
+		rec = getEvents(t, h, "/events", map[string]string{"Last-Event-ID": id})
+		body = rec.Body.String()
+		if rec.Code != http.StatusOK || !strings.HasPrefix(body, ": unknown event id "+id+", last assigned 7;") ||
+			strings.Contains(body, "resume gap") || strings.Count(body, "id: ") != 4 ||
+			!strings.Contains(body, "id: 4\nevent: batch\n") || !strings.Contains(body, "\"seq\":7,") {
+			t.Fatalf("Last-Event-ID %s = %d, want the unknown-id comment and the 4 retained events:\n%s", id, rec.Code, body)
+		}
+	}
+	if body = getEvents(t, h, "/events?last_id=100", nil).Body.String(); strings.Count(body, "id: ") != 4 {
+		t.Fatalf("last_id=100 streamed the wrong frames:\n%s", body)
 	}
 
 	// Error paths.

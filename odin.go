@@ -111,7 +111,7 @@ type (
 	// PolicyExample is one supervised training pair for the policy.
 	PolicyExample = policy.Example
 	// TrainOptions configures policy training (epochs, learning rate,
-	// optimizer).
+	// shuffling seed).
 	TrainOptions = mlp.TrainOptions
 	// Model is a DNN workload description (ordered weight layers bound to
 	// a dataset).
