@@ -16,19 +16,21 @@ import (
 // comprising of neural layer features and optimized OU configurations of
 // known DNNs").
 type BootstrapConfig struct {
-	MaxExamples int       // cap on training examples (paper: 500)
-	Times       []float64 // device ages sampled per model
-	Epochs      int       // offline training epochs
+	MaxExamples int // cap on training examples (paper: 500)
 	Seed        uint64
 }
 
-// DefaultBootstrapConfig returns the paper's settings with ages spanning
-// the drift sweep of Figs. 4–5.
+// bootstrapAges are the device ages (s) sampled per model, spanning the
+// drift sweep of Figs. 4–5.
+var bootstrapAges = [...]float64{1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// bootstrapEpochs is the offline training epoch count.
+const bootstrapEpochs = 300
+
+// DefaultBootstrapConfig returns the paper's settings.
 func DefaultBootstrapConfig() BootstrapConfig {
 	return BootstrapConfig{
 		MaxExamples: 500,
-		Times:       []float64{1, 1e2, 1e3, 1e4, 1e5, 1e6},
-		Epochs:      300,
 		Seed:        1,
 	}
 }
@@ -37,12 +39,6 @@ func (c BootstrapConfig) withDefaults() BootstrapConfig {
 	if c.MaxExamples <= 0 {
 		c.MaxExamples = 500
 	}
-	if len(c.Times) == 0 {
-		c.Times = []float64{1, 1e2, 1e3, 1e4, 1e5, 1e6}
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 300
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -50,7 +46,7 @@ func (c BootstrapConfig) withDefaults() BootstrapConfig {
 }
 
 // CollectExamples generates supervised examples for the known models by
-// exhaustive search over the OU grid at each configured device age. The
+// exhaustive search over the OU grid at each of bootstrapAges. The
 // result is capped at cfg.MaxExamples by uniform striding so every model
 // and age stays represented.
 //
@@ -77,10 +73,10 @@ func CollectExamples(sys System, models []*dnn.Model, cfg BootstrapConfig) ([]po
 		return nil, err
 	}
 
-	shards := make([][]policy.Example, len(models)*len(cfg.Times))
+	shards := make([][]policy.Example, len(models)*len(bootstrapAges))
 	par.Each(0, len(shards), func(cell int) {
-		wl := wls[cell/len(cfg.Times)]
-		age := cfg.Times[cell%len(cfg.Times)]
+		wl := wls[cell/len(bootstrapAges)]
+		age := bootstrapAges[cell%len(bootstrapAges)]
 		amp := sys.Acc.Amplification(age)
 		for j := 0; j < wl.Layers(); j++ {
 			res := search.Exhaustive(grid, sys.objective(wl, j, sys.Acc.Sens.Weight(j, wl.Layers()), amp))
@@ -120,7 +116,7 @@ func BootstrapPolicy(sys System, models []*dnn.Model, cfg BootstrapConfig) (*pol
 		return pol, 0, nil
 	}
 	if _, err := pol.Train(examples, mlp.TrainOptions{
-		Epochs: cfg.Epochs,
+		Epochs: bootstrapEpochs,
 		Seed:   cfg.Seed,
 	}); err != nil {
 		return nil, 0, err

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"odin/internal/decache"
@@ -30,9 +32,6 @@ type ControllerOptions struct {
 	SearchBudget int
 	// BufferSize is the training-buffer capacity (paper: 50 examples).
 	BufferSize int
-	// UpdateEpochs is the supervised-learning epoch count per policy update
-	// (paper: 100).
-	UpdateEpochs int
 	// TrainSeed makes online updates deterministic.
 	TrainSeed uint64
 
@@ -101,6 +100,10 @@ type ControllerOptions struct {
 	DisableDecisionCache bool
 }
 
+// UpdateEpochs is the supervised-learning epoch count of one online policy
+// update (paper: 100).
+const UpdateEpochs = 100
+
 // decisionCacheOff is the process-wide decision-cache default: zero value
 // (false) means controllers without an explicit Cache memoize into a
 // private one. `odinsim -cache=off` flips it to compare cached and
@@ -118,18 +121,14 @@ func DecisionCacheDefault() bool { return !decisionCacheOff.Load() }
 // DefaultControllerOptions returns the paper's settings.
 func DefaultControllerOptions() ControllerOptions {
 	return ControllerOptions{
-		BufferSize:   50,
-		UpdateEpochs: 100,
-		TrainSeed:    1,
+		BufferSize: 50,
+		TrainSeed:  1,
 	}
 }
 
 func (o ControllerOptions) withDefaults() ControllerOptions {
 	if o.BufferSize <= 0 {
 		o.BufferSize = 50
-	}
-	if o.UpdateEpochs <= 0 {
-		o.UpdateEpochs = 100
 	}
 	if o.TrainSeed == 0 {
 		o.TrainSeed = 1
@@ -351,6 +350,11 @@ func (c *Controller) RunInference(t float64) RunReport {
 			Layers: make([]obs.LayerDecision, 0, c.wl.Layers())}
 	}
 	traced := c.opts.Tracer.Enabled()
+	// A run mixes at most the configured strategy, a ConfidenceEX
+	// escalation to "ex" and "degraded", so the distinct names fit a stack
+	// array and a one-strategy run's Strategies allocates nothing.
+	var stratBuf [3]string
+	strats := stratBuf[:0]
 	var stratByLayer []string
 	var evalsByLayer []int
 	if traced {
@@ -361,6 +365,9 @@ func (c *Controller) RunInference(t float64) RunReport {
 	for j := 0; j < c.wl.Layers(); j++ {
 		out := c.decideLayer(j, age, amp, audit != nil)
 		rep.Sizes[j] = out.chosen
+		if !slices.Contains(strats, out.strategy) {
+			strats = append(strats, out.strategy)
+		}
 
 		// Lines 7–8 precondition: when no OU size can meet η, the layer
 		// runs degraded at the smallest OU and the device is reprogrammed
@@ -419,6 +426,7 @@ func (c *Controller) RunInference(t float64) RunReport {
 		}
 	}
 
+	rep.Strategies = strings.Join(strats, ",")
 	rep.Energy, rep.Latency = c.sys.inferenceCost(c.wl, rep.Sizes)
 	rep.Accuracy = c.sys.Acc.AccuracyWith(c.wl.Model.IdealAccuracy, c.weights, amp, rep.Sizes)
 	c.lastSizes = rep.Sizes
@@ -623,7 +631,7 @@ func (c *Controller) recordRunSpans(rep RunReport, strat []string, evals []int) 
 func (c *Controller) updatePolicy() {
 	examples := c.buf.Drain()
 	_, err := c.pol.Train(examples, mlp.TrainOptions{
-		Epochs: c.opts.UpdateEpochs,
+		Epochs: UpdateEpochs,
 		Seed:   c.opts.TrainSeed,
 	})
 	if err != nil {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"odin/internal/dnn"
 	"odin/internal/obs"
+	"odin/internal/ou"
 )
 
 func tracedController(t *testing.T) (*Controller, *obs.Tracer, *obs.AuditLog) {
@@ -193,5 +196,83 @@ func TestControllerSpansTileRun(t *testing.T) {
 	}
 	if reprograms != 1 {
 		t.Fatalf("%d reprogram spans, want 1", reprograms)
+	}
+}
+
+// auditSummary is the decision summary odinserve derived from each run's
+// audit record before RunReport carried one, frozen as an oracle: the
+// layers' strategies, each once, comma-joined in first-use order, the
+// audit's evaluation and disagreement counts, and the chosen sizes.
+func auditSummary(r obs.RunAudit) (strategies string, evals, disagreements int, sizes []ou.Size) {
+	var strats []string
+	for _, l := range r.Layers {
+		sizes = append(sizes, l.Chosen)
+		seen := false
+		for _, s := range strats {
+			if s == l.Strategy {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			strats = append(strats, l.Strategy)
+		}
+	}
+	return strings.Join(strats, ","), r.Evaluations(), r.Disagreements(), sizes
+}
+
+// TestRunReportMatchesAuditSummary checks each run's Strategies,
+// SearchEvaluations, Disagreements and Sizes against the summary of the
+// same run's audit record, over every strategy with ConfidenceEX off and
+// on and 40 runs that cross the forced-reprogram deadline, so that runs
+// mix escalations to "ex" and degraded layers with the configured
+// strategy.
+func TestRunReportMatchesAuditSummary(t *testing.T) {
+	t.Parallel()
+	sys := DefaultSystem()
+	for _, model := range []*dnn.Model{dnn.NewVGG11(), dnn.NewResNet18()} {
+		wl, err := sys.Prepare(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(model.Name, func(t *testing.T) {
+			t.Parallel()
+			var mixed, escalated, degraded int
+			for _, strategy := range []string{"rb", "bo", "pareto", "ex"} {
+				for _, confidenceEX := range []bool{false, true} {
+					log := obs.NewAuditLog(0)
+					opts := DefaultControllerOptions()
+					opts.Strategy, opts.ConfidenceEX, opts.Audit = strategy, confidenceEX, log
+					ctrl, err := NewController(sys, wl, freshPolicy(sys), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := 0; k < 40; k++ {
+						rep := ctrl.RunInference(float64(k) * 2.5e6)
+						strats, evals, disagreements, sizes := auditSummary(log.Runs()[k])
+						if rep.Strategies != strats || rep.SearchEvaluations != evals ||
+							rep.Disagreements != disagreements || !slices.Equal(rep.Sizes, sizes) {
+							t.Fatalf("%s confidenceEX=%t run %d: report (%q, %d evaluations, %d disagreements, %v), audit (%q, %d, %d, %v)",
+								strategy, confidenceEX, k, rep.Strategies, rep.SearchEvaluations,
+								rep.Disagreements, rep.Sizes, strats, evals, disagreements, sizes)
+						}
+						names := strings.Split(strats, ",")
+						if len(names) > 1 {
+							mixed++
+						}
+						if strategy != "ex" && slices.Contains(names, "ex") {
+							escalated++
+						}
+						if slices.Contains(names, "degraded") {
+							degraded++
+						}
+					}
+				}
+			}
+			if mixed == 0 || escalated == 0 || degraded == 0 {
+				t.Fatalf("%d mixed, %d escalated and %d degraded runs: the comparison never saw a mix",
+					mixed, escalated, degraded)
+			}
+		})
 	}
 }

@@ -28,6 +28,9 @@ type RunReport struct {
 	Disagreements     int // layers where policy ≠ searched best
 	PolicyUpdated     bool
 	SearchEvaluations int
+	// Strategies names the line-6 strategies the layers ran ("rb", "ex",
+	// "degraded", ...), each once, comma-joined in first-use order.
+	Strategies string
 
 	// Estimated inference accuracy of this run.
 	Accuracy float64
@@ -63,7 +66,7 @@ func (s System) inferenceCost(wl *Workload, sizes []ou.Size) (energy, latency fl
 	for j, size := range sizes {
 		cost := cm.Evaluate(wl.Works[j], size)
 		energy += cost.Energy
-		energy += s.Arch.PeripheralEnergy(wl.Model.Layers[j], wl.Mappings[j], cost.Cycles)
+		energy += s.Arch.PeripheralEnergy(&wl.Model.Layers[j], wl.Mappings[j], cost.Cycles)
 		latency += cost.Latency
 	}
 	energy += wl.NoCEnergy

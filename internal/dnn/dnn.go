@@ -105,11 +105,11 @@ func (l Layer) MACs() int {
 // InputVectors returns how many MVM input vectors (im2col patches) one
 // inference pushes through the layer — the activation-traffic figure the NoC
 // model consumes.
-func (l Layer) InputVectors() int { return l.OutH() * l.OutW() }
+func (l *Layer) InputVectors() int { return l.OutH() * l.OutW() }
 
 // RowsRequired returns the crossbar rows an im2col mapping of the layer
 // needs per group: one row per weight in a filter.
-func (l Layer) RowsRequired() int {
+func (l *Layer) RowsRequired() int {
 	return l.KernelH * l.KernelW * (l.InChannels / l.groups())
 }
 

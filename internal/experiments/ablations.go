@@ -147,7 +147,7 @@ func AblBuffer(sys core.System, capacities []int) (AblBufferResult, error) {
 		if err != nil {
 			return err
 		}
-		o := arch.OverheadModel(0, capacity, opts.UpdateEpochs)
+		o := arch.OverheadModel(0, capacity, core.UpdateEpochs)
 		res.Rows[i] = AblBufferRow{
 			Capacity:      capacity,
 			PolicyUpdates: ctrl.PolicyUpdates(),

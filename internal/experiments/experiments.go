@@ -58,7 +58,7 @@ func All() []Experiment {
 		{"indexes", "Sec. II motivation: index-table storage of offline OU compression vs Odin", func() (Result, error) { return Indexes(core.DefaultSystem(), nil) }},
 		{"noise", "Device-level read-noise sensitivity (thermal noise axis)", func() (Result, error) { return Noise(core.DefaultSystem(), nil) }},
 		{"opt-compare", "Extension: line-6 optimizer head-to-head (rb/ex/bo/pareto)", func() (Result, error) { return OptCompare(core.DefaultSystem()) }},
-		{"fleet", "Extension: fleet-scale serving — drift-aware routing vs round-robin (1024 chips)", func() (Result, error) { return Fleet(FleetOptions{}) }},
+		{"fleet", "Extension: fleet-scale serving — drift-aware routing vs round-robin (1024 chips)", func() (Result, error) { return Fleet() }},
 	}
 }
 

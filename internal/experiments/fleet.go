@@ -15,28 +15,13 @@ import (
 	"odin/internal/telemetry"
 )
 
-// FleetOptions parameterise the fleet-scale routing experiment.
-type FleetOptions struct {
-	// Chips is the fleet size (default 1024).
-	Chips int
-	// Requests is the trace length (default 4·Chips).
-	Requests int
-	// Seed labels the arrival trace (default 1).
-	Seed uint64
-}
-
-func (o FleetOptions) withDefaults() FleetOptions {
-	if o.Chips <= 0 {
-		o.Chips = 1024
-	}
-	if o.Requests <= 0 {
-		o.Requests = 4 * o.Chips
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The fleet experiment replays fleetRequests arrivals, drawn from the
+// trace stream labelled fleetSeed, over fleetChips chips.
+const (
+	fleetChips    = 1024
+	fleetRequests = 4 * fleetChips
+	fleetSeed     = 1
+)
 
 // FleetRow is one router's replay of the shared trace on a fresh fleet.
 type FleetRow struct {
@@ -142,8 +127,7 @@ func sojournQuantile(sojourns []float64, q float64) float64 {
 // the drift configuration with two hot adds and a mid-trace removal to pin
 // that lifecycle events do not perturb the routing win — or determinism
 // (its checksum is frozen in the golden file alongside the others).
-func Fleet(opts FleetOptions) (*FleetResult, error) {
-	opts = opts.withDefaults()
+func Fleet() (*FleetResult, error) {
 	sys := fleetSystem()
 
 	variants := []*dnn.Model{
@@ -170,9 +154,9 @@ func Fleet(opts FleetOptions) (*FleetResult, error) {
 
 	// Half-utilisation arrivals: enough concurrency that routing matters,
 	// low enough that queues drain and sheds stay rare.
-	rate := 0.5 * float64(opts.Chips) / maxLat
+	rate := 0.5 * fleetChips / maxLat
 	tr, err := serve.GenTrace(serve.TraceConfig{
-		Seed: opts.Seed, Rate: rate, Requests: opts.Requests, Models: names,
+		Seed: fleetSeed, Rate: rate, Requests: fleetRequests, Models: names,
 	})
 	if err != nil {
 		return nil, err
@@ -182,12 +166,12 @@ func Fleet(opts FleetOptions) (*FleetResult, error) {
 	// deadline: ages at t=0 cover [T0, deadline+T0) uniformly, so the
 	// trace observes every drift phase at once instead of waiting a full
 	// deadline for the fleet to age into the interesting regime.
-	chips := make([]serve.ChipConfig, opts.Chips)
+	chips := make([]serve.ChipConfig, fleetChips)
 	for i := range chips {
 		chips[i] = serve.ChipConfig{
 			Custom:       variants[i%len(variants)],
 			Seed:         uint64(i) + 1,
-			ProgrammedAt: -deadline * float64(i) / float64(opts.Chips),
+			ProgrammedAt: -deadline * float64(i) / fleetChips,
 		}
 	}
 
@@ -212,9 +196,9 @@ func Fleet(opts FleetOptions) (*FleetResult, error) {
 		var ops []serve.FleetOp
 		if churn {
 			ops = []serve.FleetOp{
-				{After: opts.Requests / 3, Add: &serve.ChipConfig{Custom: variants[0], Seed: uint64(opts.Chips) + 1}},
-				{After: opts.Requests / 3, Add: &serve.ChipConfig{Custom: variants[1], Seed: uint64(opts.Chips) + 2}},
-				{After: 2 * opts.Requests / 3, Remove: 1},
+				{After: fleetRequests / 3, Add: &serve.ChipConfig{Custom: variants[0], Seed: fleetChips + 1}},
+				{After: fleetRequests / 3, Add: &serve.ChipConfig{Custom: variants[1], Seed: fleetChips + 2}},
+				{After: 2 * fleetRequests / 3, Remove: 1},
 			}
 		}
 		res := serve.ReplayOps(s, clk, tr, ops)
@@ -240,7 +224,7 @@ func Fleet(opts FleetOptions) (*FleetResult, error) {
 	}
 
 	out := &FleetResult{
-		Chips: opts.Chips, Requests: opts.Requests, Models: names,
+		Chips: fleetChips, Requests: fleetRequests, Models: names,
 		Rate: rate, Deadline: deadline,
 	}
 	for _, rc := range []struct {

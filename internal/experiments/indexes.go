@@ -108,7 +108,7 @@ func Indexes(sys core.System, widths []int) (IndexesResult, error) {
 	if err != nil {
 		return res, err
 	}
-	o := sys.Arch.OverheadModel(pol.NumParams(), opts.BufferSize, opts.UpdateEpochs)
+	o := sys.Arch.OverheadModel(pol.NumParams(), opts.BufferSize, core.UpdateEpochs)
 	res.OdinKB = float64(pol.NumParams()*4)/1024 + o.TrainingBufferKB
 	return res, nil
 }

@@ -31,7 +31,7 @@ type OverheadResult struct {
 func Overhead(sys core.System) (OverheadResult, error) {
 	pol := policy.New(policy.Config{Grid: sys.Grid(), Seed: 1})
 	opts := core.DefaultControllerOptions()
-	o := sys.Arch.OverheadModel(pol.NumParams(), opts.BufferSize, opts.UpdateEpochs)
+	o := sys.Arch.OverheadModel(pol.NumParams(), opts.BufferSize, core.UpdateEpochs)
 
 	wl, err := sys.Prepare(dnn.NewVGG11())
 	if err != nil {

@@ -23,8 +23,6 @@ type TraceOptions struct {
 	// trace captures the policy's migration toward finer OUs — and, late
 	// enough, degraded layers and reprogramming passes.
 	Horizon float64
-	// Seed initialises the policy (default 1).
-	Seed uint64
 }
 
 func (o TraceOptions) withDefaults() TraceOptions {
@@ -33,9 +31,6 @@ func (o TraceOptions) withDefaults() TraceOptions {
 	}
 	if o.Horizon <= 0 {
 		o.Horizon = 1e8
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -55,7 +50,7 @@ type TraceResult struct {
 // RunTrace executes a fully-observed ageing sweep of one workload: a fresh
 // controller runs TraceOptions.Runs inference passes spread over the
 // horizon with span tracing and decision auditing enabled. Deterministic:
-// everything derives from the seed and the virtual timeline.
+// everything derives from seed 1 and the virtual timeline.
 func RunTrace(opts TraceOptions) (*TraceResult, error) {
 	opts = opts.withDefaults()
 	model, err := modelByNameFold(opts.Model)
@@ -72,8 +67,7 @@ func RunTrace(opts TraceOptions) (*TraceResult, error) {
 	copts := core.DefaultControllerOptions()
 	copts.Tracer = tr
 	copts.Audit = audit
-	copts.TrainSeed = opts.Seed
-	pol := policy.New(policy.Config{Grid: sys.Grid(), Seed: opts.Seed})
+	pol := policy.New(policy.Config{Grid: sys.Grid(), Seed: 1})
 	ctrl, err := core.NewController(sys, wl, pol, copts)
 	if err != nil {
 		return nil, err

@@ -138,23 +138,6 @@ func (m *Dense) AddOuterScaled(scale float64, a, b []float64) {
 	}
 }
 
-// AddScaled performs m += scale·other element-wise.
-func (m *Dense) AddScaled(scale float64, other *Dense) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("mat: AddScaled shape mismatch")
-	}
-	for i, v := range other.Data {
-		m.Data[i] += scale * v
-	}
-}
-
-// Scale multiplies every element by f.
-func (m *Dense) Scale(f float64) {
-	for i := range m.Data {
-		m.Data[i] *= f
-	}
-}
-
 // Zero resets all elements to 0.
 func (m *Dense) Zero() {
 	for i := range m.Data {
@@ -174,28 +157,6 @@ func (m *Dense) MaxAbs() float64 {
 }
 
 // Vector helpers ------------------------------------------------------------
-
-// Dot returns aᵀ·b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// AxpyTo computes dst = a + scale·b element-wise.
-func AxpyTo(dst, a []float64, scale float64, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("mat: AxpyTo length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + scale*b[i]
-	}
-}
 
 // Softmax writes the softmax of src into dst (may alias) and returns dst.
 // It is numerically stabilised by max-subtraction.

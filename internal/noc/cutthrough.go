@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file adds a cycle-level virtual cut-through simulation of the mesh.
@@ -96,18 +95,6 @@ func (m Mesh) SimulateCutThrough(flows []Flow) SimResult {
 		res.AvgLatencyCyc = total / float64(len(res.Packets))
 	}
 	return res
-}
-
-// WorstPackets returns the n packets with the highest latency, most-delayed
-// first — handy for traffic debugging.
-func (r SimResult) WorstPackets(n int) []SimPacket {
-	out := make([]SimPacket, len(r.Packets))
-	copy(out, r.Packets)
-	sort.Slice(out, func(i, j int) bool { return out[i].Latency > out[j].Latency })
-	if n > len(out) {
-		n = len(out)
-	}
-	return out[:n]
 }
 
 // ValidateAgainstAnalytic compares the simulated makespan with the analytic

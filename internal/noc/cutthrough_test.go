@@ -157,20 +157,3 @@ func TestValidateAgainstAnalyticEmpty(t *testing.T) {
 		t.Fatalf("empty traffic ratio = %v, want 1", ratio)
 	}
 }
-
-func TestWorstPackets(t *testing.T) {
-	t.Parallel()
-	m := DefaultMesh()
-	flows := []Flow{
-		{Src: 0, Dst: 1, Bits: 32},       // short
-		{Src: 0, Dst: 35, Bits: 32 * 32}, // long and heavy
-	}
-	sim := m.SimulateCutThrough(flows)
-	worst := sim.WorstPackets(1)
-	if len(worst) != 1 || worst[0].Flow.Dst != 35 {
-		t.Fatalf("worst packet wrong: %+v", worst)
-	}
-	if len(sim.WorstPackets(10)) != 2 {
-		t.Fatal("WorstPackets should clamp to packet count")
-	}
-}

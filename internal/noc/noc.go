@@ -109,11 +109,6 @@ func (m Mesh) TransferLatency(bits, hops int) float64 {
 	return float64(hops+flits-1) * m.HopLatency
 }
 
-// TransferEnergy returns the flit-hop energy of one payload.
-func (m Mesh) TransferEnergy(bits, hops int) float64 {
-	return float64(m.Flits(bits)) * float64(hops) * m.HopEnergy
-}
-
 // Flow is one unicast payload.
 type Flow struct {
 	Src, Dst int

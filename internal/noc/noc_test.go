@@ -136,15 +136,6 @@ func TestTransferLatencyWormhole(t *testing.T) {
 	}
 }
 
-func TestTransferEnergy(t *testing.T) {
-	t.Parallel()
-	m := DefaultMesh()
-	want := 10 * 4 * m.HopEnergy // 10 flits × 4 hops
-	if got := m.TransferEnergy(320, 4); math.Abs(got-want) > 1e-24 {
-		t.Fatalf("energy %v, want %v", got, want)
-	}
-}
-
 func TestRouteAggregates(t *testing.T) {
 	t.Parallel()
 	m := DefaultMesh()
@@ -156,7 +147,11 @@ func TestRouteAggregates(t *testing.T) {
 	if cost.TotalFlitHops != 2*5+1*5 {
 		t.Fatalf("TotalFlitHops = %d", cost.TotalFlitHops)
 	}
-	if cost.Energy <= 0 || cost.Latency <= 0 {
+	// Energy is exactly one HopEnergy per flit-hop.
+	if want := float64(cost.TotalFlitHops) * m.HopEnergy; cost.Energy != want {
+		t.Fatalf("Energy = %v, want %d flit-hops × %v = %v", cost.Energy, cost.TotalFlitHops, m.HopEnergy, want)
+	}
+	if cost.Latency <= 0 {
 		t.Fatalf("degenerate cost %+v", cost)
 	}
 }

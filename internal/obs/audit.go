@@ -93,41 +93,25 @@ type AuditLog struct {
 	mu   sync.Mutex
 	cap  int
 	runs []RunAudit
-	tap  func(RunAudit)
 }
 
 // NewAuditLog returns an audit log keeping at most cap runs (cap <= 0
 // means unbounded).
 func NewAuditLog(cap int) *AuditLog { return &AuditLog{cap: cap} }
 
-// NewAuditLogTap is NewAuditLog plus a per-run callback: tap is invoked
-// synchronously from Add, outside the log's lock, with each recorded run.
-// It is the audit→event adapter the serving layer uses to lift decision
-// summaries onto the pulse bus without changing the controller's hook
-// (core.ControllerOptions.Audit stays an *AuditLog). The callback runs on
-// whichever goroutine called Add — the serve worker mid-batch — so it must
-// be cheap and must not call back into the log.
-func NewAuditLogTap(cap int, tap func(RunAudit)) *AuditLog {
-	return &AuditLog{cap: cap, tap: tap}
-}
-
 // Enabled reports whether the log records anything.
 func (l *AuditLog) Enabled() bool { return l != nil }
 
-// Add appends one run's audit (evicting the oldest beyond the cap) and
-// invokes the tap, when one was attached, after releasing the lock.
+// Add appends one run's audit, evicting the oldest beyond the cap.
 func (l *AuditLog) Add(r RunAudit) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.runs = append(l.runs, r)
 	if l.cap > 0 && len(l.runs) > l.cap {
 		l.runs = l.runs[len(l.runs)-l.cap:]
-	}
-	l.mu.Unlock()
-	if l.tap != nil {
-		l.tap(r)
 	}
 }
 

@@ -102,28 +102,3 @@ func TestWriteTableRendersAttribution(t *testing.T) {
 		t.Fatal("table rendering not deterministic")
 	}
 }
-
-// TestAuditLogTap pins the tap contract: every Add invokes the tap
-// synchronously with the run, outside the log's lock (the tap can read the
-// log), and the log itself still retains runs as usual.
-func TestAuditLogTap(t *testing.T) {
-	t.Parallel()
-	var tapped []RunAudit
-	var l *AuditLog
-	l = NewAuditLogTap(1, func(r RunAudit) {
-		// Reading the log from inside the tap must not deadlock.
-		_ = l.Runs()
-		tapped = append(tapped, r)
-	})
-	if !l.Enabled() {
-		t.Fatal("tapped log not enabled")
-	}
-	l.Add(sampleRun(1))
-	l.Add(sampleRun(2))
-	if len(tapped) != 2 || tapped[0].Time != 1 || tapped[1].Time != 2 {
-		t.Fatalf("tap saw %+v, want both runs in order", tapped)
-	}
-	if runs := l.Runs(); len(runs) != 1 || runs[0].Time != 2 {
-		t.Fatalf("tapped log retention broken: %+v", runs)
-	}
-}

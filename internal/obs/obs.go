@@ -31,6 +31,14 @@
 // legal), so disabled tracing costs one predictable branch. The guard
 // TestDisabledObsOverheadGuard (repo root, armed by `make smoke`) keeps the
 // disabled controller decision path within noise of the pre-obs reference.
+//
+// # Decision audit
+//
+// An AuditLog (audit.go) records, per controller run, every candidate the
+// line-6 search scored and which side won each layer; `odinsim trace`
+// renders it as an attribution table. Only callers that ask for it pay for
+// it: the serving layer's decision events summarise each batch's
+// core.RunReport instead of an audit record.
 package obs
 
 import (

@@ -85,19 +85,6 @@ func (a ArchConfig) CellsPerWeight() int {
 // TotalCrossbars returns the platform's crossbar count.
 func (a ArchConfig) TotalCrossbars() int { return a.PEs * a.TilesPerPE * a.CrossbarsPerTile }
 
-// ADCBits returns the configured ADC precision for an OU height R: the
-// paper sets precision ∝ log2(R), clamped to the reconfigurable range.
-func (a ArchConfig) ADCBits(r int) int {
-	bits := int(math.Ceil(math.Log2(float64(r))))
-	if bits < a.ADCMinBits {
-		bits = a.ADCMinBits
-	}
-	if bits > a.ADCMaxBits {
-		bits = a.ADCMaxBits
-	}
-	return bits
-}
-
 // CostModel returns the ou.CostModel for this platform: one clock cycle per
 // column-bit of ADC sensing, a per-cell-bit conversion energy in the tens
 // of femtojoules (ISAAC-class, NeuroSim-calibrated scale), and a few clock
@@ -222,7 +209,7 @@ func (a ArchConfig) MapModel(m *dnn.Model) ModelMapping {
 // PeripheralEnergy returns the non-Eq.2 energy of one inference pass of a
 // layer: eDRAM activation fetches, DAC streaming, and OR/IR buffer traffic.
 // It is small relative to ADC/crossbar energy but keeps totals honest.
-func (a ArchConfig) PeripheralEnergy(l dnn.Layer, m LayerMapping, cycles int) float64 {
+func (a ArchConfig) PeripheralEnergy(l *dnn.Layer, m LayerMapping, cycles int) float64 {
 	fetches := float64(l.InputVectors() * l.RowsRequired())
 	dac := fetches * float64(a.InputBits) * a.DACEnergyPerBit
 	edram := float64(l.InputVectors()) * a.EDRAMAccessEnergy * float64(m.RowTiles)

@@ -46,17 +46,6 @@ func TestStructuralCounts(t *testing.T) {
 	}
 }
 
-func TestADCBitsClamping(t *testing.T) {
-	t.Parallel()
-	a := DefaultArch()
-	cases := map[int]int{4: 3, 8: 3, 16: 4, 32: 5, 64: 6, 128: 6}
-	for r, want := range cases {
-		if got := a.ADCBits(r); got != want {
-			t.Errorf("ADCBits(%d) = %d, want %d", r, got, want)
-		}
-	}
-}
-
 func TestMapLayerSmall(t *testing.T) {
 	t.Parallel()
 	a := DefaultArch()
@@ -261,7 +250,7 @@ func TestPeripheralEnergyPositiveAndSmall(t *testing.T) {
 	cm := a.CostModel()
 	s := a.Grid().SizeAt(2, 2)
 	cycles := w.Cycles(s)
-	pe := a.PeripheralEnergy(l, m, cycles)
+	pe := a.PeripheralEnergy(&l, m, cycles)
 	core := cm.Energy(w, s)
 	if pe <= 0 {
 		t.Fatal("peripheral energy must be positive")

@@ -22,7 +22,7 @@ type Options struct {
 	Registry *telemetry.Registry
 }
 
-// Bus is the fan-out event hub: publishers (the serve dispatcher, workers,
+// Bus is the fan-out event hub: publishers (the serve dispatcher and
 // submitters) push events, subscribers (SSE handlers) receive them on
 // bounded channels, and the bus maintains the resume ring and the per-chip
 // series. All state is guarded by one mutex; the critical section is
@@ -213,12 +213,12 @@ func (b *Bus) LastSeq() uint64 {
 
 // WriteLog emits the canonical event log: one JSON object per line,
 // ordered by (virtual time, chip, kind, payload) and renumbered 1..n.
-// Live sequence numbers depend on when workers happened to publish
-// relative to the dispatcher, so they cannot appear in replay-stable
-// output; the sort is total because any two events sharing (time, chip,
-// kind) differ in payload (distinct batch or request ids), and renumbering
-// after the sort makes seq itself canonical. This is the byte stream the
-// worker-count invariance property and `make smoke` pin.
+// Live sequence numbers depend on the order in which the dispatcher
+// happened to collect the chips' batch results, so they cannot appear in
+// replay-stable output; the sort is total because any two events sharing
+// (time, chip, kind) differ in payload (distinct batch or request ids), and
+// renumbering after the sort makes seq itself canonical. This is the byte
+// stream the worker-count invariance property and `make smoke` pin.
 func (b *Bus) WriteLog(w io.Writer) error {
 	if b == nil {
 		return nil

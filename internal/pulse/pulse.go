@@ -17,10 +17,10 @@
 // byte-identical at every worker count. Publishers must therefore only put
 // scheduling-independent values on events: fields that are pure functions
 // of virtual time and of the per-chip batch order (see the publishing
-// sites in internal/serve). In particular the decision-cache Cached
-// attribution is deliberately absent from decision events: cross-chip
-// cache hits depend on worker scheduling, while everything else about a
-// cached decision is byte-identical to the uncached search.
+// sites in internal/serve). In particular a decision event summarises its
+// batch's core.RunReport, which carries no decision-cache attribution:
+// cross-chip cache hits depend on worker scheduling, while everything else
+// about a cached decision is byte-identical to the uncached search.
 //
 // A nil *Bus is a valid no-op: every method is nil-safe and costs one
 // pointer test, so disabled instrumentation stays within the obs overhead

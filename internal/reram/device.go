@@ -117,21 +117,6 @@ func (p DeviceParams) NonIdealityFraction(r, c int, t float64) float64 {
 	return p.DeltaG(r, c, t) / p.GOn
 }
 
-// EffectiveConductance returns the conductance actually sensed for a cell
-// programmed to g, at device age t, inside an R×C OU. It generalises Eq. (4)
-// to an arbitrary programmed level by drifting g with the same power law and
-// adding the wire series resistance.
-func (p DeviceParams) EffectiveConductance(g float64, r, c int, t float64) float64 {
-	if g <= 0 {
-		return g
-	}
-	if t < p.T0 {
-		t = p.T0
-	}
-	gd := g * math.Pow(t/p.T0, -p.Nu)
-	return 1.0 / (1.0/gd + p.RWire*float64(r+c))
-}
-
 // ReprogramEnergy returns the energy to rewrite `cells` programmed cells.
 func (p DeviceParams) ReprogramEnergy(cells int) float64 {
 	return float64(cells) * p.WriteEnergyPerCell * float64(p.WritePulses)

@@ -149,20 +149,6 @@ func TestDeltaGPanicsOnBadOU(t *testing.T) {
 	p.DeltaG(0, 4, 1)
 }
 
-func TestEffectiveConductanceBounds(t *testing.T) {
-	t.Parallel()
-	p := DefaultDeviceParams()
-	for _, g := range []float64{p.GOff, p.GOn / 2, p.GOn} {
-		eff := p.EffectiveConductance(g, 16, 16, p.T0)
-		if eff <= 0 || eff >= g {
-			t.Fatalf("EffectiveConductance(%v) = %v, want in (0, g)", g, eff)
-		}
-	}
-	if p.EffectiveConductance(0, 16, 16, 1) != 0 {
-		t.Fatal("zero conductance should stay zero")
-	}
-}
-
 func TestReprogramCosts(t *testing.T) {
 	t.Parallel()
 	p := DefaultDeviceParams()

@@ -9,9 +9,11 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"odin/internal/obs"
+	"odin/internal/ou"
 	"odin/internal/pulse"
 )
 
@@ -602,6 +604,15 @@ func (s *Server) finishBatch(b *batch) {
 	c.latencySum += rep.BatchLatency()
 	s.met.chipEnergy.With(c.label).Set(c.energySum)
 	if p := s.cfg.Pulse; p.Enabled() {
+		// The run's decision summary leaves just before its batch. Every
+		// field comes from the report, which is byte-identical whether the
+		// decisions were searched or replayed from the shared cache (the
+		// decache contract); the report carries no cache attribution,
+		// which depends on cross-chip scheduling.
+		p.Publish(pulse.Event{Kind: pulse.KindDecision, Time: rep.Time, Chip: c.id,
+			Model: c.model, Layers: len(rep.Sizes), Evaluations: rep.SearchEvaluations,
+			Disagreements: rep.Disagreements, Strategy: rep.Strategies,
+			Sizes: sizesLabel(rep.Sizes), Age: rep.Age, Reprogram: rep.Reprogrammed})
 		// Everything on the event is a pure function of the batch: its
 		// virtual start/finish, the deterministic report, the start-time
 		// backlog (b.depth), and the controller's post-batch drift state —
@@ -633,6 +644,20 @@ func (s *Server) finishBatch(b *batch) {
 		s.noteReprogram(c, b.start) // the controller writes at the batch start
 		c.nearAt = s.nearFrom(c)
 	}
+}
+
+// sizesLabel renders OU sizes as "RxC", comma-joined in layer order.
+func sizesLabel(sizes []ou.Size) string {
+	buf := make([]byte, 0, 8*len(sizes))
+	for i, sz := range sizes {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(sz.R), 10)
+		buf = append(buf, 'x')
+		buf = strconv.AppendInt(buf, int64(sz.C), 10)
+	}
+	return string(buf)
 }
 
 // batchTenants renders the batch's distinct rider tenant labels, sorted —

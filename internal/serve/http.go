@@ -367,10 +367,16 @@ func registerPulse(mux *http.ServeMux, s *Server) {
 			fmt.Fprintf(w, ": unknown event id %d, last assigned %d; streaming from the oldest retained event\n\n", last, assigned)
 			last = 0
 		}
-		if oldest := p.Since(0, pulse.AllKinds); last > 0 && len(oldest) > 0 && oldest[0].Seq-1 > last {
-			fmt.Fprintf(w, ": resume gap, %d events evicted\n\n", oldest[0].Seq-1-last)
+		// The ring holds consecutive ids, so the first retained event after
+		// last shows any gap; one copy serves the check and the backfill.
+		backfill := p.Since(last, pulse.AllKinds)
+		if last > 0 && len(backfill) > 0 && backfill[0].Seq-1 > last {
+			fmt.Fprintf(w, ": resume gap, %d events evicted\n\n", backfill[0].Seq-1-last)
 		}
-		for _, e := range p.Since(last, kinds) {
+		for _, e := range backfill {
+			if !kinds.Has(e.Kind) {
+				continue
+			}
 			buf = e.AppendSSE(buf[:0])
 			if _, err := w.Write(buf); err != nil {
 				return

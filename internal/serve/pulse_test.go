@@ -7,11 +7,15 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"odin/internal/check"
 	"odin/internal/clock"
+	"odin/internal/core"
+	"odin/internal/obs"
 	"odin/internal/pulse"
 )
 
@@ -19,6 +23,12 @@ import (
 // replays tr through a fresh fleet and returns the bus alongside the
 // replay result so tests can inspect the canonical event log.
 func pulseReplay(t testing.TB, tr Trace, chips, workers int, ops []FleetOp) (ReplayResult, *pulse.Bus) {
+	t.Helper()
+	return pulseReplayWith(t, tr, chips, workers, ops, core.ControllerOptions{})
+}
+
+// pulseReplayWith is pulseReplay with the given controller options.
+func pulseReplayWith(t testing.TB, tr Trace, chips, workers int, ops []FleetOp, ctrl core.ControllerOptions) (ReplayResult, *pulse.Bus) {
 	t.Helper()
 	clk := clock.NewVirtual(0)
 	bus := pulse.New(pulse.Options{})
@@ -29,6 +39,7 @@ func pulseReplay(t testing.TB, tr Trace, chips, workers int, ops []FleetOp) (Rep
 		Workers:    workers,
 		Router:     "rr",
 		Pulse:      bus,
+		Controller: ctrl,
 	}
 	for i := 0; i < chips; i++ {
 		cfg.Chips = append(cfg.Chips, ChipConfig{Custom: tinyModel("tiny"), Seed: uint64(i) + 1})
@@ -141,6 +152,62 @@ func TestPulseSnapshotAfterReplay(t *testing.T) {
 	}
 	if st.Seq == 0 || st.Time <= 0 {
 		t.Fatalf("snapshot head = seq %d t %g", st.Seq, st.Time)
+	}
+}
+
+// TestPulseDecisionsWithAudit replays the churn trace on a fleet whose
+// controllers record their own decision audit: every batch still publishes
+// its decision event, and the pulse log is the one a fleet without the
+// audit writes.
+func TestPulseDecisionsWithAudit(t *testing.T) {
+	t.Parallel()
+	tr, ops := pulseChurnTrace(t)
+	_, plainBus := pulseReplay(t, tr, 2, 1, ops)
+	audit := obs.NewAuditLog(0)
+	_, bus := pulseReplayWith(t, tr, 2, 1, ops, core.ControllerOptions{Audit: audit})
+	var plain, got bytes.Buffer
+	if err := plainBus.WriteLog(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.WriteLog(&got); err != nil {
+		t.Fatal(err)
+	}
+	batches := strings.Count(got.String(), `"kind":"batch"`)
+	decisions := strings.Count(got.String(), `"kind":"decision"`)
+	if batches == 0 || decisions != batches || len(audit.Runs()) != batches {
+		t.Fatalf("%d batch events, %d decision events and %d audited runs, want one decision and one run per batch",
+			batches, decisions, len(audit.Runs()))
+	}
+	if !bytes.Equal(got.Bytes(), plain.Bytes()) {
+		t.Errorf("pulse log with a controller audit differs from the log without:\n%s",
+			check.DiffLines(plain.String(), got.String()))
+	}
+}
+
+// TestHTTPEventsResumeAtNewestCopiesNothing bounds the memory one GET
+// /events costs when it resumes at the newest id of a full ring of
+// `odinserve serve`'s default 8,192 events: the handler copies only the
+// events it streams, here none, not the whole ring.
+func TestHTTPEventsResumeAtNewestCopiesNothing(t *testing.T) {
+	// Not parallel: TotalAlloc counts every goroutine's allocations.
+	s, bus, _ := pulseServer(t, pulse.Options{Ring: 8192})
+	defer s.Close()
+	for i := 1; i <= 8192; i++ {
+		bus.Publish(pulse.Event{Time: float64(i), Kind: pulse.KindBatch, Chip: 0,
+			Model: "tiny", Batch: uint64(i), Size: 1, Latency: 0.01, Deadline: 10})
+	}
+	h := NewHandler(s)
+	hdr := map[string]string{"Last-Event-ID": strconv.FormatUint(bus.LastSeq(), 10)}
+	getEvents(t, h, "/events", hdr)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := getEvents(t, h, "/events", hdr)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "id: ") {
+		t.Fatalf("resume at the newest id: status %d, body %q; want 200 and no events", rec.Code, rec.Body)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("resume at the newest id allocated %d B, want under 1 MiB (the 8,192-event ring is not copied)", n)
 	}
 }
 

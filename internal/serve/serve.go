@@ -225,12 +225,14 @@ type Config struct {
 	// every worker count.
 	Logger *slog.Logger
 	// Pulse, when non-nil, receives streaming telemetry events (batch
-	// retirements, decision summaries, reprogram passes, lifecycle, sheds)
-	// and powers GET /events and GET /statusz. Every published field is a
-	// pure function of virtual time and per-chip batch order, so replayed
-	// event logs are byte-identical at any worker count — see
-	// internal/pulse's package comment for the contract. nil disables
-	// publishing at the cost of one pointer test per site.
+	// retirements, each just after its run's decision summary, reprogram
+	// passes, lifecycle, sheds) and powers GET /events and GET /statusz.
+	// Decision summaries come from the batch report, whether or not
+	// Controller.Audit is set. Every published field is a pure function
+	// of virtual time and per-chip batch order, so replayed event logs are
+	// byte-identical at any worker count — see internal/pulse's package
+	// comment for the contract. nil disables publishing at the cost of one
+	// pointer test per site.
 	Pulse *pulse.Bus
 	// System is the simulated platform; nil uses core.DefaultSystem.
 	System *core.System
@@ -719,8 +721,8 @@ func (s *Server) newChip(id int, cc ChipConfig) (*chip, error) {
 
 // initChip builds chip id's own parts into c, whose model is resolved: a
 // policy seeded from the chip, and a controller over the shared workload
-// wired to the fleet's cache, tracer and pulse bus. It writes only c and
-// reads only configuration, so NewServer runs it for many chips at once.
+// wired to the fleet's cache and tracer. It writes only c and reads only
+// configuration, so NewServer runs it for many chips at once.
 func (s *Server) initChip(c *chip, id int, cc ChipConfig, wl *core.Workload) error {
 	seed := cc.Seed
 	if seed == 0 {
@@ -735,19 +737,6 @@ func (s *Server) initChip(c *chip, id int, cc ChipConfig, wl *core.Workload) err
 	}
 	if s.cfg.Tracer != nil {
 		opts.Tracer, opts.TraceTrack = s.cfg.Tracer, id
-	}
-	if p := s.cfg.Pulse; p.Enabled() && opts.Audit == nil {
-		// Lift per-run decision summaries onto the pulse bus via the
-		// controller's existing audit hook. The tap runs on the worker
-		// executing the batch; the published fields are byte-identical
-		// cached or uncached (see pulse.DecisionEvent), so decision events
-		// replay worker-count invariant. Callers who bring their own
-		// AuditLog keep it — decision events are then absent rather than
-		// double-recorded.
-		chipID, chipModel := id, c.model
-		opts.Audit = obs.NewAuditLogTap(1, func(r obs.RunAudit) {
-			p.Publish(pulse.DecisionEvent(chipID, chipModel, r))
-		})
 	}
 	pol := policy.New(policy.Config{Grid: s.sys.Grid(), Seed: seed})
 	ctrl, err := core.NewController(s.sys, wl, pol, opts)

@@ -37,8 +37,6 @@ type TraceConfig struct {
 	// uniformly (one extra rng draw per arrival; tenant-free configs are
 	// bit-identical to traces generated before this field existed).
 	Tenants []string
-	// Start offsets the first arrival (default 0).
-	Start float64
 }
 
 // GenTrace draws a Poisson arrival trace from internal/rng. Same config,
@@ -55,7 +53,7 @@ func GenTrace(cfg TraceConfig) (Trace, error) {
 	}
 	src := rng.New(cfg.Seed)
 	tr := make(Trace, 0, cfg.Requests)
-	t := cfg.Start
+	var t float64
 	for i := 0; i < cfg.Requests; i++ {
 		// Exponential gap; Float64 is in [0,1) so the argument is in (0,1].
 		t += -math.Log(1-src.Float64()) / cfg.Rate

@@ -185,9 +185,3 @@ func clamp(v, lo, hi float64) float64 {
 func ProfileFor(l dnn.Layer, cfg Config) Profile {
 	return Profile{Weight: l.WeightSparsity, Cluster: cfg.Cluster, ClusterWidth: cfg.ClusterWidth}
 }
-
-// EffectiveRowSkip reports, for diagnostics, the fraction of row segments an
-// OU of the given width can skip in the layer.
-func EffectiveRowSkip(l dnn.Layer, cfg Config, width int) float64 {
-	return ProfileFor(l, cfg).SegmentZeroFraction(width)
-}

@@ -205,8 +205,8 @@ func TestEffectiveRowSkipNarrowBeatsWide(t *testing.T) {
 	m := dnn.NewVGG11()
 	cfg := DefaultConfig()
 	_ = Prune(m, cfg)
-	l := m.Layers[5]
-	if EffectiveRowSkip(l, cfg, 4) < EffectiveRowSkip(l, cfg, 64) {
+	p := ProfileFor(m.Layers[5], cfg)
+	if p.SegmentZeroFraction(4) < p.SegmentZeroFraction(64) {
 		t.Fatal("narrow segments should skip at least as much as wide ones")
 	}
 }
