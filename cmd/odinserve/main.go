@@ -368,10 +368,8 @@ func runServe(args []string) error {
 	}
 	cfg.Live = true
 	cfg.Registry = telemetry.NewRegistry()
-	var spans *obs.Tracer
 	if *traceCap > 0 {
-		spans = obs.NewRing(*traceCap)
-		cfg.Tracer = spans
+		cfg.Tracer = obs.NewRing(*traceCap)
 	}
 	if *pulseCap > 0 {
 		// The bus shares the fleet's registry, so odin_pulse_* meters land
@@ -395,7 +393,7 @@ func runServe(args []string) error {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 
-	handler := serve.NewHandlerOpts(s, serve.HandlerOptions{Tracer: spans, Debug: *debug, Admin: *admin})
+	handler := serve.NewHandlerOpts(s, serve.HandlerOptions{Debug: *debug, Admin: *admin})
 	httpSrv := newHTTPServer(*addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()

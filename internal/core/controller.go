@@ -81,17 +81,18 @@ type ControllerOptions struct {
 	// Audit, when non-nil, receives one obs.RunAudit per run: every
 	// candidate OU size the line-6 search scored (energy/latency/EDP/
 	// non-ideality), the budget spent, and whether the policy prediction
-	// or the search won each layer. Disabled (nil) auditing costs one
-	// pointer test per run.
+	// or the search won each layer. An audited controller attaches no
+	// decision cache, so every record comes from the live search.
+	// Disabled (nil) auditing costs one pointer test per run.
 	Audit *obs.AuditLog
 
 	// Cache, when non-nil, memoizes the per-layer line-6 decisions in the
 	// given decision cache; the serving layer shares one cache across a
 	// fleet of same-platform chips. When nil and the process-wide default
 	// is on (SetDecisionCacheDefault, the initial state), the controller
-	// creates a private cache. Cached decisions are byte-identical to live
-	// searches — see internal/decache for the argument and DESIGN.md §13
-	// for the invalidation contract.
+	// creates a private cache. Ignored when Audit is set. Cached decisions
+	// are byte-identical to live searches — see internal/decache for the
+	// argument and DESIGN.md §13 for the invalidation contract.
 	Cache *decache.Cache
 	// DisableDecisionCache opts this controller out of decision caching
 	// regardless of Cache and the process-wide default (`odinsim
@@ -171,13 +172,11 @@ type Controller struct {
 
 	// scratch lends the line-6 searches reusable buffers and ws lends
 	// line 5's prediction its buffers (one each per controller:
-	// RunInference is serialised by `running`). probeBuf and recordProbe
-	// capture candidate evaluations for cache entries and audit records
-	// without a fresh closure per layer.
-	scratch     *search.Scratch
-	ws          *policy.Workspace
-	probeBuf    []decache.Probe
-	recordProbe func(s ou.Size, feasible bool, edp float64)
+	// RunInference is serialised by `running`). cands collects the
+	// candidates an audited decision's search scores.
+	scratch *search.Scratch
+	ws      *policy.Workspace
+	cands   []obs.Candidate
 
 	// weights is the sensitivity table w_j = sys.Acc.Sens.Weight(j, L),
 	// built once from the controller's own System: every η test, age
@@ -236,10 +235,8 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 		weights:      sys.Acc.Sens.Weights(wl.Layers()),
 		programmedAt: resolved.ProgrammedAt,
 	}
-	c.recordProbe = func(s ou.Size, feasible bool, edp float64) {
-		c.probeBuf = append(c.probeBuf, decache.Probe{Size: s, Feasible: feasible, EDP: edp})
-	}
-	if !resolved.DisableDecisionCache && (resolved.Cache != nil || DecisionCacheDefault()) {
+	if !resolved.DisableDecisionCache && resolved.Audit == nil &&
+		(resolved.Cache != nil || DecisionCacheDefault()) {
 		c.cache = resolved.Cache
 		if c.cache == nil {
 			c.cache = decache.New()
@@ -363,7 +360,7 @@ func (c *Controller) RunInference(t float64) RunReport {
 	}
 
 	for j := 0; j < c.wl.Layers(); j++ {
-		out := c.decideLayer(j, age, amp, audit != nil)
+		out := c.decideLayer(j, age, amp)
 		rep.Sizes[j] = out.chosen
 		if !slices.Contains(strats, out.strategy) {
 			strats = append(strats, out.strategy)
@@ -388,29 +385,12 @@ func (c *Controller) RunInference(t float64) RunReport {
 
 		rep.SearchEvaluations += out.evaluations
 		if audit != nil {
-			var cands []obs.Candidate
-			if len(out.probes) > 0 {
-				// Rebuild the full score breakdown per recorded candidate at
-				// the current age. Every component is a pure function of
-				// (size, age), so replayed (cached) and live decisions audit
-				// byte-identically; the extra comparator work is billed to
-				// auditing, not the modelled hardware.
-				score := c.sys.objective(c.wl, j, c.weights[j], amp)
-				cands = make([]obs.Candidate, 0, len(out.probes))
-				for _, p := range out.probes {
-					cost := score.Cost.Evaluate(score.Work, p.Size)
-					cands = append(cands, obs.Candidate{
-						Size: p.Size, Energy: cost.Energy, Latency: cost.Latency,
-						EDP: p.EDP, NF: score.NF(p.Size), Feasible: p.Feasible,
-					})
-				}
-			}
 			audit.Layers = append(audit.Layers, obs.LayerDecision{
 				Layer: j, Predicted: out.predicted, Start: out.start,
 				Chosen: out.chosen, Strategy: out.strategy,
 				Evaluations: out.evaluations,
-				PolicyWon:   out.predicted == out.chosen, Cached: out.cached,
-				Candidates: cands, Front: out.front,
+				PolicyWon:   out.predicted == out.chosen,
+				Candidates:  out.candidates, Front: out.front,
 			})
 		}
 		if traced {
@@ -458,39 +438,38 @@ func (c *Controller) RunInference(t float64) RunReport {
 }
 
 // layerOutcome is one per-layer line-6 decision plus the metadata needed
-// to fill the run report, audit record and trace spans identically whether
-// the decision was computed live or replayed from the cache.
+// to fill the run report, audit record and trace spans.
 type layerOutcome struct {
 	predicted ou.Size
-	start     ou.Size
-	chosen    ou.Size
-	strategy  string
+	// start is the clamped search seed, which only audit records read; a
+	// cache hit and a degraded layer leave it zero.
+	start    ou.Size
+	chosen   ou.Size
+	strategy string
 
 	evaluations int
-	cached      bool
 	degraded    bool
 
-	// probes lists the candidate evaluations in search order. Populated
-	// whenever the controller caches decisions or wantProbes was set; may
-	// alias controller scratch, so consume before the next decision.
-	probes []decache.Probe
-	// front lists the non-dominated sizes of a multi-objective strategy.
-	front []ou.Size
+	// candidates and front are set for audited decisions only: every
+	// candidate the search scored, in search order, and the non-dominated
+	// sizes of a multi-objective strategy.
+	candidates []obs.Candidate
+	front      []ou.Size
 }
 
-// decideLayer runs (or replays) Algorithm 1 lines 5–6 for layer j at
-// device age `age`, whose drift amplification amp = Acc.Amplification(age)
-// the caller resolves once per run: policy prediction, feasibility clamp,
-// and the line-6 strategy search, the last two memoized through the
-// decision cache when one is attached. It touches no learning state —
-// RunInference owns the disagreement buffer — so benchmarks replay it in
-// isolation (DecisionBench). wantProbes forces candidate recording even
-// when caching is off (the audit path).
-func (c *Controller) decideLayer(j int, age, amp float64, wantProbes bool) layerOutcome {
+// decideLayer runs Algorithm 1 lines 5–6 for layer j at device age `age`,
+// whose drift amplification amp = Acc.Amplification(age) the caller
+// resolves once per run: policy prediction, feasibility clamp, and the
+// line-6 strategy search, the last two memoized through the decision
+// cache when one is attached. A miss and an uncached controller run the
+// one search below. It touches no learning state — RunInference owns the
+// disagreement buffer — so benchmarks replay it in isolation
+// (DecisionBench).
+func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 	feat := c.wl.FeaturesAt(j, age)
 	predicted := c.pol.PredictWith(c.ws, feat) // line 5
 	grid := c.sys.Grid()
-	total := c.wl.Layers()
+	smallest := grid.SizeAt(0, 0)
 	w := c.weights[j]
 
 	// Resolve the effective strategy first: a ConfidenceEX escalation
@@ -505,68 +484,44 @@ func (c *Controller) decideLayer(j int, age, amp float64, wantProbes bool) layer
 		dctx = c.dctxEX
 	}
 
+	// Lines 7–8 precondition: when no OU size meets η, the layer runs
+	// degraded at the smallest size. NF is monotone in R+C, so the
+	// smallest size decides; with a cache, Bucket == 0 is the same
+	// predicate on the same size (accuracy.Model.AnySatisfiable with w and
+	// A resolved).
+	var key decache.Key
 	if c.cache != nil {
-		// Degenerate case via the bucket: Bucket == 0 is bit-identical to
-		// !AnySatisfiable (the same predicate on the smallest grid size).
 		bucket := dctx.Bucket(w, amp)
 		if bucket == 0 {
-			smallest := grid.SizeAt(0, 0)
-			return layerOutcome{predicted: predicted, start: smallest,
-				chosen: smallest, strategy: opt.StrategyDegraded, degraded: true}
+			return layerOutcome{predicted: predicted, chosen: smallest,
+				strategy: opt.StrategyDegraded, degraded: true}
 		}
-		key := decache.Key{Work: c.wl.Works[j], Layer: j, Of: total,
+		key = decache.Key{Work: c.wl.Works[j], Layer: j, Of: c.wl.Layers(),
 			Predicted: predicted, Bucket: bucket}
 		if e, ok := dctx.Lookup(key); ok {
-			return layerOutcome{predicted: predicted, start: e.Start,
-				chosen: e.Chosen, strategy: optim.Name(),
-				evaluations: e.Evaluations, cached: true,
-				probes: e.Probes, front: e.Front}
+			return layerOutcome{predicted: predicted, chosen: e.Chosen,
+				strategy: optim.Name(), evaluations: e.Evaluations}
 		}
-		// Miss: run the live pass, recording every probe so later hits can
-		// replay the audit breakdown.
-		obj := c.sys.objective(c.wl, j, w, amp)
-		obj.Scratch = c.scratch
-		c.probeBuf = c.probeBuf[:0]
-		obj.Probe = c.recordProbe
-		start := search.ClampFeasible(grid, obj, predicted)
-		res := optim.Optimize(grid, obj, start, c.opts.SearchBudget)
-		found := res.Found
-		if !found {
-			// The bounded walk can miss a feasible region the clamp already
-			// located; fall back to the clamped start.
-			res.Best = start
-		}
-		e := &decache.Entry{Start: start, Chosen: res.Best, BestEDP: res.BestEDP,
-			Found: found, Evaluations: res.Evaluations,
-			Probes: append([]decache.Probe(nil), c.probeBuf...)}
-		if len(res.Front) > 0 {
-			e.Front = make([]ou.Size, len(res.Front))
-			for i, p := range res.Front {
-				e.Front[i] = p.Size
-			}
-		}
-		dctx.Store(key, e)
-		return layerOutcome{predicted: predicted, start: start, chosen: res.Best,
-			strategy: optim.Name(), evaluations: res.Evaluations,
-			probes: e.Probes, front: e.Front}
+	} else if !c.sys.Acc.SatisfiesWith(w, amp, smallest) {
+		return layerOutcome{predicted: predicted, chosen: smallest,
+			strategy: opt.StrategyDegraded, degraded: true}
 	}
 
-	// Uncached path: the pre-cache control flow, bit for bit. NF is
-	// monotone in R+C, so checking the smallest grid size decides global
-	// satisfiability (lines 7–8 precondition; accuracy.Model.AnySatisfiable
-	// with w and A resolved).
-	if !c.sys.Acc.SatisfiesWith(w, amp, grid.SizeAt(0, 0)) {
-		smallest := grid.SizeAt(0, 0)
-		return layerOutcome{predicted: predicted, start: smallest,
-			chosen: smallest, strategy: opt.StrategyDegraded, degraded: true}
-	}
 	// Line 6: shrink the prediction into the feasible region if drift has
 	// outrun the policy, then refine with the configured strategy.
 	obj := c.sys.objective(c.wl, j, w, amp)
 	obj.Scratch = c.scratch
-	if wantProbes {
-		c.probeBuf = c.probeBuf[:0]
-		obj.Probe = c.recordProbe
+	audited := c.opts.Audit.Enabled()
+	if audited {
+		// Score every probed candidate in full; the extra comparator work
+		// is billed to auditing, not the modelled hardware.
+		c.cands = nil
+		score := obj
+		obj.Probe = func(s ou.Size, feasible bool, edp float64) {
+			cost := score.Cost.Evaluate(score.Work, s)
+			c.cands = append(c.cands, obs.Candidate{Size: s, Energy: cost.Energy,
+				Latency: cost.Latency, EDP: edp, NF: score.NF(s), Feasible: feasible})
+		}
 	}
 	start := search.ClampFeasible(grid, obj, predicted)
 	res := optim.Optimize(grid, obj, start, c.opts.SearchBudget)
@@ -575,10 +530,13 @@ func (c *Controller) decideLayer(j int, age, amp float64, wantProbes bool) layer
 		// located; fall back to the clamped start.
 		res.Best = start
 	}
+	if c.cache != nil {
+		dctx.Store(key, decache.Entry{Chosen: res.Best, Evaluations: res.Evaluations})
+	}
 	out := layerOutcome{predicted: predicted, start: start, chosen: res.Best,
 		strategy: optim.Name(), evaluations: res.Evaluations}
-	if wantProbes {
-		out.probes = c.probeBuf
+	if audited {
+		out.candidates = c.cands
 		if len(res.Front) > 0 {
 			out.front = make([]ou.Size, len(res.Front))
 			for i, p := range res.Front {

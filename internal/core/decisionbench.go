@@ -20,5 +20,5 @@ func DecisionBench(sys System, wl *Workload, pol *policy.Policy, opts Controller
 		return nil, err
 	}
 	amp := sys.Acc.Amplification(age) // once per run, as RunInference does
-	return func() { _ = ctrl.decideLayer(j, age, amp, false) }, nil
+	return func() { _ = ctrl.decideLayer(j, age, amp) }, nil
 }

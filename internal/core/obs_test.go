@@ -21,7 +21,7 @@ func tracedController(t *testing.T) (*Controller, *obs.Tracer, *obs.AuditLog) {
 		t.Fatal(err)
 	}
 	tr := obs.New()
-	log := obs.NewAuditLog(0)
+	log := obs.NewAuditLog()
 	opts := DefaultControllerOptions()
 	opts.Tracer = tr
 	opts.Audit = log
@@ -240,7 +240,7 @@ func TestRunReportMatchesAuditSummary(t *testing.T) {
 			var mixed, escalated, degraded int
 			for _, strategy := range []string{"rb", "bo", "pareto", "ex"} {
 				for _, confidenceEX := range []bool{false, true} {
-					log := obs.NewAuditLog(0)
+					log := obs.NewAuditLog()
 					opts := DefaultControllerOptions()
 					opts.Strategy, opts.ConfidenceEX, opts.Audit = strategy, confidenceEX, log
 					ctrl, err := NewController(sys, wl, freshPolicy(sys), opts)

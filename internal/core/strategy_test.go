@@ -16,7 +16,7 @@ func strategyController(t *testing.T, strategy string) (*Controller, *obs.AuditL
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := obs.NewAuditLog(0)
+	log := obs.NewAuditLog()
 	opts := DefaultControllerOptions()
 	opts.Strategy = strategy
 	opts.Audit = log
@@ -140,7 +140,7 @@ func TestControllerRBDefaultBudgetIsPaperK(t *testing.T) {
 		t.Fatal(err)
 	}
 	audited := func(budget int) []obs.RunAudit {
-		log := obs.NewAuditLog(0)
+		log := obs.NewAuditLog()
 		opts := DefaultControllerOptions()
 		opts.SearchBudget = budget
 		opts.Audit = log

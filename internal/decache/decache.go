@@ -37,7 +37,10 @@
 // context is (grid, cost model, accuracy model, strategy, budget) and the
 // key is (layer workload, layer position, predicted size, age bucket).
 // The cached and uncached controllers produce byte-identical artefacts —
-// asserted end to end by `make smoke`.
+// asserted end to end by `make smoke`. An entry holds only what a run
+// report reads, the choice and its evaluation count: a controller with a
+// decision-audit log attaches no cache, so every audit record comes from
+// the live search.
 //
 // The bucket predicate reuses accuracy.Model.Satisfies' exact expression
 // shape ((w·ir)·A < η with ir precomputed per grid size, and w_j and A(t)
@@ -151,7 +154,7 @@ func (c *Cache) Flush() {
 	c.mu.Lock()
 	for _, x := range c.ctxs {
 		x.mu.Lock()
-		x.entries = make(map[Key]*Entry)
+		x.entries = make(map[Key]Entry)
 		x.mu.Unlock()
 	}
 	c.mu.Unlock()
@@ -191,27 +194,12 @@ type Key struct {
 	Bucket int
 }
 
-// Probe is one recorded candidate evaluation, in search order. EDP is NaN
-// for infeasible candidates (never scored). Age-dependent scores (energy,
-// latency, NF) are deliberately absent: audit replay recomputes them at
-// the current age, bit-identical to what the live search would have
-// reported.
-type Probe struct {
-	Size     ou.Size
-	Feasible bool
-	EDP      float64
-}
-
-// Entry is one memoized decision: the clamped start, the final choice
-// (after the not-found fallback to the start), and everything needed to
-// replay the run report and audit record byte-identically.
+// Entry is one memoized decision, as a run report reads it: the final
+// choice (after the not-found fallback to the clamped start) and the
+// candidate evaluations the search spent.
 type Entry struct {
-	Start, Chosen ou.Size
-	BestEDP       float64
-	Found         bool
-	Evaluations   int
-	Probes        []Probe
-	Front         []ou.Size
+	Chosen      ou.Size
+	Evaluations int
 }
 
 // Context is the per-(platform, strategy, budget) decision table. It
@@ -228,7 +216,7 @@ type Context struct {
 	irs []float64
 
 	mu      sync.RWMutex
-	entries map[Key]*Entry
+	entries map[Key]Entry
 	inserts int
 }
 
@@ -254,7 +242,7 @@ func (c *Cache) Context(g ou.Grid, cost ou.CostModel, acc accuracy.Model, strate
 		acc:     acc,
 		grid:    g,
 		irs:     make([]float64, 0, n*n),
-		entries: make(map[Key]*Entry),
+		entries: make(map[Key]Entry),
 	}
 	for ri := 0; ri < n; ri++ {
 		for ci := 0; ci < n; ci++ {
@@ -285,7 +273,7 @@ func (x *Context) Bucket(w, amp float64) int {
 }
 
 // Lookup returns the memoized decision for k, if present.
-func (x *Context) Lookup(k Key) (*Entry, bool) {
+func (x *Context) Lookup(k Key) (Entry, bool) {
 	x.mu.RLock()
 	e, ok := x.entries[k]
 	x.mu.RUnlock()
@@ -300,17 +288,16 @@ func (x *Context) Lookup(k Key) (*Entry, bool) {
 	if x.cache.tDecMisses != nil {
 		x.cache.tDecMisses.Inc()
 	}
-	return nil, false
+	return Entry{}, false
 }
 
-// Store memoizes a decision. The entry (including its slices) must not be
-// mutated afterwards. Exceeding the decision cap flushes this context
-// wholesale; the trigger depends only on the insertion count, so shared
-// caches stay deterministic.
-func (x *Context) Store(k Key, e *Entry) {
+// Store memoizes a decision. Exceeding the decision cap flushes this
+// context wholesale; the trigger depends only on the insertion count, so
+// shared caches stay deterministic.
+func (x *Context) Store(k Key, e Entry) {
 	x.mu.Lock()
 	if x.inserts >= maxDecisions {
-		x.entries = make(map[Key]*Entry)
+		x.entries = make(map[Key]Entry)
 		x.inserts = 0
 		x.mu.Unlock()
 		x.cache.countFlush()

@@ -148,9 +148,7 @@ func TestLookupStoreCounters(t *testing.T) {
 	if _, ok := x.Lookup(k); ok {
 		t.Fatalf("lookup hit on empty cache")
 	}
-	e := &Entry{Start: grid.SizeAt(1, 1), Chosen: grid.SizeAt(0, 1), Found: true,
-		BestEDP: 1e-9, Evaluations: 9,
-		Probes: []Probe{{Size: grid.SizeAt(1, 1), Feasible: true, EDP: 2e-9}}}
+	e := Entry{Chosen: grid.SizeAt(0, 1), Evaluations: 9}
 	x.Store(k, e)
 	got, ok := x.Lookup(k)
 	if !ok || got != e {
@@ -172,7 +170,7 @@ func TestFlushDropsEntriesKeepsContexts(t *testing.T) {
 	c := New()
 	x := c.Context(grid, cost, acc, "rb", 3)
 	k := Key{Work: testWork(), Layer: 0, Of: 4, Predicted: grid.SizeAt(0, 0), Bucket: 3}
-	x.Store(k, &Entry{Chosen: grid.SizeAt(0, 0)})
+	x.Store(k, Entry{Chosen: grid.SizeAt(0, 0)})
 	c.Flush()
 	if x.Len() != 0 {
 		t.Fatalf("flush left %d decision entries", x.Len())
@@ -196,13 +194,13 @@ func TestDecisionCapFlushesWholesale(t *testing.T) {
 	w := testWork()
 	for i := 0; i < maxDecisions; i++ {
 		x.Store(Key{Work: w, Layer: i, Of: maxDecisions + 1, Predicted: grid.SizeAt(0, 0), Bucket: 3},
-			&Entry{Chosen: grid.SizeAt(0, 0)})
+			Entry{Chosen: grid.SizeAt(0, 0)})
 	}
 	if x.Len() != maxDecisions || c.Counters().Flushes != 0 {
 		t.Fatalf("pre-overflow: len %d flushes %d", x.Len(), c.Counters().Flushes)
 	}
 	x.Store(Key{Work: w, Layer: maxDecisions, Of: maxDecisions + 1, Predicted: grid.SizeAt(0, 0), Bucket: 3},
-		&Entry{Chosen: grid.SizeAt(0, 0)})
+		Entry{Chosen: grid.SizeAt(0, 0)})
 	if x.Len() != 1 {
 		t.Fatalf("overflow kept %d entries, want 1 (the new one)", x.Len())
 	}
@@ -219,7 +217,7 @@ func TestTelemetryCounters(t *testing.T) {
 	x := c.Context(grid, cost, acc, "rb", 3)
 	k := Key{Work: testWork(), Layer: 0, Of: 2, Predicted: grid.SizeAt(0, 0), Bucket: 1}
 	x.Lookup(k)
-	x.Store(k, &Entry{Chosen: grid.SizeAt(0, 0)})
+	x.Store(k, Entry{Chosen: grid.SizeAt(0, 0)})
 	x.Lookup(k)
 	c.Flush()
 	var sb strings.Builder
@@ -247,7 +245,7 @@ func TestHitPathAllocFree(t *testing.T) {
 	c := New()
 	x := c.Context(grid, cost, acc, "rb", 3)
 	k := Key{Work: testWork(), Layer: 3, Of: 11, Predicted: grid.SizeAt(2, 2), Bucket: 9}
-	x.Store(k, &Entry{Start: grid.SizeAt(2, 2), Chosen: grid.SizeAt(2, 2), Found: true})
+	x.Store(k, Entry{Chosen: grid.SizeAt(2, 2), Evaluations: 4})
 	allocs := testing.AllocsPerRun(1000, func() {
 		kk := k
 		kk.Bucket = x.Bucket(acc.Sens.Weight(3, 11), acc.Amplification(1e4))

@@ -63,7 +63,7 @@ func RunTrace(opts TraceOptions) (*TraceResult, error) {
 		return nil, err
 	}
 	tr := obs.New()
-	audit := obs.NewAuditLog(0)
+	audit := obs.NewAuditLog()
 	copts := core.DefaultControllerOptions()
 	copts.Tracer = tr
 	copts.Audit = audit

@@ -29,6 +29,26 @@ func TestTraceGoldenFlame(t *testing.T) {
 	check.Golden(t, filepath.Join("testdata", "traceflame.golden"), buf.Bytes())
 }
 
+// TestTraceGoldenAudit freezes the decision-audit table of the same run:
+// every layer's prediction, clamp, choice, winner and evaluation count,
+// and the chosen candidate's scores.
+//
+// Refresh with:
+//
+//	go test ./internal/experiments -run TestTraceGoldenAudit -update
+func TestTraceGoldenAudit(t *testing.T) {
+	t.Parallel()
+	res, err := RunTrace(TraceOptions{Model: "resnet18", Runs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.Audit.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	check.Golden(t, filepath.Join("testdata", "traceaudit.golden"), buf.Bytes())
+}
+
 // TestTraceAuditMatchesReports cross-checks the two observability artefacts
 // against the controller's own report: one audit per run, evaluation counts
 // in agreement, and a Chrome export that parses as JSON.

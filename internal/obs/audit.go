@@ -24,7 +24,9 @@ type Candidate struct {
 // LayerDecision is the audit record of one RunInference layer decision:
 // what the policy predicted, where the feasibility clamp moved it, which
 // search strategy refined it, every candidate the search scored, and who
-// won (policy prediction == final choice, or the search overrode it).
+// won (policy prediction == final choice, or the search overrode it). It
+// always records a live search: an audited controller attaches no
+// decision cache.
 type LayerDecision struct {
 	Layer     int
 	Predicted ou.Size // policy output (Algorithm 1 line 5)
@@ -38,13 +40,6 @@ type LayerDecision struct {
 
 	Evaluations int  // candidate evaluations spent (comparator budget)
 	PolicyWon   bool // Predicted == Chosen (no disagreement recorded)
-
-	// Cached marks a decision served from the controller's decision cache
-	// (internal/decache) instead of a live search. Candidates, Evaluations
-	// and the choice itself are byte-identical either way (the cache
-	// contract); Cached only attributes where the bytes came from, so
-	// artefact renderings must not include it.
-	Cached bool
 
 	Candidates []Candidate
 
@@ -85,24 +80,21 @@ func (r RunAudit) Disagreements() int {
 	return n
 }
 
-// AuditLog accumulates RunAudits. Bounded when built with NewAuditLog's
-// positive cap (oldest runs evicted); nil-safe: Add on a nil log is a
-// no-op and Enabled reports false, so the controller hot path pays one
-// pointer test when auditing is off.
+// AuditLog accumulates every RunAudit it is given. It is nil-safe: Add on
+// a nil log is a no-op and Enabled reports false, so the controller hot
+// path pays one pointer test when auditing is off.
 type AuditLog struct {
 	mu   sync.Mutex
-	cap  int
 	runs []RunAudit
 }
 
-// NewAuditLog returns an audit log keeping at most cap runs (cap <= 0
-// means unbounded).
-func NewAuditLog(cap int) *AuditLog { return &AuditLog{cap: cap} }
+// NewAuditLog returns an empty audit log.
+func NewAuditLog() *AuditLog { return &AuditLog{} }
 
 // Enabled reports whether the log records anything.
 func (l *AuditLog) Enabled() bool { return l != nil }
 
-// Add appends one run's audit, evicting the oldest beyond the cap.
+// Add appends one run's audit.
 func (l *AuditLog) Add(r RunAudit) {
 	if l == nil {
 		return
@@ -110,9 +102,6 @@ func (l *AuditLog) Add(r RunAudit) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.runs = append(l.runs, r)
-	if l.cap > 0 && len(l.runs) > l.cap {
-		l.runs = l.runs[len(l.runs)-l.cap:]
-	}
 }
 
 // Runs snapshots the recorded audits in record order.

@@ -34,7 +34,7 @@ func sampleRun(t0 float64) RunAudit {
 	}
 }
 
-func TestAuditLogNilSafeAndBounded(t *testing.T) {
+func TestAuditLogNilSafe(t *testing.T) {
 	t.Parallel()
 	var nilLog *AuditLog
 	if nilLog.Enabled() {
@@ -50,15 +50,6 @@ func TestAuditLogNilSafeAndBounded(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("nil log rendered: %q", buf.String())
-	}
-
-	l := NewAuditLog(2)
-	for i := 0; i < 4; i++ {
-		l.Add(sampleRun(float64(i)))
-	}
-	runs := l.Runs()
-	if len(runs) != 2 || runs[0].Time != 2 || runs[1].Time != 3 {
-		t.Fatalf("bounded log kept %+v", runs)
 	}
 }
 
@@ -76,7 +67,7 @@ func TestRunAuditAggregates(t *testing.T) {
 
 func TestWriteTableRendersAttribution(t *testing.T) {
 	t.Parallel()
-	l := NewAuditLog(0)
+	l := NewAuditLog()
 	l.Add(sampleRun(0))
 	l.Add(sampleRun(1000))
 	var buf bytes.Buffer

@@ -183,19 +183,29 @@ func (s *Subscription) Close() {
 // Since copies the retained events with Seq > seq that pass the filter, in
 // publish order — the Last-Event-ID backfill. Resume is best-effort by
 // construction: events older than the ring are gone (the SSE handler
-// reports the gap as a comment frame).
+// reports the gap as a comment frame). Publish waits while it copies, so
+// it counts the matches first and allocates the copy once.
 func (b *Bus) Since(seq uint64, kinds KindSet) []Event {
 	if b == nil {
 		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var out []Event
+	match := func(e *Event) bool { return e.Seq > seq && kinds.Has(e.Kind) }
+	m := 0
+	for i := range b.ring {
+		if match(&b.ring[i]) {
+			m++
+		}
+	}
+	if m == 0 {
+		return nil
+	}
+	out := make([]Event, 0, m)
 	n := len(b.ring)
 	for i := 0; i < n; i++ {
-		e := b.ring[(b.head+i)%n]
-		if e.Seq > seq && kinds.Has(e.Kind) {
-			out = append(out, e)
+		if e := &b.ring[(b.head+i)%n]; match(e) {
+			out = append(out, *e)
 		}
 	}
 	return out

@@ -29,6 +29,7 @@ package pulse
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -239,12 +240,14 @@ func (e *Event) AppendSSE(buf []byte) []byte {
 }
 
 // appendFloat renders a float as a JSON value: shortest round-trippable
-// decimal, with non-finite values quoted (JSON has no Inf/NaN literals) —
-// the obs trace-export convention.
+// decimal, with non-finite values quoted ("+Inf", "-Inf", "NaN": JSON has
+// no such literals) — the obs trace-export convention. It allocates
+// nothing when buf has room.
 func appendFloat(buf []byte, v float64) []byte {
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if strings.ContainsAny(s, "IN") { // +Inf, -Inf, NaN
-		return strconv.AppendQuote(buf, s)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		buf = append(buf, '"')
+		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+		return append(buf, '"')
 	}
-	return append(buf, s...)
+	return strconv.AppendFloat(buf, v, 'g', -1, 64)
 }

@@ -84,12 +84,29 @@ func TestAppendJSONCanonical(t *testing.T) {
 				Request: 99, Reason: "reject"},
 			`{"seq":7,"t":5,"kind":"shed","chip":-1,"model":"VGG11","request":null,"reason":"reject"}`,
 		},
+		{
+			Event{Seq: 8, Time: math.Inf(-1), Kind: KindReprogram, Chip: 0, Model: "m",
+				Pass: "maintenance", Count: 1, Age: math.NaN()},
+			`{"seq":8,"t":"-Inf","kind":"reprogram","chip":0,"model":"m","pass":"maintenance","count":1,"age":"NaN"}`,
+		},
 	}
 	for _, tc := range cases {
 		got := string(tc.e.AppendJSON(nil))
 		if got != tc.want {
 			t.Errorf("AppendJSON %v:\n got  %s\n want %s", tc.e.Kind, got, tc.want)
 		}
+	}
+}
+
+// TestAppendJSONAllocFree: rendering a batch event, a non-finite deadline
+// included, into a buffer with room allocates nothing.
+func TestAppendJSONAllocFree(t *testing.T) {
+	e := Event{Seq: 2, Time: 1.25, Kind: KindBatch, Chip: 0, Model: "VGG11",
+		Batch: 7, Size: 3, Queue: 2, Latency: 0.01, Energy: 1.5,
+		Age: 0.75, Deadline: math.Inf(1), Tenant: "gold"}
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() { buf = e.AppendJSON(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendJSON of a batch event: %v allocations, want 0", n)
 	}
 }
 
@@ -158,6 +175,23 @@ func TestSinceFilter(t *testing.T) {
 	got := b.Since(0, sheds)
 	if len(got) != 1 || got[0].Kind != KindShed {
 		t.Fatalf("filtered Since = %v", got)
+	}
+}
+
+// TestSinceAllocatesOnce: copying a full, wrapped ring (a fresh GET /events
+// client's backfill, taken while Publish waits) is one allocation.
+func TestSinceAllocatesOnce(t *testing.T) {
+	const ring = 1024
+	b := New(Options{Ring: ring})
+	for i := 1; i <= ring+3; i++ {
+		b.Publish(Event{Time: float64(i), Kind: KindBatch, Chip: 0, Model: "m", Batch: uint64(i)})
+	}
+	var got []Event
+	if n := testing.AllocsPerRun(10, func() { got = b.Since(0, AllKinds) }); n != 1 {
+		t.Fatalf("Since over a full ring: %v allocations, want 1", n)
+	}
+	if len(got) != ring || got[0].Seq != 4 || got[ring-1].Seq != ring+3 {
+		t.Fatalf("Since copied %d events, seq %d..%d", len(got), got[0].Seq, got[len(got)-1].Seq)
 	}
 }
 

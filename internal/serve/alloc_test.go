@@ -12,10 +12,11 @@ import (
 
 // arrivalAllocBudget bounds the heap allocations per arrival on the
 // replay-fleet path, at every fleet size. What remains is SubmitAs's own
-// allocations plus, amortised over the trace, batch bookkeeping,
-// decision-cache misses and training-buffer growth; line 5's prediction
-// and every decision-cache hit allocate nothing.
-const arrivalAllocBudget = 6
+// allocations plus, amortised over the trace, batch bookkeeping, map
+// growth on decision-cache stores and training-buffer growth; line 5's
+// prediction, every decision-cache hit and the rb search behind a miss
+// allocate nothing.
+const arrivalAllocBudget = 5
 
 // newServerAllocBudget bounds NewServer's heap allocations per chip on the
 // replay-fleet shape, at every fleet size. Each distinct model is prepared

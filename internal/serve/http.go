@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"odin/internal/obs"
 	"odin/internal/pulse"
 )
 
@@ -85,12 +84,8 @@ func NewHandler(s *Server) http.Handler {
 	return NewHandlerOpts(s, HandlerOptions{})
 }
 
-// HandlerOptions extend NewHandler with the observability endpoints.
+// HandlerOptions extend NewHandler with the operator endpoints.
 type HandlerOptions struct {
-	// Tracer, when non-nil, exposes GET /debug/trace: a Chrome trace-event
-	// JSON dump of the spans currently held (for a ring tracer, the most
-	// recent window). Pass the same tracer as Config.Tracer.
-	Tracer *obs.Tracer
 	// Debug registers the net/http/pprof profiling handlers under /debug/
 	// pprof/. Off by default: profiling endpoints leak operational detail
 	// and cost CPU, so live deployments must opt in (odinserve -debug).
@@ -108,7 +103,8 @@ type HandlerOptions struct {
 
 // NewHandlerOpts is NewHandler plus opt-in observability endpoints:
 //
-//	GET /debug/trace    Chrome trace-event JSON span dump (opts.Tracer set)
+//	GET /debug/trace    Chrome trace-event JSON dump of the spans held
+//	                    (Config.Tracer set; for a ring, the latest window)
 //	GET /debug/pprof/   net/http/pprof profiling suite (opts.Debug set)
 //	GET /events         live SSE telemetry stream (Config.Pulse set)
 //	GET /statusz        JSON fleet series snapshot (Config.Pulse set)
@@ -150,10 +146,10 @@ func NewHandlerOpts(s *Server, opts HandlerOptions) http.Handler {
 		registerAdmin(mux, s)
 		h = chipIDGuard(mux)
 	}
-	if opts.Tracer.Enabled() {
+	if s.cfg.Tracer.Enabled() {
 		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 			var sb strings.Builder
-			if err := opts.Tracer.WriteChromeTrace(&sb); err != nil {
+			if err := s.cfg.Tracer.WriteChromeTrace(&sb); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}

@@ -63,7 +63,8 @@ func TestReplayTraceByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestHandlerDebugEndpoints pins the opt-in contract: neither pprof nor the
-// trace dump is reachable unless explicitly enabled.
+// trace dump is reachable unless explicitly enabled, the dump by the
+// fleet's Config.Tracer and pprof by HandlerOptions.Debug.
 func TestHandlerDebugEndpoints(t *testing.T) {
 	t.Parallel()
 	s, _ := tinyServer(t, 1, Config{})
@@ -84,7 +85,9 @@ func TestHandlerDebugEndpoints(t *testing.T) {
 
 	spans := obs.NewRing(16)
 	spans.At("seedspan", 0, 0, 1, nil)
-	debug := NewHandlerOpts(s, HandlerOptions{Tracer: spans, Debug: true})
+	traced, _ := tinyServer(t, 1, Config{Tracer: spans})
+	defer traced.Close()
+	debug := NewHandlerOpts(traced, HandlerOptions{Debug: true})
 	if rec := get(debug, "/debug/pprof/"); rec.Code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ with -debug: %d", rec.Code)
 	}
@@ -100,7 +103,7 @@ func TestHandlerDebugEndpoints(t *testing.T) {
 	}
 
 	// Tracer without Debug: trace dump on, pprof still off.
-	traceOnly := NewHandlerOpts(s, HandlerOptions{Tracer: spans})
+	traceOnly := NewHandler(traced)
 	if rec := get(traceOnly, "/debug/pprof/"); rec.Code != http.StatusNotFound {
 		t.Fatalf("pprof exposed by Tracer alone: %d", rec.Code)
 	}

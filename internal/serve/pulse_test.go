@@ -163,7 +163,7 @@ func TestPulseDecisionsWithAudit(t *testing.T) {
 	t.Parallel()
 	tr, ops := pulseChurnTrace(t)
 	_, plainBus := pulseReplay(t, tr, 2, 1, ops)
-	audit := obs.NewAuditLog(0)
+	audit := obs.NewAuditLog()
 	_, bus := pulseReplayWith(t, tr, 2, 1, ops, core.ControllerOptions{Audit: audit})
 	var plain, got bytes.Buffer
 	if err := plainBus.WriteLog(&plain); err != nil {

@@ -546,9 +546,11 @@ func NewServer(cfg Config) (*Server, error) {
 	// their own or opted out): same-platform chips hit each other's
 	// memoized decisions, and the cache's counters land on the fleet's
 	// metrics registry. Gated on the process-wide default so `odinsim
-	// -cache=off` style comparisons reach the serving layer too.
+	// -cache=off` style comparisons reach the serving layer too. Audited
+	// chips search live (core.ControllerOptions.Audit), so their fleet
+	// gets none.
 	if cfg.Controller.Cache == nil && !cfg.Controller.DisableDecisionCache &&
-		core.DecisionCacheDefault() {
+		cfg.Controller.Audit == nil && core.DecisionCacheDefault() {
 		cfg.Controller.Cache = decache.NewWith(decache.Options{Registry: cfg.Registry})
 	}
 
