@@ -87,7 +87,7 @@ func TestWatchStreamRawAndFilter(t *testing.T) {
 	if resp := <-s.Submit("VGG11"); resp.Shed || resp.Err != "" {
 		t.Fatalf("submit not served: %+v", resp)
 	}
-	evs := bus.Since(0, pulse.AllKinds)
+	evs := bus.Since(0)
 	batches := 0
 	for _, e := range evs {
 		if e.Kind == pulse.KindBatch {

@@ -140,12 +140,13 @@ func TestWorkersFlagOutputIdentical(t *testing.T) {
 // TestCacheFlagOutputIdentical is the CLI face of the decision-cache
 // contract: -cache=off and -cache=on (the default) render byte-identical
 // artefacts. Not parallel — the flag flips process-wide state, which this
-// test restores on exit.
+// test restores on exit. fig7 is the cheapest experiment whose output
+// changes when the cache serves a decision from the wrong age bucket.
 func TestCacheFlagOutputIdentical(t *testing.T) {
 	defer core.SetDecisionCacheDefault(true)
 	render := func(mode string) string {
 		var out, errs bytes.Buffer
-		if err := run(&out, &errs, []string{"-cache", mode, "tab1", "fig3", "overhead"}, clock.NewVirtual(0)); err != nil {
+		if err := run(&out, &errs, []string{"-cache", mode, "tab1", "fig3", "overhead", "fig7"}, clock.NewVirtual(0)); err != nil {
 			t.Fatalf("-cache=%s: %v", mode, err)
 		}
 		return out.String()

@@ -24,6 +24,9 @@ type Baseline struct {
 	// deadline is the device age at which the fixed size first violates η
 	// for its most sensitive layer (+Inf if never).
 	deadline float64
+	// energy and latency price one inference at the fixed size. Only
+	// System.Prepare writes a workload's fields, so they never change.
+	energy, latency float64
 
 	programmedAt float64
 	reprograms   int
@@ -63,8 +66,10 @@ func NewBaseline(sys System, wl *Workload, size ou.Size) (*Baseline, error) {
 	if deadline <= sys.Device.T0 {
 		return nil, fmt.Errorf("core: OU size %v violates η even on a fresh device", size)
 	}
-	return &Baseline{sys: sys, wl: wl, size: size, weights: sys.Acc.Sens.Weights(total),
-		deadline: deadline}, nil
+	b := &Baseline{sys: sys, wl: wl, size: size, weights: sys.Acc.Sens.Weights(total),
+		deadline: deadline}
+	b.energy, b.latency = sys.inferenceCost(wl, b.sizes())
+	return b, nil
 }
 
 // ReprogramInterval returns the wall time between reprogramming passes the
@@ -102,10 +107,7 @@ func (b *Baseline) Age(t float64) float64 {
 // reprogram count is therefore independent of the epoch cadence.
 func (b *Baseline) RunInference(t float64) RunReport {
 	age := b.Age(t)
-	rep := RunReport{Time: t, Age: age, Sizes: make([]ou.Size, b.wl.Layers())}
-	for j := range rep.Sizes {
-		rep.Sizes[j] = b.size
-	}
+	rep := RunReport{Time: t, Age: age, Sizes: b.sizes()}
 	if !b.DisableReprogram && age > b.deadline {
 		interval := b.ReprogramInterval()
 		// Resets that fell due since the last programming instant.
@@ -120,8 +122,17 @@ func (b *Baseline) RunInference(t float64) RunReport {
 		age = b.Age(t)
 		rep.Age = age
 	}
-	rep.Energy, rep.Latency = b.sys.inferenceCost(b.wl, rep.Sizes)
+	rep.Energy, rep.Latency = b.energy, b.latency
 	rep.Accuracy = b.sys.Acc.AccuracyWith(b.wl.Model.IdealAccuracy, b.weights,
 		b.sys.Acc.Amplification(age), rep.Sizes)
 	return rep
+}
+
+// sizes returns a fresh per-layer size vector holding the fixed size.
+func (b *Baseline) sizes() []ou.Size {
+	sizes := make([]ou.Size, b.wl.Layers())
+	for j := range sizes {
+		sizes[j] = b.size
+	}
+	return sizes
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"slices"
+	"sync"
 
 	"odin/internal/core"
 	"odin/internal/dnn"
@@ -51,19 +51,15 @@ func Fig8(sys core.System) (Fig8Result, error) {
 	}
 
 	models := dnn.AllWorkloads()
-	var families []string
+	// One offline policy per family, trained by the first of its workloads
+	// to finish its baselines. The map is filled before the workers start
+	// and only read by them. Each family's first workload is among the
+	// first five, so no worker waits on a bootstrap nobody has started.
+	offline := map[string]func() (*policy.Policy, error){}
 	for _, m := range models {
-		if f := familyOf(m.Name); !slices.Contains(families, f) {
-			families = append(families, f)
+		if f := familyOf(m.Name); offline[f] == nil {
+			offline[f] = sync.OnceValues(func() (*policy.Policy, error) { return leaveOutPolicy(sys, f) })
 		}
-	}
-	offline := make([]*policy.Policy, len(families))
-	if err := par.ForEach(0, len(families), func(i int) error {
-		var err error
-		offline[i], err = leaveOutPolicy(sys, families[i])
-		return err
-	}); err != nil {
-		return res, err
 	}
 	rows := make([]Fig8Row, len(models))
 	if err := par.ForEach(0, len(models), func(i int) error {
@@ -90,8 +86,11 @@ func Fig8(sys core.System) (Fig8Result, error) {
 			}
 			row.EDP[size.String()] = sum.TotalEDP() / norm
 		}
-		pol := offline[slices.Index(families, familyOf(model.Name))].Clone()
-		ctrl, _, err := newController(sys, model, pol)
+		boot, err := offline[familyOf(model.Name)]()
+		if err != nil {
+			return err
+		}
+		ctrl, _, err := newController(sys, model, boot.Clone())
 		if err != nil {
 			return err
 		}

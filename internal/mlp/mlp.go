@@ -145,7 +145,12 @@ type workspace struct {
 	acts   [][]float64 // acts[0] is the input; acts[i+1] is trunk layer i's ReLU output
 	logits [][]float64 // per head: raw logits after forward, softmax after probabilities
 	grad   [][]float64 // grad[i] is ∂loss/∂acts[i] (training only)
-	back   []float64   // one head's Wᵀ·dz before it joins the trunk output's grad (training only)
+
+	// active lists, in increasing order, the units of the last top trunk
+	// output that are not ±0, NaN included; headsFinite says every head
+	// weight is finite (training only).
+	active      []int
+	headsFinite bool
 
 	// dead is each head's softmax for an all-zero trunk output, which
 	// depends on the head biases alone (training only). deadFresh says it
@@ -155,10 +160,11 @@ type workspace struct {
 	deadFresh, deadFinite bool
 
 	// zeroTop is an all-zero top trunk output, which deadProbs runs the
-	// heads on; trunkAt holds the trunk parameters, weights then biases
-	// per layer, under which Train's dead verdicts were found (training
-	// only).
-	zeroTop, trunkAt []float64
+	// heads on when a head weight is not finite; trunkAt holds the trunk
+	// parameters, weights then biases per layer, under which Train's dead
+	// verdicts were found; addend holds, head after head, the row
+	// p − onehot(t) of dead for each target class t (training only).
+	zeroTop, trunkAt, addend []float64
 }
 
 func (n *Network) newWorkspace(train bool) workspace {
@@ -176,18 +182,22 @@ func (n *Network) newWorkspace(train bool) workspace {
 		for i, l := range n.trunk {
 			ws.grad[i+1] = make([]float64, len(l.B))
 		}
-		ws.back = make([]float64, len(ws.grad[len(n.trunk)]))
+		top := len(ws.grad[len(n.trunk)])
+		ws.active = make([]int, 0, top)
+		ws.headsFinite = n.headWeightsFinite()
 		ws.dead = make([][]float64, len(n.heads))
+		addend := 0
 		for k, l := range n.heads {
 			ws.dead[k] = make([]float64, len(l.B))
+			addend += len(l.B) * len(l.B)
 		}
 		trunkParams := 0
 		for _, l := range n.trunk {
 			trunkParams += len(l.W.Data) + len(l.B)
 		}
-		top := len(ws.grad[len(n.trunk)])
-		buf := make([]float64, top+trunkParams)
-		ws.zeroTop, ws.trunkAt = buf[:top:top], buf[top:]
+		buf := make([]float64, top+trunkParams+addend)
+		ws.zeroTop, buf = buf[:top:top], buf[top:]
+		ws.trunkAt, ws.addend = buf[:trunkParams:trunkParams], buf[trunkParams:]
 	}
 	return ws
 }
@@ -364,20 +374,46 @@ func zero(ls []*linear) {
 	}
 }
 
+// finite reports whether every element of v is neither NaN nor ±Inf.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if !(math.Abs(x) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
+}
+
+// headWeightsFinite reports whether every head weight is finite.
+func (n *Network) headWeightsFinite() bool {
+	for _, l := range n.heads {
+		if !finite(l.W.Data) {
+			return false
+		}
+	}
+	return true
+}
+
 // deadProbs returns each head's softmax for an all-zero trunk output, or
 // nil when some probability is NaN or ±Inf. Only the first call after the
-// parameters changed runs the head code and the softmax on ws.zeroTop;
-// every other call reads ws.dead.
+// parameters changed computes the logits and the softmax; every other call
+// reads ws.dead. With every head weight finite, each product w·(+0) is ±0
+// and each MulVec sum starts at +0, so a logit is exactly +0 + b;
+// otherwise the heads run on ws.zeroTop.
 func (n *Network) deadProbs(ws *workspace) [][]float64 {
 	if !ws.deadFresh {
-		n.headPass(ws.zeroTop, ws.dead)
-		ws.deadFresh, ws.deadFinite = true, true
-		for _, p := range softmaxInPlace(ws.dead) {
-			for _, v := range p {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					ws.deadFinite = false
+		if ws.headsFinite {
+			for k, l := range n.heads {
+				for j, b := range l.B {
+					ws.dead[k][j] = 0 + b // not folded to b: +0 + (−0) is +0
 				}
 			}
+		} else {
+			n.headPass(ws.zeroTop, ws.dead)
+		}
+		ws.deadFresh, ws.deadFinite = true, true
+		for _, p := range softmaxInPlace(ws.dead) {
+			ws.deadFinite = ws.deadFinite && finite(p)
 		}
 	}
 	if !ws.deadFinite {
@@ -386,14 +422,49 @@ func (n *Network) deadProbs(ws *workspace) [][]float64 {
 	return ws.dead
 }
 
-// allZero reports whether every element of v is ±0; NaN is not.
-func allZero(v []float64) bool {
-	for _, x := range v {
+// activeUnits appends to dst the indices of v's elements that are not ±0,
+// NaN included, and returns it.
+func activeUnits(v []float64, dst []int) []int {
+	for j, x := range v {
 		if x != 0 {
-			return false
+			dst = append(dst, j)
 		}
 	}
-	return true
+	return dst
+}
+
+// activeHeadPass is headPass summing only the products of the units of h
+// listed in active. With every head weight finite, each skipped product is
+// ±0, and adding ±0 to a sum that starts at +0, and so is never −0, leaves
+// its bits alone.
+func (n *Network) activeHeadPass(h []float64, active []int, logits [][]float64) {
+	for k, l := range n.heads {
+		z := logits[k]
+		for i := range z {
+			row := l.W.Row(i)
+			var s float64
+			for _, j := range active {
+				s += row[j] * h[j]
+			}
+			z[i] = s + l.B[i]
+		}
+	}
+}
+
+// addOuterActive is m += a·hᵀ over the columns of h listed in active,
+// skipping zero entries of a as AddOuterScaled does. With a finite, each
+// skipped cell would add a_i·(±0) = ±0 to a gradient cell, which starts at
+// +0 and so is never −0: its bits would stay.
+func addOuterActive(m *mat.Dense, a, h []float64, active []int) {
+	for i, ai := range a {
+		if ai == 0 {
+			continue
+		}
+		row := m.Row(i)
+		for _, j := range active {
+			row[j] += ai * h[j]
+		}
+	}
 }
 
 // accumulate adds ∂loss/∂θ for a single example into g (laid out like
@@ -405,14 +476,18 @@ func allZero(v []float64) bool {
 //
 // When the top trunk output is all zeros and the cached probabilities
 // are finite, only the head biases' gradient p − onehot(target) is
-// added, and accumulate reports that it took this bias-only path; DESIGN
-// §2 argues why every other term of the dense path leaves g's bits as
-// they are.
+// added, and accumulate reports that it took this bias-only path.
+// Otherwise only the active units of the top trunk output, those that are
+// not ±0, take part in the logits, the head-weight gradients, the
+// back-projection Wᵀ·dz and the top trunk layer's gradients. DESIGN §2
+// argues why every term skipped on either path leaves g's bits as they
+// are.
 func (n *Network) accumulate(e Example, dead *bool, g []*linear, ws *workspace, withLoss bool) (loss float64, biasOnly bool) {
 	var top []float64
 	if !*dead {
 		top = n.trunkPass(e.Input, ws)
-		*dead = allZero(top)
+		ws.active = activeUnits(top, ws.active[:0])
+		*dead = len(ws.active) == 0
 	}
 	if *dead {
 		if probs := n.deadProbs(ws); probs != nil {
@@ -433,13 +508,20 @@ func (n *Network) accumulate(e Example, dead *bool, g []*linear, ws *workspace, 
 		}
 		if top == nil {
 			top = n.trunkPass(e.Input, ws)
+			ws.active = ws.active[:0]
 		}
 	}
-	n.headPass(top, ws.logits)
+	act := ws.active
+	if ws.headsFinite {
+		n.activeHeadPass(top, act, ws.logits)
+	} else {
+		n.headPass(top, ws.logits)
+	}
 	probs := softmaxInPlace(ws.logits)
 
 	// dTop accumulates the gradient flowing back into the trunk output from
-	// every head.
+	// every head, on the active units only: the ReLU mask overwrites an
+	// inactive unit's gradient with +0, the value clear leaves there.
 	dTop := ws.grad[len(n.trunk)]
 	clear(dTop)
 	for k, p := range probs {
@@ -450,19 +532,46 @@ func (n *Network) accumulate(e Example, dead *bool, g []*linear, ws *workspace, 
 		dz := p // reuse; p is this head's workspace buffer
 		dz[e.Targets[k]] -= 1
 		gh := g[len(n.trunk)+k]
-		gh.W.AddOuterScaled(1, dz, top)
+		if finite(dz) {
+			addOuterActive(gh.W, dz, top, act)
+		} else {
+			gh.W.AddOuterScaled(1, dz, top)
+		}
 		for j := range dz {
 			gh.B[j] += dz[j]
 		}
-		back := n.heads[k].W.MulVecT(dz, ws.back)
-		for j := range dTop {
-			dTop[j] += back[j]
+		w := n.heads[k].W
+		for _, j := range act {
+			var s float64 // MulVecT's sum for column j
+			for i, dzi := range dz {
+				if dzi != 0 {
+					s += w.Data[i*w.Cols+j] * dzi
+				}
+			}
+			dTop[j] += s
 		}
 	}
 
-	// Backprop through the ReLU trunk.
+	// Backprop through the ReLU trunk. The top layer's active units pass
+	// its ReLU mask, and its inactive ones add only +0, so only the active
+	// units touch its gradients.
+	last := len(n.trunk) - 1
+	if last < 0 {
+		return loss, false
+	}
+	gl, in := g[last], ws.acts[last]
+	for _, j := range act {
+		if dj := dTop[j]; dj != 0 {
+			row := gl.W.Row(j)
+			for c, x := range in {
+				row[c] += dj * x
+			}
+		}
+		gl.B[j] += dTop[j]
+	}
 	d := dTop
-	for i := len(n.trunk) - 1; i >= 0; i-- {
+	for i := last - 1; i >= 0; i-- {
+		d = n.trunk[i+1].W.MulVecT(d, ws.grad[i+1])
 		out := ws.acts[i+1]
 		for j := range d {
 			if out[j] <= 0 { // ReLU derivative
@@ -473,11 +582,50 @@ func (n *Network) accumulate(e Example, dead *bool, g []*linear, ws *workspace, 
 		for j := range d {
 			g[i].B[j] += d[j]
 		}
-		if i > 0 {
-			d = n.trunk[i].W.MulVecT(d, ws.grad[i])
-		}
 	}
 	return loss, false
+}
+
+// deadEpoch accumulates one epoch in which every example is known dead and
+// probs, the cached dead probabilities, are finite, and returns its summed
+// loss when withLoss. It writes each head's rows p − onehot(t) into
+// addend, and each example adds its targets' rows into the head-bias
+// gradients, so every cell takes the same additions in the same order as
+// on accumulate's bias-only path.
+func deadEpoch(examples []Example, order []int, probs [][]float64, headGrads []*linear, addend []float64, withLoss bool) float64 {
+	a := addend[:0]
+	for _, p := range probs {
+		for t := range p {
+			for j, v := range p {
+				if j == t {
+					v -= 1
+				}
+				a = append(a, v)
+			}
+		}
+	}
+	for k, p := range probs {
+		h := len(p)
+		gb := headGrads[k].B[:h]
+		for _, idx := range order {
+			t := examples[idx].Targets[k]
+			for j, v := range a[t*h : (t+1)*h] {
+				gb[j] += v
+			}
+		}
+		a = a[h*h:]
+	}
+	var epochLoss float64
+	if withLoss {
+		for _, idx := range order {
+			var loss float64
+			for k, p := range probs {
+				loss += -math.Log(math.Max(p[examples[idx].Targets[k]], 1e-300))
+			}
+			epochLoss += loss
+		}
+	}
+	return epochLoss
 }
 
 // trunkMoved reports whether any trunk parameter's bits differ from those
@@ -535,13 +683,14 @@ type TrainStats struct {
 // the options' seed. Its buffers are sized once per call, so epochs and
 // examples allocate nothing.
 //
-// Two shortcuts change no bit of the result (DESIGN §2, "Frozen
+// Three shortcuts change no bit of the result (DESIGN §2, "Frozen
 // trunks"). An example whose top trunk output was all zeros skips
 // trunkPass until a step moves a trunk parameter. A step in which every
 // example took the bias-only path wrote only the head-bias gradients, so
 // the next step clears only those; and once such a step left every other
 // parameter and velocity as it was, later ones update only the head
-// biases.
+// biases, and while the cached probabilities stay finite, their epochs
+// run as one deadEpoch loop instead of one accumulate call per example.
 func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	if len(examples) == 0 {
 		return TrainStats{}
@@ -576,12 +725,22 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 		} else {
 			zero(g)
 		}
-		clean = true
 		var epochLoss float64
-		for _, idx := range order {
-			loss, biasOnly := n.accumulate(examples[idx], &dead[idx], g, &ws, withLoss)
-			epochLoss += loss
-			clean = clean && biasOnly
+		var probs [][]float64
+		if settled {
+			// The settled step's examples all took the bias-only path and
+			// the trunk stood still, so every verdict still says dead.
+			probs = n.deadProbs(&ws)
+		}
+		if probs != nil {
+			epochLoss = deadEpoch(examples, order, probs, headGrads, ws.addend, withLoss)
+		} else {
+			clean = true
+			for _, idx := range order {
+				loss, biasOnly := n.accumulate(examples[idx], &dead[idx], g, &ws, withLoss)
+				epochLoss += loss
+				clean = clean && biasOnly
+			}
 		}
 		ws.deadFresh = false // the step moves the parameters
 		if settled && clean {
@@ -591,6 +750,7 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 			}
 		} else {
 			settled = !applySGD(params, g, vel, scale, opts.LearningRate, len(n.trunk)) && clean
+			ws.headsFinite = n.headWeightsFinite()
 			if n.trunkMoved(ws.trunkAt) {
 				clear(dead)
 			}

@@ -180,34 +180,33 @@ func (s *Subscription) Close() {
 	b.mu.Unlock()
 }
 
-// Since copies the retained events with Seq > seq that pass the filter, in
-// publish order — the Last-Event-ID backfill. Resume is best-effort by
-// construction: events older than the ring are gone (the SSE handler
-// reports the gap as a comment frame). Publish waits while it copies, so
-// it counts the matches first and allocates the copy once.
-func (b *Bus) Since(seq uint64, kinds KindSet) []Event {
+// Since copies the retained events with Seq > seq, in publish order — the
+// Last-Event-ID backfill. Resume is best-effort by construction: events
+// older than the ring are gone (the SSE handler reports the gap as a
+// comment frame). The ring holds consecutive sequence numbers, the newest
+// being the last one assigned, so the events after seq are a suffix of it:
+// Publish waits while Since copies at most two ring segments into one
+// slice of the final length.
+func (b *Bus) Since(seq uint64) []Event {
 	if b == nil {
 		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	match := func(e *Event) bool { return e.Seq > seq && kinds.Has(e.Kind) }
-	m := 0
-	for i := range b.ring {
-		if match(&b.ring[i]) {
-			m++
-		}
-	}
-	if m == 0 {
+	if seq >= b.nextSeq {
 		return nil
 	}
-	out := make([]Event, 0, m)
-	n := len(b.ring)
-	for i := 0; i < n; i++ {
-		if e := &b.ring[(b.head+i)%n]; match(e) {
-			out = append(out, *e)
+	older, newer := b.ring[b.head:], b.ring[:b.head]
+	if oldest := b.nextSeq - uint64(len(b.ring)) + 1; seq >= oldest {
+		skip := int(seq - oldest + 1)
+		if skip < len(older) {
+			older = older[skip:]
+		} else {
+			older, newer = nil, newer[skip-len(older):]
 		}
 	}
+	out := make([]Event, len(older)+len(newer))
+	copy(out[copy(out, older):], newer)
 	return out
 }
 

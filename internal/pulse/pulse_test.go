@@ -128,7 +128,7 @@ func TestNilBusNoOp(t *testing.T) {
 	}
 	b.Register(0, "m")
 	b.Publish(Event{Kind: KindBatch})
-	if got := b.Since(0, AllKinds); got != nil {
+	if got := b.Since(0); got != nil {
 		t.Fatalf("nil Since = %v", got)
 	}
 	if b.LastSeq() != 0 {
@@ -148,14 +148,14 @@ func TestRingEvictionAndSince(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		b.Publish(Event{Time: float64(i), Kind: KindBatch, Chip: 0, Model: "m", Batch: uint64(i)})
 	}
-	got := b.Since(0, AllKinds)
+	got := b.Since(0)
 	if len(got) != 4 {
 		t.Fatalf("Since(0) after eviction: %d events, want 4", len(got))
 	}
 	if got[0].Seq != 3 || got[3].Seq != 6 {
 		t.Fatalf("Since(0) seq range = [%d,%d], want [3,6]", got[0].Seq, got[3].Seq)
 	}
-	if got := b.Since(5, AllKinds); len(got) != 1 || got[0].Seq != 6 {
+	if got := b.Since(5); len(got) != 1 || got[0].Seq != 6 {
 		t.Fatalf("Since(5) = %v", got)
 	}
 	if b.LastSeq() != 6 {
@@ -166,15 +166,48 @@ func TestRingEvictionAndSince(t *testing.T) {
 	}
 }
 
+// TestSinceFilter: Since filters by sequence number alone. At every cut
+// point, on an unbounded ring and on bounded rings that have wrapped (head
+// mid-ring and head back at 0), it returns exactly the retained events
+// after the cut, in publish order, whatever their kind; kind filtering is
+// the GET /events handler's.
 func TestSinceFilter(t *testing.T) {
-	b := New(Options{})
-	b.Publish(Event{Time: 1, Kind: KindBatch, Chip: 0, Model: "m"})
-	b.Publish(Event{Time: 2, Kind: KindShed, Chip: -1, Model: "m", Reason: "queue"})
-	b.Publish(Event{Time: 3, Kind: KindBatch, Chip: 0, Model: "m"})
-	sheds, _ := ParseKinds("shed")
-	got := b.Since(0, sheds)
-	if len(got) != 1 || got[0].Kind != KindShed {
-		t.Fatalf("filtered Since = %v", got)
+	for _, tc := range []struct{ ring, publish int }{
+		{0, 5}, {4, 3}, {4, 4}, {4, 6}, {4, 8}, {4, 11},
+	} {
+		b := New(Options{Ring: tc.ring})
+		var retained []Event
+		for i := 1; i <= tc.publish; i++ {
+			e := Event{Time: float64(i), Kind: KindBatch, Chip: 0, Model: "m", Batch: uint64(i)}
+			if i%3 == 2 {
+				e = Event{Time: float64(i), Kind: KindShed, Chip: -1, Model: "m", Reason: "queue"}
+			}
+			b.Publish(e)
+			e.Seq = uint64(i)
+			retained = append(retained, e)
+			if tc.ring > 0 && len(retained) > tc.ring {
+				retained = retained[1:]
+			}
+		}
+		for seq := uint64(0); seq <= uint64(tc.publish)+1; seq++ {
+			var want []Event
+			for _, e := range retained {
+				if e.Seq > seq {
+					want = append(want, e)
+				}
+			}
+			got := b.Since(seq)
+			if len(got) != len(want) {
+				t.Fatalf("ring %d, %d published: Since(%d) = %d events, want %d",
+					tc.ring, tc.publish, seq, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("ring %d, %d published: Since(%d)[%d] = %+v, want %+v",
+						tc.ring, tc.publish, seq, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -187,7 +220,7 @@ func TestSinceAllocatesOnce(t *testing.T) {
 		b.Publish(Event{Time: float64(i), Kind: KindBatch, Chip: 0, Model: "m", Batch: uint64(i)})
 	}
 	var got []Event
-	if n := testing.AllocsPerRun(10, func() { got = b.Since(0, AllKinds) }); n != 1 {
+	if n := testing.AllocsPerRun(10, func() { got = b.Since(0) }); n != 1 {
 		t.Fatalf("Since over a full ring: %v allocations, want 1", n)
 	}
 	if len(got) != ring || got[0].Seq != 4 || got[ring-1].Seq != ring+3 {

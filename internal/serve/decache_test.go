@@ -14,8 +14,22 @@ import (
 
 // replayCached is replayOnce with explicit decision-cache control: disable
 // opts the whole fleet out; otherwise NewServer injects one shared cache.
+// Chip i is back-dated by i/chips of the tiny model's forced-reprogram
+// deadline, as replay-fleet's chips are, so the chips decide at different
+// device ages and a shared cache serves decisions from several age
+// buckets.
 func replayCached(t testing.TB, tr Trace, chips, workers int, disable bool) (ReplayResult, *Server) {
 	t.Helper()
+	sys := core.DefaultSystem()
+	wl, err := sys.Prepare(tinyModel("tiny"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := core.NewController(sys, wl, policy.New(policy.Config{Grid: sys.Grid(), Seed: 1}), core.ControllerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := probe.ForcedReprogramAge()
 	clk := clock.NewVirtual(0)
 	cfg := Config{
 		Clock:      clk,
@@ -25,7 +39,8 @@ func replayCached(t testing.TB, tr Trace, chips, workers int, disable bool) (Rep
 	}
 	cfg.Controller.DisableDecisionCache = disable
 	for i := 0; i < chips; i++ {
-		cfg.Chips = append(cfg.Chips, ChipConfig{Custom: tinyModel("tiny"), Seed: uint64(i) + 1})
+		cfg.Chips = append(cfg.Chips, ChipConfig{Custom: tinyModel("tiny"), Seed: uint64(i) + 1,
+			ProgrammedAt: -deadline * float64(i) / float64(chips)})
 	}
 	s, err := NewServer(cfg)
 	if err != nil {
@@ -40,12 +55,15 @@ func replayCached(t testing.TB, tr Trace, chips, workers int, disable bool) (Rep
 // same bytes — response checksum, decision log, energy/latency totals — as
 // an uncached fleet, at every worker count. The shared cache must actually
 // be exercised (cross-chip and cross-run hits), or the comparison is
-// vacuous.
+// vacuous. Eight chips spread over the deadline put the oldest ones close
+// enough to it that a decision served from another age bucket changes
+// the log.
 func TestReplayCachedByteIdentical(t *testing.T) {
 	t.Parallel()
 	tr := overloadTrace(t, 200)
+	const chips = 8
 
-	base, bs := replayCached(t, tr, 2, 2, true)
+	base, bs := replayCached(t, tr, chips, 2, true)
 	if bs.DecisionCache() != nil {
 		t.Fatal("DisableDecisionCache fleet still built a shared cache")
 	}
@@ -55,7 +73,7 @@ func TestReplayCachedByteIdentical(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3} {
-		got, s := replayCached(t, tr, 2, workers, false)
+		got, s := replayCached(t, tr, chips, workers, false)
 		cache := s.DecisionCache()
 		if cache == nil {
 			t.Fatalf("workers=%d: fleet built no shared decision cache", workers)

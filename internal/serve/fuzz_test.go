@@ -169,7 +169,7 @@ func FuzzEventsResume(f *testing.F) {
 			Model: "tiny", Batch: uint64(i), Size: 1, Latency: 0.01, Deadline: 10})
 	}
 	h := NewHandler(s)
-	retained, assigned := bus.Since(0, pulse.AllKinds), bus.LastSeq()
+	retained, assigned := bus.Since(0), bus.LastSeq()
 	f.Fuzz(func(t *testing.T, header, query string) {
 		v := header
 		if v == "" {

@@ -365,7 +365,7 @@ func registerPulse(mux *http.ServeMux, s *Server) {
 		}
 		// The ring holds consecutive ids, so the first retained event after
 		// last shows any gap; one copy serves the check and the backfill.
-		backfill := p.Since(last, pulse.AllKinds)
+		backfill := p.Since(last)
 		if last > 0 && len(backfill) > 0 && backfill[0].Seq-1 > last {
 			fmt.Fprintf(w, ": resume gap, %d events evicted\n\n", backfill[0].Seq-1-last)
 		}
