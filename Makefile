@@ -91,6 +91,12 @@ fuzzsmoke:
 # both the same way.
 FLEET_CHECKSUM = checksum=0xac76fa0f7b08713c
 
+# The SHA-256 of the Chrome trace `odinsim trace -model resnet18 -runs 4`
+# writes. Its layer spans carry each layer's strategy and evaluation count,
+# which the controller's run bookkeeping rebuilds. Like ODINSIM_SHA256
+# below, the value holds on GOARCH amd64.
+TRACE_SHA256 = 46e973ce598665567f30b03bc8ff7cdb59b4f29fe59565a6c19ffc845373df3f
+
 # The SHA-256 values `odinsim all` must render: one per experiment section
 # of the text output (split at its `==> ` headers, `<== ` lines removed),
 # then the whole `-json all` output. The first line records GOARCH: the Go
@@ -113,7 +119,8 @@ ODINSIM_SHA256 = cmd/odinsim/testdata/all.sha256
 #     hash to the values in ODINSIM_SHA256, so a failure names the
 #     experiment that moved;
 #   - a multi-worker `odinsim` run is clean under the race detector;
-#   - `odinsim trace` renders its audit table and writes a Chrome trace;
+#   - `odinsim trace` renders its audit table and writes a Chrome trace
+#     whose SHA-256 is TRACE_SHA256;
 #   - the disabled-instrumentation overhead guards (obs_guard_test.go,
 #     pulse_guard_test.go), armed: a nil tracer or bus must stay one
 #     pointer test per site.
@@ -154,6 +161,8 @@ smoke:
 	$(GO) run -race ./cmd/odinsim -workers 4 tab1 fig3 fig4 overhead > /dev/null; \
 	echo "smoke: odinsim trace"; \
 	$$sim trace -model resnet18 -runs 4 -out $$tmp/trace.json > /dev/null; \
+	sha256sum < $$tmp/trace.json | cut -d' ' -f1 > $$tmp/trace.sha; \
+	echo '$(TRACE_SHA256)' | cmp - $$tmp/trace.sha; \
 	echo "smoke: overhead guards"; \
 	ODIN_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'TestDisabled(Obs|Pulse)OverheadGuard' .
 

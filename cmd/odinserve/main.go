@@ -5,7 +5,7 @@
 //
 //	odinserve replay [flags]   # deterministic load replay on a virtual clock
 //	odinserve serve  [flags]   # live HTTP serving on the real clock
-//	odinserve watch  [flags]   # live terminal fleet dashboard over GET /events
+//	odinserve watch  [flags]   # live terminal dashboard of GET /statusz, redrawn on GET /events
 //
 // replay generates a Poisson arrival trace from internal/rng, drives it
 // through a fresh fleet, and prints aggregate figures plus an FNV-1a
@@ -99,7 +99,7 @@ func usage() {
 	fmt.Println("usage: odinserve replay|serve|watch [flags]")
 	fmt.Println("  replay  deterministic load replay on a virtual clock (-h for flags)")
 	fmt.Println("  serve   live HTTP serving on the real clock (-h for flags)")
-	fmt.Println("  watch   live terminal fleet dashboard over GET /events (-h for flags)")
+	fmt.Println("  watch   live terminal dashboard of GET /statusz, redrawn on GET /events (-h for flags)")
 }
 
 // fleetFlags are the chip/queue knobs shared by both subcommands.

@@ -1,12 +1,12 @@
 package main
 
-// odinserve watch: a live terminal fleet dashboard. It seeds its state
-// from GET /statusz, then consumes the GET /events SSE stream and redraws
-// per-chip rows (queue depth, latency quantiles, drift age and the router's
-// near-deadline verdict, reprogram count) plus fleet totals. Redraws are
-// throttled by wall-clock reads from clock.NewReal — the one clock source
-// a live binary may construct — so the watcher never owns a timer: a quiet
-// fleet simply leaves the last frame on screen.
+// odinserve watch: a live terminal fleet dashboard. It consumes the GET
+// /events SSE stream and, on events, redraws the server's GET /statusz
+// snapshot: per-chip rows (queue depth, latency quantiles, drift age and
+// the router's near-deadline verdict, reprogram count) plus fleet totals.
+// Redraws are throttled by wall-clock reads from clock.NewReal — the one
+// clock source a live binary may construct — so the watcher never owns a
+// timer: a quiet fleet simply leaves the last frame on screen.
 
 import (
 	"bufio"
@@ -17,7 +17,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -25,7 +24,6 @@ import (
 	"odin/internal/clock"
 	"odin/internal/pulse"
 	"odin/internal/serve"
-	"odin/internal/telemetry"
 )
 
 func runWatch(args []string) error {
@@ -46,18 +44,27 @@ func runWatch(args []string) error {
 }
 
 // watchStream is the testable core of `odinserve watch`: it connects to
-// base, seeds a dashboard from /statusz, consumes /events, and renders to
-// out. maxEvents > 0 stops after that many events (smoke tests); otherwise
-// the stream runs until the server closes it or the process is killed.
+// base, consumes /events, and renders to out. Each frame draws the
+// server's own fold, one /statusz body fetched at the redraw, so the
+// dashboard reads what /statusz reads; the events only trigger redraws.
+// maxEvents > 0 stops after that many events (smoke tests); otherwise the
+// stream runs until the server closes it or the process is killed. The
+// last frame is fetched after the stream ends, or repeats the last body
+// fetched when the server has gone.
 func watchStream(base, types string, interval float64, raw bool, maxEvents uint64, out io.Writer) error {
 	base = strings.TrimSuffix(base, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
 
-	dash := newDashboard()
-	if err := dash.seedFrom(base); err != nil {
+	st, err := fetchStatus(base)
+	if err != nil {
 		return err
+	}
+	refresh := func() {
+		if next, err := fetchStatus(base); err == nil {
+			st = next
+		}
 	}
 
 	target := base + "/events"
@@ -82,20 +89,18 @@ func watchStream(base, types string, interval float64, raw bool, maxEvents uint6
 	// timer, so an idle stream costs nothing.
 	clk := clock.NewReal()
 	lastDraw := math.Inf(-1)
+	var events uint64
 	err = readSSE(resp.Body, func(f sseFrame) error {
-		var e wireEvent
-		if err := json.Unmarshal(f.data, &e); err != nil {
-			return fmt.Errorf("event %d: %w", f.id, err)
-		}
-		dash.apply(e)
+		events++
 		if raw {
 			fmt.Fprintf(out, "%s\n", f.data)
 		} else if now := clk.Now(); now-lastDraw >= interval {
 			lastDraw = now
+			refresh()
 			fmt.Fprint(out, "\x1b[H\x1b[2J")
-			dash.render(out)
+			render(out, st)
 		}
-		if maxEvents > 0 && dash.events >= maxEvents {
+		if maxEvents > 0 && events >= maxEvents {
 			return errWatchDone
 		}
 		return nil
@@ -103,10 +108,11 @@ func watchStream(base, types string, interval float64, raw bool, maxEvents uint6
 	if err != nil && err != errWatchDone {
 		return err
 	}
+	refresh()
 	if !raw {
 		fmt.Fprint(out, "\x1b[H\x1b[2J")
 	}
-	dash.render(out)
+	render(out, st)
 	return nil
 }
 
@@ -152,235 +158,71 @@ func readSSE(r io.Reader, fn func(sseFrame) error) error {
 	return sc.Err()
 }
 
-// infFloat decodes the pulse convention for non-finite floats: quoted
-// strings ("+Inf") where JSON has no literal.
-type infFloat float64
-
-func (f *infFloat) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return err
-		}
-		*f = infFloat(v)
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = infFloat(v)
-	return nil
-}
-
-// wireEvent mirrors the canonical pulse event JSON (union of all kinds).
-type wireEvent struct {
-	Seq       uint64   `json:"seq"`
-	T         float64  `json:"t"`
-	Kind      string   `json:"kind"`
-	Chip      int      `json:"chip"`
-	Model     string   `json:"model"`
-	Action    string   `json:"action"`
-	Fleet     int      `json:"fleet"`
-	Size      int      `json:"size"`
-	Queue     int      `json:"queue"`
-	Lat       float64  `json:"lat"`
-	Age       float64  `json:"age"`
-	Deadline  infFloat `json:"deadline"`
-	Reprogram bool     `json:"reprogram"`
-	Count     int      `json:"count"`
-	Evals     int      `json:"evals"`
-	Disagree  int      `json:"disagree"`
-	Strategy  string   `json:"strategy"`
-	Reason    string   `json:"reason"`
-}
-
-// watchChip is one chip's dashboard row state.
-type watchChip struct {
-	model      string
-	removed    bool
-	queue      int
-	age        float64
-	deadline   float64 // +Inf when drift never forces
-	served     uint64
-	batches    uint64
-	sheds      uint64
-	reprograms uint64
-	decisions  uint64
-	evals      uint64
-	disagree   uint64
-	strategy   string
-	hist       *telemetry.Histogram // batch latencies seen by this watcher
-}
-
-// dashboard accumulates event state for rendering.
-type dashboard struct {
-	router   string
-	draining bool
-	t        float64
-	events   uint64
-	rejects  uint64 // fleet-level sheds (quota, reject)
-	chips    map[int]*watchChip
-}
-
-func newDashboard() *dashboard {
-	return &dashboard{chips: make(map[int]*watchChip)}
-}
-
-func (d *dashboard) chip(id int, model string) *watchChip {
-	c, ok := d.chips[id]
-	if !ok {
-		c = &watchChip{model: model, deadline: math.Inf(1),
-			hist: telemetry.NewHistogram(pulse.LatencyBounds)}
-		d.chips[id] = c
-	}
-	return c
-}
-
-// seedFrom primes the dashboard with the server's /statusz snapshot so the
-// first frame shows the whole fleet, not just chips that happen to emit
-// events after the watcher connects.
-func (d *dashboard) seedFrom(base string) error {
+// fetchStatus decodes one GET /statusz body.
+func fetchStatus(base string) (serve.Statusz, error) {
+	var st serve.Statusz
 	resp, err := http.Get(base + "/statusz")
 	if err != nil {
-		return err
+		return st, err
 	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /statusz: status %d", resp.StatusCode)
-	}
-	var st struct {
-		Router   string `json:"router"`
-		Draining bool   `json:"draining"`
-		pulse.Status
+		return st, fmt.Errorf("GET /statusz: status %d", resp.StatusCode)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return fmt.Errorf("GET /statusz: %w", err)
+		return st, fmt.Errorf("GET /statusz: %w", err)
 	}
-	d.router = st.Router
-	d.draining = st.Draining
-	d.t = st.Time
-	for _, row := range st.Chips {
-		c := d.chip(row.Chip, row.Model)
-		c.removed = row.Removed
-		c.queue = row.Queue
-		c.age = row.Age
-		if row.DriftFrac > 0 {
-			c.deadline = row.Age / row.DriftFrac
-		}
-		c.served = row.Served
-		c.batches = row.Batches
-		c.sheds = row.Sheds
-		c.reprograms = row.Reprograms
-		c.decisions = row.Decisions
-	}
-	return nil
+	return st, nil
 }
 
-// apply folds one event into the dashboard.
-func (d *dashboard) apply(e wireEvent) {
-	d.events++
-	if e.T > d.t {
-		d.t = e.T
-	}
-	if e.Chip < 0 {
-		if e.Kind == "shed" {
-			d.rejects++
-		}
-		return
-	}
-	c := d.chip(e.Chip, e.Model)
-	switch e.Kind {
-	case "batch":
-		c.queue = e.Queue
-		c.age = e.Age
-		c.deadline = float64(e.Deadline)
-		c.served += uint64(e.Size)
-		c.batches++
-		c.hist.Observe(e.Lat)
-	case "reprogram":
-		c.reprograms = uint64(e.Count)
-		c.age = e.Age
-	case "decision":
-		c.decisions++
-		c.evals += uint64(e.Evals)
-		c.disagree += uint64(e.Disagree)
-		c.strategy = e.Strategy
-	case "shed":
-		c.sheds++
-	case "lifecycle":
-		if e.Action == "remove" {
-			c.removed = true
-			c.queue = 0
-		}
-	}
-}
-
-// render writes one dashboard frame: a header, one row per chip sorted by
-// id, and fleet totals.
-func (d *dashboard) render(w io.Writer) {
-	ids := make([]int, 0, len(d.chips))
+// render writes one dashboard frame from a /statusz body: a header, one
+// row per chip in id order, and fleet totals.
+func render(w io.Writer, st serve.Statusz) {
 	live := 0
-	for id, c := range d.chips {
-		ids = append(ids, id)
-		if !c.removed {
+	for _, c := range st.Chips {
+		if !c.Removed {
 			live++
 		}
 	}
-	sort.Ints(ids)
 	state := "serving"
-	if d.draining {
+	if st.Draining {
 		state = "draining"
 	}
 	fmt.Fprintf(w, "odinserve fleet  t=%.3fs  router=%s  chips=%d live / %d total  events=%d  %s\n",
-		d.t, d.router, live, len(d.chips), d.events, state)
+		st.Time, st.Router, live, len(st.Chips), st.Events, state)
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "chip\tmodel\tq\tp50(ms)\tp99(ms)\tage(s)\tdrift\trp\tserved\tsheds\tevals\tstrat")
 	var served, sheds, reprograms, evals uint64
-	for _, id := range ids {
-		c := d.chips[id]
-		served += c.served
-		sheds += c.sheds
-		reprograms += c.reprograms
-		evals += c.evals
-		if c.removed {
+	for _, c := range st.Chips {
+		served += c.Served
+		sheds += c.Sheds
+		reprograms += c.Reprograms
+		evals += c.Evaluations
+		if c.Removed {
 			fmt.Fprintf(tw, "%d\t%s\t-\t-\t-\t-\t-\t%d\t%d\t%d\t%d\tremoved\n",
-				id, c.model, c.reprograms, c.served, c.sheds, c.evals)
+				c.Chip, c.Model, c.Reprograms, c.Served, c.Sheds, c.Evaluations)
 			continue
 		}
+		p50, p99 := "-", "-"
+		if c.Batches > 0 {
+			p50, p99 = strconv.FormatFloat(c.P50*1e3, 'f', 2, 64), strconv.FormatFloat(c.P99*1e3, 'f', 2, 64)
+		}
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%s\t%s\t%.3f\t%s\t%d\t%d\t%d\t%d\t%s\n",
-			id, c.model, c.queue,
-			quantileMS(c.hist, 0.50), quantileMS(c.hist, 0.99),
-			c.age, driftVerdict(c.age, c.deadline),
-			c.reprograms, c.served, c.sheds, c.evals, c.strategy)
+			c.Chip, c.Model, c.Queue, p50, p99, c.Age, driftVerdict(c.DriftFrac),
+			c.Reprograms, c.Served, c.Sheds, c.Evaluations, c.Strategy)
 	}
 	_ = tw.Flush()
 	fmt.Fprintf(w, "fleet: served=%d sheds=%d rejects=%d reprograms=%d evals=%d\n",
-		served, sheds, d.rejects, reprograms, evals)
-}
-
-// quantileMS renders a latency quantile in milliseconds, "-" before any
-// sample arrived.
-func quantileMS(h *telemetry.Histogram, q float64) string {
-	v := h.Quantile(q)
-	if math.IsNaN(v) {
-		return "-"
-	}
-	return strconv.FormatFloat(v*1e3, 'f', 2, 64)
+		served, sheds, st.Rejects, reprograms, evals)
 }
 
 // driftVerdict renders the chip's position against its forced-reprogram
 // deadline the way the drift router judges it: the filled fraction, with a
 // "near" marker once past serve.DefaultDriftMargin.
-func driftVerdict(age, deadline float64) string {
-	if math.IsInf(deadline, 1) || deadline <= 0 {
+func driftVerdict(frac float64) string {
+	if frac <= 0 {
 		return "-"
 	}
-	frac := age / deadline
 	v := strconv.FormatFloat(100*frac, 'f', 0, 64) + "%"
 	if frac >= serve.DefaultDriftMargin {
 		v += " near"

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"math"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"odin/internal/clock"
 	"odin/internal/pulse"
@@ -53,11 +55,7 @@ func TestWatchStreamEndToEnd(t *testing.T) {
 	// Serve a little traffic so batch + decision events are in the ring
 	// before the watcher connects (the SSE backfill then terminates the
 	// stream via the -n budget without racing live publishes).
-	for i := 0; i < 2; i++ {
-		if resp := <-s.Submit("VGG11"); resp.Shed || resp.Err != "" {
-			t.Fatalf("submit %d not served: %+v", i, resp)
-		}
-	}
+	serveAndSettle(t, s, ts.URL, 2)
 	n := bus.LastSeq()
 	if n < 3 {
 		t.Fatalf("served traffic published only %d events", n)
@@ -67,16 +65,103 @@ func TestWatchStreamEndToEnd(t *testing.T) {
 	if err := watchStream(ts.URL, "", 0, false, n, &out); err != nil {
 		t.Fatalf("watchStream: %v", err)
 	}
-	frame := out.String()
+	frame := lastFrame(out.String())
 	if !strings.Contains(frame, "odinserve fleet") || !strings.Contains(frame, "router=") {
 		t.Fatalf("dashboard header missing:\n%s", frame)
 	}
 	if !strings.Contains(frame, "VGG11") {
 		t.Fatalf("dashboard carries no chip row:\n%s", frame)
 	}
-	if !strings.Contains(frame, "fleet: served=2") {
+	if !strings.Contains(frame, "fleet: served=2 ") {
 		t.Fatalf("fleet totals wrong (want served=2):\n%s", frame)
 	}
+}
+
+// TestWatchCountsBackfillOnce is the double-count regression: requests
+// served before the watcher connects reach it both in /statusz and in the
+// /events backfill, and the last frame must count them once, as /statusz
+// does.
+func TestWatchCountsBackfillOnce(t *testing.T) {
+	t.Parallel()
+	s, bus, ts := watchTestServer(t)
+	const n = 3
+	serveAndSettle(t, s, ts.URL, n)
+
+	var out bytes.Buffer
+	if err := watchStream(ts.URL, "", 0, false, bus.LastSeq(), &out); err != nil {
+		t.Fatalf("watchStream: %v", err)
+	}
+	frame := lastFrame(out.String())
+	st := getStatus(t, ts.URL)
+	if got := served(st); got != n {
+		t.Fatalf("/statusz reads served=%d after %d requests", got, n)
+	}
+	var sheds, reprograms uint64
+	for _, c := range st.Chips {
+		sheds += c.Sheds
+		reprograms += c.Reprograms
+	}
+	for _, want := range []string{
+		fmt.Sprintf(" events=%d ", st.Events),
+		fmt.Sprintf("fleet: served=%d sheds=%d ", n, sheds),
+		fmt.Sprintf(" reprograms=%d ", reprograms),
+	} {
+		if !strings.Contains(frame, want) {
+			t.Errorf("last frame lacks %q, which /statusz reads:\n%s", want, frame)
+		}
+	}
+}
+
+// serveAndSettle serves n requests one after another and waits until
+// /statusz shows them: a response is delivered before its batch event is
+// published.
+func serveAndSettle(t *testing.T, s *serve.Server, base string, n uint64) {
+	t.Helper()
+	for i := uint64(0); i < n; i++ {
+		if resp := <-s.Submit("VGG11"); resp.Shed || resp.Err != "" {
+			t.Fatalf("submit %d not served: %+v", i, resp)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for served(getStatus(t, base)) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("/statusz never showed %d served requests", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// lastFrame returns the last dashboard frame drawn into a watch output.
+func lastFrame(out string) string {
+	const clear = "\x1b[2J"
+	if i := strings.LastIndex(out, clear); i >= 0 {
+		return out[i+len(clear):]
+	}
+	return out
+}
+
+// getStatus decodes one GET /statusz body.
+func getStatus(t *testing.T, base string) pulse.Status {
+	t.Helper()
+	resp, err := http.Get(base + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	var st pulse.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("GET /statusz: %v", err)
+	}
+	return st
+}
+
+// served sums the requests a /statusz body reports served.
+func served(st pulse.Status) uint64 {
+	var n uint64
+	for _, c := range st.Chips {
+		n += c.Served
+	}
+	return n
 }
 
 // TestWatchStreamRawAndFilter pins raw mode (JSON lines, no ANSI frames)
@@ -153,29 +238,5 @@ func TestReadSSE(t *testing.T) {
 	}
 	if got[1].id != 4 || got[1].event != "shed" {
 		t.Fatalf("frame 1 = %+v", got[1])
-	}
-}
-
-// TestInfFloatDecode pins the quoted non-finite convention the event JSON
-// uses for deadline fields.
-func TestInfFloatDecode(t *testing.T) {
-	t.Parallel()
-	var v struct {
-		D infFloat `json:"deadline"`
-	}
-	if err := json.Unmarshal([]byte(`{"deadline":2.5}`), &v); err != nil {
-		t.Fatal(err)
-	}
-	if float64(v.D) != 2.5 {
-		t.Fatalf("plain float decoded to %g", float64(v.D))
-	}
-	if err := json.Unmarshal([]byte(`{"deadline":"+Inf"}`), &v); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(float64(v.D), 1) {
-		t.Fatalf("quoted +Inf decoded to %g", float64(v.D))
-	}
-	if err := json.Unmarshal([]byte(`{"deadline":"nope"}`), &v); err == nil {
-		t.Fatal("garbage quoted float decoded")
 	}
 }

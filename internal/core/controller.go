@@ -178,6 +178,11 @@ type Controller struct {
 	ws      *policy.Workspace
 	cands   []obs.Candidate
 
+	// outs holds the current run's per-layer decisions, from which its
+	// trace spans and audit record are built; nil for a controller with
+	// neither a Tracer nor an Audit.
+	outs []layerOutcome
+
 	// weights is the sensitivity table w_j = sys.Acc.Sens.Weight(j, L),
 	// built once from the controller's own System: every η test, age
 	// bucket and accuracy estimate reads it instead of paying one exp.
@@ -234,6 +239,9 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 		ws:           pol.NewWorkspace(),
 		weights:      sys.Acc.Sens.Weights(wl.Layers()),
 		programmedAt: resolved.ProgrammedAt,
+	}
+	if resolved.Tracer.Enabled() || resolved.Audit.Enabled() {
+		c.outs = make([]layerOutcome, wl.Layers())
 	}
 	if !resolved.DisableDecisionCache && resolved.Audit == nil &&
 		(resolved.Cache != nil || DecisionCacheDefault()) {
@@ -339,28 +347,17 @@ func (c *Controller) RunInference(t float64) RunReport {
 	rep := RunReport{Time: t, Age: age, Sizes: make([]ou.Size, c.wl.Layers())}
 	needReprogram := false
 
-	// Observability is strictly opt-in: with both sinks nil the per-run
-	// cost is two pointer tests plus the nil Probe check inside the search.
-	var audit *obs.RunAudit
-	if c.opts.Audit.Enabled() {
-		audit = &obs.RunAudit{Time: t, Age: age,
-			Layers: make([]obs.LayerDecision, 0, c.wl.Layers())}
-	}
-	traced := c.opts.Tracer.Enabled()
 	// A run mixes at most the configured strategy, a ConfidenceEX
 	// escalation to "ex" and "degraded", so the distinct names fit a stack
 	// array and a one-strategy run's Strategies allocates nothing.
 	var stratBuf [3]string
 	strats := stratBuf[:0]
-	var stratByLayer []string
-	var evalsByLayer []int
-	if traced {
-		stratByLayer = make([]string, c.wl.Layers())
-		evalsByLayer = make([]int, c.wl.Layers())
-	}
 
 	for j := 0; j < c.wl.Layers(); j++ {
 		out := c.decideLayer(j, age, amp)
+		if c.outs != nil {
+			c.outs[j] = out
+		}
 		rep.Sizes[j] = out.chosen
 		if !slices.Contains(strats, out.strategy) {
 			strats = append(strats, out.strategy)
@@ -371,32 +368,10 @@ func (c *Controller) RunInference(t float64) RunReport {
 		// before the next run.
 		if out.degraded {
 			needReprogram = true
-			if audit != nil {
-				audit.Layers = append(audit.Layers, obs.LayerDecision{
-					Layer: j, Predicted: out.predicted, Start: out.chosen,
-					Chosen: out.chosen, Strategy: out.strategy,
-				})
-			}
-			if traced {
-				stratByLayer[j] = out.strategy
-			}
 			continue
 		}
 
 		rep.SearchEvaluations += out.evaluations
-		if audit != nil {
-			audit.Layers = append(audit.Layers, obs.LayerDecision{
-				Layer: j, Predicted: out.predicted, Start: out.start,
-				Chosen: out.chosen, Strategy: out.strategy,
-				Evaluations: out.evaluations,
-				PolicyWon:   out.predicted == out.chosen,
-				Candidates:  out.candidates, Front: out.front,
-			})
-		}
-		if traced {
-			stratByLayer[j], evalsByLayer[j] = out.strategy, out.evaluations
-		}
-
 		if out.predicted != out.chosen { // lines 9–10
 			rep.Disagreements++
 			if c.buf.Add(policy.Example{F: c.wl.FeaturesAt(j, age), Target: out.chosen}) {
@@ -427,14 +402,34 @@ func (c *Controller) RunInference(t float64) RunReport {
 		c.programmedAt = t
 		c.reprograms++
 	}
-	if traced {
-		c.recordRunSpans(rep, stratByLayer, evalsByLayer)
+	// Observability is strictly opt-in: with both sinks nil the per-run
+	// cost is a nil test per layer, the two pointer tests here and the nil
+	// Probe check inside the search.
+	if c.opts.Tracer.Enabled() {
+		c.recordRunSpans(rep)
 	}
-	if audit != nil {
-		audit.Reprogrammed = rep.Reprogrammed
-		c.opts.Audit.Add(*audit)
+	if c.opts.Audit.Enabled() {
+		c.recordAudit(rep)
 	}
 	return rep
+}
+
+// recordAudit adds one run's audit record, built from c.outs. A degraded
+// layer records the chosen size as its start, no evaluations and no
+// policy win.
+func (c *Controller) recordAudit(rep RunReport) {
+	audit := obs.RunAudit{Time: rep.Time, Age: rep.Age, Reprogrammed: rep.Reprogrammed,
+		Layers: make([]obs.LayerDecision, len(c.outs))}
+	for j, out := range c.outs {
+		audit.Layers[j] = obs.LayerDecision{Layer: j, Predicted: out.predicted, Start: out.start,
+			Chosen: out.chosen, Strategy: out.strategy, Evaluations: out.evaluations,
+			PolicyWon:  !out.degraded && out.predicted == out.chosen,
+			Candidates: out.candidates, Front: out.front}
+		if out.degraded {
+			audit.Layers[j].Start = out.chosen
+		}
+	}
+	c.opts.Audit.Add(audit)
 }
 
 // layerOutcome is one per-layer line-6 decision plus the metadata needed
@@ -554,7 +549,7 @@ func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 // it scheduled a write pass. Span content is a pure function of the run
 // report, so serve-layer replays export byte-identical traces regardless
 // of worker count.
-func (c *Controller) recordRunSpans(rep RunReport, strat []string, evals []int) {
+func (c *Controller) recordRunSpans(rep RunReport) {
 	tr, track := c.opts.Tracer, c.opts.TraceTrack
 	run := tr.At("run", track, rep.Time, rep.Time+rep.Latency, nil,
 		obs.String("model", c.wl.Model.Name),
@@ -570,8 +565,8 @@ func (c *Controller) recordRunSpans(rep RunReport, strat []string, evals []int) 
 		tr.At("layer", track, cursor, end, run,
 			obs.Int("layer", j),
 			obs.String("ou", s.String()),
-			obs.String("strategy", strat[j]),
-			obs.Int("evals", evals[j]),
+			obs.String("strategy", c.outs[j].strategy),
+			obs.Int("evals", c.outs[j].evaluations),
 			obs.Float("energy", cost.Energy),
 			obs.Int("cycles", cost.Cycles))
 		cursor = end

@@ -60,7 +60,6 @@
 //     and simply stop being reached when predictions move.
 //   - A strategy or budget change lands in a different Context; Contexts
 //     never alias across strategies.
-//   - Flush drops everything (serving-layer policy rollout hook).
 //
 // A Cache may be shared across controllers (the serving layer shares one
 // per fleet): all methods are safe for concurrent use, and because every
@@ -71,7 +70,6 @@ package decache
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"odin/internal/accuracy"
 	"odin/internal/ou"
@@ -108,12 +106,9 @@ type Cache struct {
 	mu   sync.RWMutex
 	ctxs map[ctxKey]*Context
 
-	decHits, decMisses atomic.Uint64
-	flushes            atomic.Uint64
-
-	// Optional telemetry mirrors of the atomic counters.
-	tDecHits, tDecMisses *telemetry.Counter
-	tFlushes             *telemetry.Counter
+	// hits, misses and flushes are the odin_decache_* series of
+	// Options.Registry, or standalone counters without one.
+	hits, misses, flushes *telemetry.Counter
 }
 
 // New creates a cache with no telemetry.
@@ -121,11 +116,12 @@ func New() *Cache { return NewWith(Options{}) }
 
 // NewWith creates a cache with explicit options.
 func NewWith(opts Options) *Cache {
-	c := &Cache{ctxs: make(map[ctxKey]*Context)}
+	c := &Cache{ctxs: make(map[ctxKey]*Context),
+		hits: new(telemetry.Counter), misses: new(telemetry.Counter), flushes: new(telemetry.Counter)}
 	if r := opts.Registry; r != nil {
-		c.tDecHits = r.Counter("odin_decache_decision_hits_total",
+		c.hits = r.Counter("odin_decache_decision_hits_total",
 			"line-6 decisions served from the decision cache")
-		c.tDecMisses = r.Counter("odin_decache_decision_misses_total",
+		c.misses = r.Counter("odin_decache_decision_misses_total",
 			"line-6 decisions computed and stored by the decision cache")
 		// The predict families stay at 0: the prediction memo is gone,
 		// and the repository benchmark still scrapes them until its
@@ -133,7 +129,7 @@ func NewWith(opts Options) *Cache {
 		const zero = "always 0, no prediction memo exists; the benchmark-side change of ROADMAP item 2 deletes this family"
 		r.Counter("odin_decache_predict_hits_total", zero)
 		r.Counter("odin_decache_predict_misses_total", zero)
-		c.tFlushes = r.Counter("odin_decache_flushes_total",
+		c.flushes = r.Counter("odin_decache_flushes_total",
 			"wholesale cache flushes (explicit or capacity-triggered)")
 	}
 	return c
@@ -142,29 +138,9 @@ func NewWith(opts Options) *Cache {
 // Counters returns a snapshot of cache activity.
 func (c *Cache) Counters() Counters {
 	return Counters{
-		DecisionHits:   c.decHits.Load(),
-		DecisionMisses: c.decMisses.Load(),
-		Flushes:        c.flushes.Load(),
-	}
-}
-
-// Flush drops every decision entry. Contexts stay interned (their
-// precomputed NF_IR tables are immutable).
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	for _, x := range c.ctxs {
-		x.mu.Lock()
-		x.entries = make(map[Key]Entry)
-		x.mu.Unlock()
-	}
-	c.mu.Unlock()
-	c.countFlush()
-}
-
-func (c *Cache) countFlush() {
-	c.flushes.Add(1)
-	if c.tFlushes != nil {
-		c.tFlushes.Inc()
+		DecisionHits:   c.hits.Value(),
+		DecisionMisses: c.misses.Value(),
+		Flushes:        c.flushes.Value(),
 	}
 }
 
@@ -278,16 +254,10 @@ func (x *Context) Lookup(k Key) (Entry, bool) {
 	e, ok := x.entries[k]
 	x.mu.RUnlock()
 	if ok {
-		x.cache.decHits.Add(1)
-		if x.cache.tDecHits != nil {
-			x.cache.tDecHits.Inc()
-		}
+		x.cache.hits.Inc()
 		return e, true
 	}
-	x.cache.decMisses.Add(1)
-	if x.cache.tDecMisses != nil {
-		x.cache.tDecMisses.Inc()
-	}
+	x.cache.misses.Inc()
 	return Entry{}, false
 }
 
@@ -300,7 +270,7 @@ func (x *Context) Store(k Key, e Entry) {
 		x.entries = make(map[Key]Entry)
 		x.inserts = 0
 		x.mu.Unlock()
-		x.cache.countFlush()
+		x.cache.flushes.Inc()
 		x.mu.Lock()
 	}
 	x.entries[k] = e

@@ -164,25 +164,6 @@ func TestLookupStoreCounters(t *testing.T) {
 	}
 }
 
-func TestFlushDropsEntriesKeepsContexts(t *testing.T) {
-	t.Parallel()
-	grid, cost, acc := testPlatform()
-	c := New()
-	x := c.Context(grid, cost, acc, "rb", 3)
-	k := Key{Work: testWork(), Layer: 0, Of: 4, Predicted: grid.SizeAt(0, 0), Bucket: 3}
-	x.Store(k, Entry{Chosen: grid.SizeAt(0, 0)})
-	c.Flush()
-	if x.Len() != 0 {
-		t.Fatalf("flush left %d decision entries", x.Len())
-	}
-	if c.Context(grid, cost, acc, "rb", 3) != x {
-		t.Fatalf("flush dropped the interned context")
-	}
-	if c.Counters().Flushes != 1 {
-		t.Fatalf("flushes = %d, want 1", c.Counters().Flushes)
-	}
-}
-
 // TestDecisionCapFlushesWholesale: overflowing maxDecisions must flush the
 // context deterministically (insertion-count trigger) rather than evicting
 // a map-order-dependent victim.
@@ -219,7 +200,11 @@ func TestTelemetryCounters(t *testing.T) {
 	x.Lookup(k)
 	x.Store(k, Entry{Chosen: grid.SizeAt(0, 0)})
 	x.Lookup(k)
-	c.Flush()
+	// Storing past the decision cap flushes the context once.
+	for i := 0; i < maxDecisions; i++ {
+		x.Store(Key{Work: testWork(), Layer: i + 1, Of: maxDecisions + 1, Predicted: grid.SizeAt(0, 0), Bucket: 1},
+			Entry{Chosen: grid.SizeAt(0, 0)})
+	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatalf("write prometheus: %v", err)

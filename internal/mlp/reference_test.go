@@ -249,6 +249,9 @@ type bitCase struct {
 	Poisoned  bool
 	PoisonAt  int
 	PoisonVal float64
+	// Params, when set, replaces every parameter, in Parameters order,
+	// before the shift and the poison.
+	Params []float64
 }
 
 func (c bitCase) String() string {
@@ -256,16 +259,22 @@ func (c bitCase) String() string {
 	if c.DeadShift > 0 {
 		s += fmt.Sprintf(", top trunk biases -%v", c.DeadShift)
 	}
+	if c.Params != nil {
+		s += fmt.Sprintf(", parameters %v", c.Params)
+	}
 	if c.Poisoned {
 		s += fmt.Sprintf(", parameter %d = %v", c.PoisonAt, c.PoisonVal)
 	}
 	return s + "}"
 }
 
-// network builds the case's network: New(c.Cfg), then the bias shift and
-// the poisoned parameter.
+// network builds the case's network: New(c.Cfg) or c.Params, then the
+// bias shift and the poisoned parameter.
 func (c bitCase) network() *Network {
 	n := New(c.Cfg)
+	for i, p := range n.Parameters()[:len(c.Params)] {
+		*p = c.Params[i]
+	}
 	if len(n.trunk) > 0 {
 		top := n.trunk[len(n.trunk)-1]
 		for j := range top.B {
@@ -375,7 +384,7 @@ func paramValues(n *Network) []float64 {
 // clear and, once settled, update only the head biases.
 func TestPropTrainBitIdentical(t *testing.T) {
 	t.Parallel()
-	check.RunConfig(t, check.Config{Trials: 300}, genBitCase(), func(c bitCase) error {
+	prop := func(c bitCase) error {
 		got, want := c.network(), c.network()
 		for _, e := range c.Examples {
 			_, logits := refForward(want, e.Input)
@@ -399,7 +408,28 @@ func TestPropTrainBitIdentical(t *testing.T) {
 			return err
 		}
 		return sameBits("trained parameters", paramValues(got), paramValues(want))
-	})
+	}
+	if err := prop(staleHeadsCase); err != nil {
+		t.Fatalf("%v: %v", staleHeadsCase, err)
+	}
+	check.RunConfig(t, check.Config{Trials: 300}, genBitCase(), prop)
+}
+
+// staleHeadsCase turns a head weight infinite in a step that also kills
+// every example, so the next epoch's bias-only logits are Inf·0 = NaN: a
+// Train that kept its finite-head-weights verdict from before the step
+// would compute +0 + b instead. The trunk unit 100·x is on for x = 1 and
+// off for x = 0; the first step's gradient, at learning rate 1e308,
+// overflows the head weight column and drives the trunk bias far below
+// −100.
+var staleHeadsCase = bitCase{
+	Cfg: Config{InputDim: 1, Hidden: []int{1}, Heads: []int{2}, Seed: 1},
+	Examples: []Example{
+		{Input: []float64{1}, Targets: []int{0}},
+		{Input: []float64{0}, Targets: []int{1}},
+	},
+	Opts:   TrainOptions{Epochs: 2, LearningRate: 1e308, Seed: 1},
+	Params: []float64{100, 0, -0.01, 0.01, 0, 0}, // trunk w, b; head w, b
 }
 
 // refClassify is the arg-max of each head's reference logits, the first

@@ -41,6 +41,7 @@ type Bus struct {
 	series  map[int]*chipSeries
 	order   []int   // sorted chip ids, rebuilt on registration
 	lastT   float64 // largest published event time
+	rejects uint64  // fleet-level sheds
 
 	events     *telemetry.CounterVec
 	dropped    *telemetry.Counter

@@ -312,19 +312,25 @@ func TestSeriesBucketsAndSnapshot(t *testing.T) {
 	b.Publish(Event{Time: 2.6, Kind: KindReprogram, Chip: 0, Model: "VGG11",
 		Pass: "forced", Count: 1, Age: 0})
 	// Roll past bucket [2,3) so it closes.
-	b.Publish(Event{Time: 3.1, Kind: KindDecision, Chip: 0, Model: "VGG11", Layers: 1})
+	b.Publish(Event{Time: 3.1, Kind: KindDecision, Chip: 0, Model: "VGG11", Layers: 1,
+		Evaluations: 4, Strategy: "rb"})
+	b.Publish(Event{Time: 3.2, Kind: KindDecision, Chip: 0, Model: "VGG11", Layers: 1,
+		Evaluations: 3, Strategy: "rb,degraded"})
+	// A fleet-level shed counts once and owns no row.
+	b.Publish(Event{Time: 3.2, Kind: KindShed, Chip: -1, Model: "VGG11", Reason: "reject"})
 
 	st := b.Snapshot()
-	if len(st.Chips) != 1 {
-		t.Fatalf("Snapshot chips = %d", len(st.Chips))
+	if len(st.Chips) != 1 || st.Rejects != 1 {
+		t.Fatalf("Snapshot chips = %d, rejects = %d; want 1 and 1", len(st.Chips), st.Rejects)
 	}
 	c := st.Chips[0]
 	if c.Chip != 0 || c.Model != "VGG11" {
 		t.Fatalf("chip row identity = %+v", c)
 	}
-	if c.Served != 6 || c.Batches != 3 || c.Reprograms != 1 || c.Decisions != 1 {
-		t.Fatalf("totals = served %d batches %d reprograms %d decisions %d",
-			c.Served, c.Batches, c.Reprograms, c.Decisions)
+	if c.Served != 6 || c.Batches != 3 || c.Reprograms != 1 || c.Decisions != 2 ||
+		c.Evaluations != 7 || c.Strategy != "rb,degraded" {
+		t.Fatalf("totals = served %d batches %d reprograms %d decisions %d evaluations %d strategy %q",
+			c.Served, c.Batches, c.Reprograms, c.Decisions, c.Evaluations, c.Strategy)
 	}
 	if c.Queue != 4 {
 		t.Fatalf("queue = %d, want 4", c.Queue)

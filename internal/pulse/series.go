@@ -47,10 +47,11 @@ type chipSeries struct {
 	closed []Bucket // ring, oldest first once saturated
 	head   int
 
-	served, batches, sheds, reprograms, decisions uint64
-	queue                                         int
-	age, deadline                                 float64
-	lastT                                         float64
+	served, batches, sheds, reprograms, decisions, evals uint64
+	queue                                                int
+	age, deadline                                        float64
+	lastT                                                float64
+	strategy                                             string // the last decision's
 }
 
 func newChipSeries(model string, opts Options) *chipSeries {
@@ -102,9 +103,12 @@ func finiteOrZero(v float64) float64 {
 }
 
 // observe folds one published event into the owning chip's series. Called
-// under Bus.mu. Fleet-level events (chip < 0) only touch fleet counters.
+// under Bus.mu. Fleet-level events (chip < 0) only count their sheds.
 func (b *Bus) observe(e Event) {
 	if e.Chip < 0 {
+		if e.Kind == KindShed {
+			b.rejects++
+		}
 		return
 	}
 	cs := b.register(e.Chip, e.Model)
@@ -133,6 +137,8 @@ func (b *Bus) observe(e Event) {
 		cs.age = e.Age
 	case KindDecision:
 		cs.decisions++
+		cs.evals += uint64(e.Evaluations)
+		cs.strategy = e.Strategy
 	case KindLifecycle:
 		if e.Action == "remove" {
 			cs.removed = true
@@ -153,11 +159,13 @@ type ChipStatus struct {
 	Age       float64 `json:"age"`
 	DriftFrac float64 `json:"drift_frac"` // age / forced deadline; 0 when drift never forces
 
-	Served     uint64 `json:"served"`
-	Batches    uint64 `json:"batches"`
-	Sheds      uint64 `json:"sheds"`
-	Reprograms uint64 `json:"reprograms"`
-	Decisions  uint64 `json:"decisions"`
+	Served      uint64 `json:"served"`
+	Batches     uint64 `json:"batches"`
+	Sheds       uint64 `json:"sheds"`
+	Reprograms  uint64 `json:"reprograms"`
+	Decisions   uint64 `json:"decisions"`
+	Evaluations uint64 `json:"evaluations"` // line-6 candidate evaluations over all decisions
+	Strategy    string `json:"strategy"`    // the last decision's strategies
 
 	Throughput float64 `json:"throughput"` // last closed bucket, requests/s
 	P50        float64 `json:"p50"`        // all-time batch-latency quantiles (s)
@@ -169,10 +177,11 @@ type ChipStatus struct {
 
 // Status is the fleet snapshot behind GET /statusz.
 type Status struct {
-	Seq    uint64       `json:"seq"`  // last published sequence number
-	Time   float64      `json:"time"` // largest published event time
-	Events uint64       `json:"events"`
-	Chips  []ChipStatus `json:"chips"`
+	Seq     uint64       `json:"seq"`  // last published sequence number
+	Time    float64      `json:"time"` // largest published event time
+	Events  uint64       `json:"events"`
+	Rejects uint64       `json:"rejects"` // fleet-level sheds (quota, reject)
+	Chips   []ChipStatus `json:"chips"`
 }
 
 // Snapshot renders every chip's series tail, sorted by chip id. The open
@@ -184,23 +193,25 @@ func (b *Bus) Snapshot() Status {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := Status{Seq: b.nextSeq, Time: b.lastT, Events: b.nextSeq}
+	st := Status{Seq: b.nextSeq, Time: b.lastT, Events: b.nextSeq, Rejects: b.rejects}
 	for _, id := range b.order {
 		cs := b.series[id]
 		row := ChipStatus{
-			Chip:       id,
-			Model:      cs.model,
-			Removed:    cs.removed,
-			Queue:      cs.queue,
-			Age:        cs.age,
-			Served:     cs.served,
-			Batches:    cs.batches,
-			Sheds:      cs.sheds,
-			Reprograms: cs.reprograms,
-			Decisions:  cs.decisions,
-			P50:        finiteOrZero(cs.cum.Quantile(0.50)),
-			P90:        finiteOrZero(cs.cum.Quantile(0.90)),
-			P99:        finiteOrZero(cs.cum.Quantile(0.99)),
+			Chip:        id,
+			Model:       cs.model,
+			Removed:     cs.removed,
+			Queue:       cs.queue,
+			Age:         cs.age,
+			Served:      cs.served,
+			Batches:     cs.batches,
+			Sheds:       cs.sheds,
+			Reprograms:  cs.reprograms,
+			Decisions:   cs.decisions,
+			Evaluations: cs.evals,
+			Strategy:    cs.strategy,
+			P50:         finiteOrZero(cs.cum.Quantile(0.50)),
+			P90:         finiteOrZero(cs.cum.Quantile(0.90)),
+			P99:         finiteOrZero(cs.cum.Quantile(0.99)),
 		}
 		if !math.IsInf(cs.deadline, 1) && cs.deadline > 0 {
 			row.DriftFrac = cs.age / cs.deadline

@@ -163,17 +163,20 @@ func (s *Server) fleetInfo() []ChipInfo {
 			s.finishBatch(<-c.results)
 		}
 		out[i] = ChipInfo{
-			ID:          c.id,
-			Model:       c.model,
-			Removed:     c.removed,
-			Queue:       len(c.pending),
-			Busy:        c.inflight != nil,
-			Served:      c.served,
-			Batches:     c.batches,
-			Reprograms:  c.ctrl.Reprograms(),
-			Age:         c.ctrl.Age(t),
-			DeadlineAge: c.ctrl.ForcedReprogramAge(),
-			Degraded:    c.degraded,
+			ID:            c.id,
+			Model:         c.model,
+			Removed:       c.removed,
+			Queue:         len(c.pending),
+			Busy:          c.inflight != nil,
+			Served:        c.served,
+			Batches:       c.batches,
+			Reprograms:    c.ctrl.Reprograms(),
+			PolicyUpdates: c.ctrl.PolicyUpdates(),
+			Energy:        c.energySum,
+			Latency:       c.latencySum,
+			Age:           c.ctrl.Age(t),
+			DeadlineAge:   c.ctrl.ForcedReprogramAge(),
+			Degraded:      c.degraded,
 		}
 	}
 	return out

@@ -134,21 +134,17 @@ func checkAdminCall(t *testing.T, s *Server, h http.Handler, r *http.Request, be
 }
 
 // adminRows is the fleet's FleetInfo snapshot; once the server drains,
-// which refuses FleetInfo, it is the same rows built from Stats.
+// which refuses FleetInfo, it is the same rows from Stats.
 func adminRows(t *testing.T, s *Server, draining bool) []ChipInfo {
 	t.Helper()
-	if !draining {
-		info, err := s.FleetInfo()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info
+	if draining {
+		return s.Stats()
 	}
-	var rows []ChipInfo
-	for _, st := range s.Stats() {
-		rows = append(rows, ChipInfo{ID: st.ID, Model: st.Model, Removed: st.Removed})
+	info, err := s.FleetInfo()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rows
+	return info
 }
 
 // FuzzEventsResume pins GET /events's resume contract on arbitrary

@@ -297,6 +297,14 @@ func chipIDGuard(mux *http.ServeMux) http.Handler {
 	})
 }
 
+// Statusz is the GET /statusz body: the pulse bus's fleet snapshot plus the
+// routing policy and whether the server is draining.
+type Statusz struct {
+	Router   string `json:"router"`
+	Draining bool   `json:"draining"`
+	pulse.Status
+}
+
 // registerPulse wires the streaming-telemetry surfaces, registered only
 // when Config.Pulse carries a bus:
 //
@@ -313,11 +321,7 @@ func chipIDGuard(mux *http.ServeMux) http.Handler {
 func registerPulse(mux *http.ServeMux, s *Server) {
 	p := s.cfg.Pulse
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
-			Router   string `json:"router"`
-			Draining bool   `json:"draining"`
-			pulse.Status
-		}{s.RouterName(), s.Draining(), p.Snapshot()})
+		writeJSON(w, http.StatusOK, Statusz{s.RouterName(), s.Draining(), p.Snapshot()})
 	})
 	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
 		kinds := pulse.AllKinds

@@ -3,6 +3,8 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"log/slog"
 	"strconv"
 	"strings"
@@ -18,9 +20,9 @@ import (
 // actionReplay is the observed replay that exercises every serve action:
 // an overloaded 3-chip drift-routed fleet with a one-pass reprogram
 // budget, two quota'd tenants plus the default class, and the standard
-// churn schedule. A pulse bus and a deterministic logger ride on the
-// fleet's registry. It returns the /metrics exposition and the log.
-func actionReplay(t *testing.T, workers int) (expo, log []byte) {
+// churn schedule. A pulse bus, a tracer and a deterministic logger ride on
+// the fleet's registry.
+func actionReplay(t *testing.T, workers int) actionViews {
 	t.Helper()
 	const chips, n = 3, 400
 	sys := driftSystem()
@@ -37,6 +39,7 @@ func actionReplay(t *testing.T, workers int) (expo, log []byte) {
 		Workers:         workers,
 		Registry:        reg,
 		Pulse:           pulse.New(pulse.Options{Registry: reg}),
+		Tracer:          obs.New(),
 		Logger:          slog.New(obs.NewLogHandler(&logBuf, clk, nil)),
 		Tenants: []TenantConfig{
 			{Name: "gold", Quota: 4, Priority: 1},
@@ -62,11 +65,24 @@ func actionReplay(t *testing.T, workers int) (expo, log []byte) {
 	}
 	s.Start()
 	ReplayOps(s, clk, tr, churnOps(n, chips))
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	var expo, pulseLog, trace bytes.Buffer
+	if err := reg.WritePrometheus(&expo); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), logBuf.Bytes()
+	if err := cfg.Pulse.WriteLog(&pulseLog); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Tracer.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	return actionViews{expo: expo.Bytes(), log: logBuf.Bytes(),
+		pulse: pulseLog.Bytes(), trace: trace.Bytes()}
+}
+
+// actionViews are the views of one actionReplay: the /metrics exposition,
+// the log, the canonical pulse log and the Chrome trace.
+type actionViews struct {
+	expo, log, pulse, trace []byte
 }
 
 // sampleValue returns the value of the exposition line for series (a
@@ -92,7 +108,7 @@ func sampleValue(t *testing.T, expo []byte, series string) float64 {
 // `go test -run TestMetricsExpositionGolden -update ./internal/serve/`.
 func TestMetricsExpositionGolden(t *testing.T) {
 	t.Parallel()
-	expo, _ := actionReplay(t, 1)
+	expo := actionReplay(t, 1).expo
 
 	// Every action path must have fired, so a retuned configuration cannot
 	// silently drop one from the golden.
@@ -150,8 +166,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 // split, which a worker pool leaves to scheduling, is fixed.
 func TestMetricsExpositionWorkerInvariance(t *testing.T) {
 	t.Parallel()
-	one, _ := actionReplay(t, 1)
-	eight, _ := actionReplay(t, 8)
+	one, eight := actionReplay(t, 1).expo, actionReplay(t, 8).expo
 	if !bytes.Equal(one, eight) {
 		t.Errorf("exposition differs between workers 1 and 8:\n%s", check.DiffLines(string(one), string(eight)))
 	}
@@ -162,8 +177,7 @@ func TestMetricsExpositionWorkerInvariance(t *testing.T) {
 // reports, never a clock read that races the replay's submitter.
 func TestLogWorkerInvariance(t *testing.T) {
 	t.Parallel()
-	_, one := actionReplay(t, 1)
-	_, eight := actionReplay(t, 8)
+	one, eight := actionReplay(t, 1).log, actionReplay(t, 8).log
 	for _, msg := range []string{`msg="chip added"`, `msg="chip removed"`, `msg="chip degraded"`, `msg="fleet drained"`} {
 		if !bytes.Contains(one, []byte(msg)) {
 			t.Errorf("log carries no %s line", msg)
@@ -171,5 +185,36 @@ func TestLogWorkerInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(one, eight) {
 		t.Errorf("log differs between workers 1 and 8:\n%s", check.DiffLines(string(one), string(eight)))
+	}
+}
+
+// Pins of actionReplay's pulse log and Chrome trace, too large for golden
+// files (about 68 KB and 181 KB): their SHA-256 sums.
+const (
+	actionPulseSHA = "4ede9549753b5174a5b74dd19e8d3983de9b291536bc9965c49bd208ae324628"
+	actionTraceSHA = "cf55b354a03904d2da9db2194ece50c0a573d8d567df6782bc07d9f128a601f8"
+)
+
+// TestActionReplayViewsPinned freezes the log, the canonical pulse log and
+// the Chrome trace of the replay that takes every serve action, at workers
+// 1 and 8, so a refactor of the emitters or of the controller's run
+// bookkeeping must reproduce every view byte for byte. The log is a golden
+// file; regenerate it with
+// `go test -run TestActionReplayViewsPinned -update ./internal/serve/`.
+func TestActionReplayViewsPinned(t *testing.T) {
+	t.Parallel()
+	for _, workers := range []int{1, 8} {
+		v := actionReplay(t, workers)
+		check.Golden(t, "testdata/action_log.golden", v.log)
+		for _, pin := range []struct {
+			name string
+			got  []byte
+			want string
+		}{{"pulse log", v.pulse, actionPulseSHA}, {"trace", v.trace, actionTraceSHA}} {
+			if sum := fmt.Sprintf("%x", sha256.Sum256(pin.got)); sum != pin.want {
+				t.Errorf("workers=%d: %s (%d bytes) has SHA-256 %s, want %s",
+					workers, pin.name, len(pin.got), sum, pin.want)
+			}
+		}
 	}
 }

@@ -849,19 +849,22 @@ func (s *Server) FleetInfo() ([]ChipInfo, error) {
 	return res.info, res.err
 }
 
-// ChipInfo is one chip's row in a FleetInfo snapshot.
+// ChipInfo is one chip's row in a FleetInfo or Stats snapshot.
 type ChipInfo struct {
-	ID          int
-	Model       string
-	Removed     bool
-	Queue       int     // pending requests at snapshot time
-	Busy        bool    // a batch was in flight
-	Served      uint64  // requests served to completion
-	Batches     uint64  // batches executed
-	Reprograms  int     // write passes (forced + maintenance)
-	Age         float64 // device age at snapshot time
-	DeadlineAge float64 // forced-reprogram age (+Inf when drift never forces)
-	Degraded    bool    // reprogram budget exhausted
+	ID            int
+	Model         string
+	Removed       bool
+	Queue         int     // pending requests at snapshot time
+	Busy          bool    // a batch was in flight
+	Served        uint64  // requests served to completion
+	Batches       uint64  // batches executed
+	Reprograms    int     // write passes (forced + maintenance)
+	PolicyUpdates int     // Algorithm 1 line-11 policy updates
+	Energy        float64 // cumulative served energy (J)
+	Latency       float64 // cumulative chip-busy time (s)
+	Age           float64 // device age at snapshot time
+	DeadlineAge   float64 // forced-reprogram age (+Inf when drift never forces)
+	Degraded      bool    // reprogram budget exhausted
 }
 
 // Close stops admissions, drains every admitted request to completion, and
@@ -914,45 +917,17 @@ func (s *Server) worker() {
 	}
 }
 
-// ChipStat is a post-drain snapshot of one chip.
-type ChipStat struct {
-	ID            int
-	Model         string
-	Served        uint64
-	Batches       uint64
-	Reprograms    int
-	PolicyUpdates int
-	Energy        float64 // cumulative served energy (J)
-	Latency       float64 // cumulative chip-busy time (s)
-	Degraded      bool
-	Removed       bool // retired by RemoveChip before the drain
-}
-
-// Stats snapshots the fleet. Only safe after Close has returned (chip state
-// is dispatcher-owned while running).
-func (s *Server) Stats() []ChipStat {
+// Stats snapshots the fleet as FleetInfo does. Only safe after Close has
+// returned: the dispatcher has exited by then, so the caller owns chip
+// state.
+func (s *Server) Stats() []ChipInfo {
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
 	if !closed {
 		panic("serve: Stats before Close; chip state is dispatcher-owned while serving")
 	}
-	out := make([]ChipStat, len(s.chips))
-	for i, c := range s.chips {
-		out[i] = ChipStat{
-			ID:            c.id,
-			Model:         c.model,
-			Served:        c.served,
-			Batches:       c.batches,
-			Reprograms:    c.ctrl.Reprograms(),
-			PolicyUpdates: c.ctrl.PolicyUpdates(),
-			Energy:        c.energySum,
-			Latency:       c.latencySum,
-			Degraded:      c.degraded,
-			Removed:       c.removed,
-		}
-	}
-	return out
+	return s.fleetInfo()
 }
 
 // Draining reports whether Close has begun. Health endpoints use it to

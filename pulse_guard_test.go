@@ -106,8 +106,9 @@ func TestDisabledPulseOverheadGuard(t *testing.T) {
 	}).NsPerOp())
 
 	// Gates crossed per served request: admission shed check, start-batch
-	// depth capture, batch retirement, forced-reprogram booking, decision
-	// tap wiring check, maintenance pass — call it 8 to stay conservative.
+	// depth capture, batch retirement (which also publishes the run's
+	// decision summary), forced-reprogram booking, maintenance pass — call
+	// it 8 to stay conservative.
 	const sitesPerRequest = 8
 	overhead := gateNs * sitesPerRequest / reqNs
 	t.Logf("pulse gate %.2f ns, request dispatch %.0f ns, disabled overhead %.4f%% (%d sites)",
