@@ -189,7 +189,7 @@ func render(w io.Writer, st serve.Statusz) {
 		state = "draining"
 	}
 	fmt.Fprintf(w, "odinserve fleet  t=%.3fs  router=%s  chips=%d live / %d total  events=%d  %s\n",
-		st.Time, st.Router, live, len(st.Chips), st.Events, state)
+		st.Time, st.Router, live, len(st.Chips), st.Seq, state)
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "chip\tmodel\tq\tp50(ms)\tp99(ms)\tage(s)\tdrift\trp\tserved\tsheds\tevals\tstrat")
 	var served, sheds, reprograms, evals uint64

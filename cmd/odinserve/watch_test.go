@@ -102,7 +102,7 @@ func TestWatchCountsBackfillOnce(t *testing.T) {
 		reprograms += c.Reprograms
 	}
 	for _, want := range []string{
-		fmt.Sprintf(" events=%d ", st.Events),
+		fmt.Sprintf(" events=%d ", st.Seq),
 		fmt.Sprintf("fleet: served=%d sheds=%d ", n, sheds),
 		fmt.Sprintf(" reprograms=%d ", reprograms),
 	} {

@@ -43,28 +43,24 @@ type ControllerOptions struct {
 	// the fresh-at-zero device of the paper's single-chip experiments.
 	ProgrammedAt float64
 
-	// ConfidenceEX is an extension beyond the paper's Algorithm 1: when the
-	// policy's decision confidence (product of its heads' max softmax
-	// probabilities) falls below ConfidenceThreshold, the controller runs
-	// the exhaustive search for that layer instead of the K-step local
-	// walk. The idea follows the uncertainty-aware online learning line
-	// the paper builds on: spend comparator budget exactly where the
-	// learnt model is unsure.
-	ConfidenceEX bool
-	// ConfidenceThreshold gates ConfidenceEX (default 0.5 when enabled).
+	// ConfidenceThreshold, when above 0, turns on an extension beyond the
+	// paper's Algorithm 1: when the policy's decision confidence (product
+	// of its heads' max softmax probabilities) falls below it, the
+	// controller runs the exhaustive search for that layer instead of the
+	// configured strategy. The idea follows the uncertainty-aware online
+	// learning line the paper builds on: spend comparator budget exactly
+	// where the learnt model is unsure.
 	ConfidenceThreshold float64
 
-	// ProactiveReprogram is an extension beyond the paper's Algorithm 1:
-	// instead of reprogramming only when *no* OU size satisfies η, the
-	// controller also reprograms when the drift-constrained configuration's
-	// inference latency has degraded past ProactiveFactor× the fresh-device
-	// latency. Drift pushes Odin toward fine OUs, which trade latency for
-	// energy; for latency-SLA deployments a write pass restores throughput.
-	// (An EDP-based trigger would never fire: constrained fine OUs *lower*
-	// per-run EDP under this platform's cost model.)
-	ProactiveReprogram bool
-	// ProactiveFactor is the latency degradation ratio that triggers a
-	// proactive pass (default 1.5 when ProactiveReprogram is set).
+	// ProactiveFactor, when above 1, turns on an extension beyond the
+	// paper's Algorithm 1: instead of reprogramming only when *no* OU size
+	// satisfies η, the controller also reprograms when the
+	// drift-constrained configuration's inference latency has degraded
+	// past ProactiveFactor× the fresh-device latency. Drift pushes Odin
+	// toward fine OUs, which trade latency for energy; for latency-SLA
+	// deployments a write pass restores throughput. (An EDP-based trigger
+	// would never fire: constrained fine OUs *lower* per-run EDP under
+	// this platform's cost model.)
 	ProactiveFactor float64
 
 	// Tracer, when non-nil, records observability spans for every run on
@@ -137,12 +133,6 @@ func (o ControllerOptions) withDefaults() ControllerOptions {
 	if o.Strategy == "" {
 		o.Strategy = "rb"
 	}
-	if o.ProactiveReprogram && o.ProactiveFactor <= 1 {
-		o.ProactiveFactor = 1.5
-	}
-	if o.ConfidenceEX && o.ConfidenceThreshold <= 0 {
-		o.ConfidenceThreshold = 0.5
-	}
 	return o
 }
 
@@ -165,7 +155,7 @@ type Controller struct {
 
 	// cache memoizes line-6 decisions; nil disables caching. dctx is the
 	// interned decision context of the configured strategy, dctxEX the
-	// exhaustive-escalation context (non-nil only with ConfidenceEX).
+	// exhaustive-escalation context (non-nil only with a ConfidenceThreshold).
 	cache  *decache.Cache
 	dctx   *decache.Context
 	dctxEX *decache.Context
@@ -251,7 +241,7 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 		}
 		cost := sys.Arch.CostModel()
 		c.dctx = c.cache.Context(sys.Grid(), cost, sys.Acc, optim.Name(), resolved.SearchBudget)
-		if resolved.ConfidenceEX && optim.Name() != (opt.Exhaustive{}).Name() {
+		if resolved.ConfidenceThreshold > 0 && optim.Name() != (opt.Exhaustive{}).Name() {
 			c.dctxEX = c.cache.Context(sys.Grid(), cost, sys.Acc,
 				(opt.Exhaustive{}).Name(), resolved.SearchBudget)
 		}
@@ -347,7 +337,7 @@ func (c *Controller) RunInference(t float64) RunReport {
 	rep := RunReport{Time: t, Age: age, Sizes: make([]ou.Size, c.wl.Layers())}
 	needReprogram := false
 
-	// A run mixes at most the configured strategy, a ConfidenceEX
+	// A run mixes at most the configured strategy, a confidence
 	// escalation to "ex" and "degraded", so the distinct names fit a stack
 	// array and a one-strategy run's Strategies allocates nothing.
 	var stratBuf [3]string
@@ -386,9 +376,9 @@ func (c *Controller) RunInference(t float64) RunReport {
 	rep.Accuracy = c.sys.Acc.AccuracyWith(c.wl.Model.IdealAccuracy, c.weights, amp, rep.Sizes)
 	c.lastSizes = rep.Sizes
 
-	if c.opts.ProactiveReprogram && !needReprogram {
+	if c.opts.ProactiveFactor > 1 && !needReprogram {
 		if c.freshLatency == 0 {
-			c.freshLatency = c.freshDeviceLatency()
+			_, c.freshLatency = c.sys.inferenceCost(c.wl, c.sys.OptimalSizes(c.wl, c.sys.Device.T0))
 		}
 		if rep.Latency > c.opts.ProactiveFactor*c.freshLatency {
 			needReprogram = true
@@ -467,13 +457,13 @@ func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 	smallest := grid.SizeAt(0, 0)
 	w := c.weights[j]
 
-	// Resolve the effective strategy first: a ConfidenceEX escalation
+	// Resolve the effective strategy first: a confidence escalation
 	// switches the decision context, so it must precede the cache lookup.
 	// Low policy confidence escalates any non-exhaustive strategy to the
 	// full grid scan; the strategy string always comes from the optimizer
 	// that actually ran, so attribution stays exact.
 	optim, dctx := c.optim, c.dctx
-	if c.opts.ConfidenceEX && optim.Name() != (opt.Exhaustive{}).Name() &&
+	if c.opts.ConfidenceThreshold > 0 && optim.Name() != (opt.Exhaustive{}).Name() &&
 		c.pol.Confidence(feat) < c.opts.ConfidenceThreshold {
 		optim = opt.Exhaustive{}
 		dctx = c.dctxEX
@@ -598,22 +588,3 @@ func (c *Controller) updatePolicy() {
 // LastSizes returns the OU sizes chosen by the most recent run (nil before
 // the first run).
 func (c *Controller) LastSizes() []ou.Size { return c.lastSizes }
-
-// freshDeviceLatency computes the inference latency of the exhaustive
-// per-layer optima on a just-programmed device — the proactive-reprogram
-// reference.
-func (c *Controller) freshDeviceLatency() float64 {
-	grid := c.sys.Grid()
-	sizes := make([]ou.Size, c.wl.Layers())
-	amp := c.sys.Acc.Amplification(c.sys.Device.T0)
-	for j := range sizes {
-		res := search.Exhaustive(grid, c.sys.objective(c.wl, j, c.weights[j], amp))
-		if res.Found {
-			sizes[j] = res.Best
-		} else {
-			sizes[j] = grid.SizeAt(0, 0)
-		}
-	}
-	_, l := c.sys.inferenceCost(c.wl, sizes)
-	return l
-}

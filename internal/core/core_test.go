@@ -475,7 +475,6 @@ func TestProactiveReprogramOption(t *testing.T) {
 	sys := DefaultSystem()
 	wl, _ := sys.Prepare(dnn.NewVGG11())
 	opts := DefaultControllerOptions()
-	opts.ProactiveReprogram = true
 	opts.ProactiveFactor = 1.01 // hair trigger
 	ctrl, err := NewController(sys, wl, freshPolicy(sys), opts)
 	if err != nil {
@@ -488,9 +487,9 @@ func TestProactiveReprogramOption(t *testing.T) {
 	if !rep.Reprogrammed {
 		t.Fatal("hair-trigger proactive reprogram did not fire")
 	}
-	// Default factor kicks in when unset.
+	// A moderate factor does not fire on a fresh device.
 	opts2 := DefaultControllerOptions()
-	opts2.ProactiveReprogram = true
+	opts2.ProactiveFactor = 1.5
 	ctrl2, err := NewController(sys, wl, freshPolicy(sys), opts2)
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +507,7 @@ func TestConfidenceEXOption(t *testing.T) {
 	// A fresh (untrained) policy is maximally unsure: near-uniform heads
 	// give confidence ≈ (1/6)² ≪ 0.5, so every layer routes to EX.
 	opts := DefaultControllerOptions()
-	opts.ConfidenceEX = true
+	opts.ConfidenceThreshold = 0.5
 	ctrl, err := NewController(sys, wl, freshPolicy(sys), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -520,7 +519,6 @@ func TestConfidenceEXOption(t *testing.T) {
 	}
 	// With an impossible threshold nothing routes to EX.
 	opts2 := DefaultControllerOptions()
-	opts2.ConfidenceEX = true
 	opts2.ConfidenceThreshold = 1e-9
 	ctrl2, _ := NewController(sys, wl, freshPolicy(sys), opts2)
 	rep2 := ctrl2.RunInference(0)

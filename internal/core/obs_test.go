@@ -223,10 +223,10 @@ func auditSummary(r obs.RunAudit) (strategies string, evals, disagreements int, 
 
 // TestRunReportMatchesAuditSummary checks each run's Strategies,
 // SearchEvaluations, Disagreements and Sizes against the summary of the
-// same run's audit record, over every strategy with ConfidenceEX off and
-// on and 40 runs that cross the forced-reprogram deadline, so that runs
-// mix escalations to "ex" and degraded layers with the configured
-// strategy.
+// same run's audit record, over every strategy with confidence escalation
+// off and at threshold 0.5, and 40 runs that cross the forced-reprogram
+// deadline, so that runs mix escalations to "ex" and degraded layers with
+// the configured strategy.
 func TestRunReportMatchesAuditSummary(t *testing.T) {
 	t.Parallel()
 	sys := DefaultSystem()
@@ -239,10 +239,10 @@ func TestRunReportMatchesAuditSummary(t *testing.T) {
 			t.Parallel()
 			var mixed, escalated, degraded int
 			for _, strategy := range []string{"rb", "bo", "pareto", "ex"} {
-				for _, confidenceEX := range []bool{false, true} {
+				for _, threshold := range []float64{0, 0.5} {
 					log := obs.NewAuditLog()
 					opts := DefaultControllerOptions()
-					opts.Strategy, opts.ConfidenceEX, opts.Audit = strategy, confidenceEX, log
+					opts.Strategy, opts.ConfidenceThreshold, opts.Audit = strategy, threshold, log
 					ctrl, err := NewController(sys, wl, freshPolicy(sys), opts)
 					if err != nil {
 						t.Fatal(err)
@@ -252,8 +252,8 @@ func TestRunReportMatchesAuditSummary(t *testing.T) {
 						strats, evals, disagreements, sizes := auditSummary(log.Runs()[k])
 						if rep.Strategies != strats || rep.SearchEvaluations != evals ||
 							rep.Disagreements != disagreements || !slices.Equal(rep.Sizes, sizes) {
-							t.Fatalf("%s confidenceEX=%t run %d: report (%q, %d evaluations, %d disagreements, %v), audit (%q, %d, %d, %v)",
-								strategy, confidenceEX, k, rep.Strategies, rep.SearchEvaluations,
+							t.Fatalf("%s threshold=%g run %d: report (%q, %d evaluations, %d disagreements, %v), audit (%q, %d, %d, %v)",
+								strategy, threshold, k, rep.Strategies, rep.SearchEvaluations,
 								rep.Disagreements, rep.Sizes, strats, evals, disagreements, sizes)
 						}
 						names := strings.Split(strats, ",")

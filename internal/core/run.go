@@ -94,6 +94,24 @@ func LayerObjective(s System, wl *Workload, j int, age float64) search.Objective
 	return s.objective(wl, j, s.Acc.Sens.Weight(j, wl.Layers()), s.Acc.Amplification(age))
 }
 
+// OptimalSizes returns the constrained EDP-optimal OU size of every layer
+// of the workload at device age age, found by exhaustive search: the
+// optimum Odin's online loop converges to. A layer with no feasible size
+// gets the smallest grid size, the size the controller runs it degraded at.
+func (s System) OptimalSizes(wl *Workload, age float64) []ou.Size {
+	grid := s.Grid()
+	sizes := make([]ou.Size, wl.Layers())
+	for j := range sizes {
+		res := search.Exhaustive(grid, LayerObjective(s, wl, j, age))
+		if res.Found {
+			sizes[j] = res.Best
+		} else {
+			sizes[j] = grid.SizeAt(0, 0)
+		}
+	}
+	return sizes
+}
+
 // objective builds the per-layer search objective for layer j, whose
 // sensitivity weight is w = Acc.Sens.Weight(j, wl.Layers()), at drift
 // amplification amp = Acc.Amplification(age). It is the one constructor of

@@ -11,10 +11,11 @@ import (
 	"odin/internal/policy"
 )
 
-// The sweeps below are embarrassingly parallel: every grid point runs a
-// freshly bootstrapped controller (or a fresh workload) against its own
-// copy of the system, so each par.ForEach body writes only its rows[i]
-// shard and the rendered tables are byte-identical at any worker count.
+// The sweeps below are embarrassingly parallel: every grid point runs its
+// own controller, on a clone of the driver's one offline policy, or its own
+// baseline, over a workload the driver prepared once and the rows only
+// read, so each par.ForEach body writes only its rows[i] shard and the
+// rendered tables are byte-identical at any worker count.
 
 // The ablations quantify the design choices DESIGN.md §4 calls out. They are
 // not paper artefacts; they answer "was this knob set sensibly" questions a
@@ -24,31 +25,6 @@ import (
 // configurations against each other, so a coarser sweep suffices.
 func ablationHorizon() core.HorizonConfig {
 	return core.HorizonConfig{End: 1e8, Epochs: 400}
-}
-
-// odinSummaryFor runs a freshly bootstrapped Odin controller on the model
-// with the given options and horizon.
-func odinSummaryFor(sys core.System, modelName string, opts core.ControllerOptions,
-	cfg core.HorizonConfig) (core.HorizonSummary, *core.Controller, error) {
-	model, err := dnn.ByName(modelName)
-	if err != nil {
-		return core.HorizonSummary{}, nil, err
-	}
-	known := core.LeaveOut(dnn.AllWorkloads(), familyOf(model.Name))
-	pol, _, err := core.BootstrapPolicy(sys, known, core.DefaultBootstrapConfig())
-	if err != nil {
-		return core.HorizonSummary{}, nil, err
-	}
-	wl, err := sys.Prepare(model)
-	if err != nil {
-		return core.HorizonSummary{}, nil, err
-	}
-	ctrl, err := core.NewController(sys, wl, pol, opts)
-	if err != nil {
-		return core.HorizonSummary{}, nil, err
-	}
-	sum := core.SimulateHorizon(ctrl, cfg)
-	return sum, ctrl, nil
 }
 
 // --- Search budget K ------------------------------------------------------
@@ -76,25 +52,28 @@ func AblSearchBudget(sys core.System, ks []int) (AblSearchBudgetResult, error) {
 	cfg := ablationHorizon()
 	res := AblSearchBudgetResult{Model: "VGG11"}
 
+	wl, pol, err := odinSetup(sys, res.Model)
+	if err != nil {
+		return res, err
+	}
 	exOpts := core.DefaultControllerOptions()
 	exOpts.Strategy = "ex"
-	exSum, _, err := odinSummaryFor(sys, res.Model, exOpts, cfg)
+	exSum, err := odinHorizon(sys, wl, pol, exOpts, cfg)
 	if err != nil {
 		return res, err
 	}
 
-	layers := len(dnn.NewVGG11().Layers)
 	res.Rows = make([]AblSearchBudgetRow, len(ks))
 	if err := par.ForEach(0, len(ks), func(i int) error {
 		opts := core.DefaultControllerOptions()
 		opts.SearchBudget = ks[i]
-		sum, _, err := odinSummaryFor(sys, res.Model, opts, cfg)
+		sum, err := odinHorizon(sys, wl, pol, opts, cfg)
 		if err != nil {
 			return err
 		}
 		res.Rows[i] = AblSearchBudgetRow{
 			K:               ks[i],
-			EvalsPerLayer:   float64(sum.SearchEvaluations) / float64(cfg.Epochs*layers),
+			EvalsPerLayer:   float64(sum.SearchEvaluations) / float64(cfg.Epochs*wl.Layers()),
 			EDPvsExhaustive: sum.TotalEDP() / exSum.TotalEDP(),
 			Reprograms:      sum.Reprograms,
 		}
@@ -138,16 +117,20 @@ func AblBuffer(sys core.System, capacities []int) (AblBufferResult, error) {
 	}
 	cfg := ablationHorizon()
 	res := AblBufferResult{Model: "VGG16", Rows: make([]AblBufferRow, len(capacities))}
-	arch := sys.Arch
+	wl, pol, err := odinSetup(sys, res.Model)
+	if err != nil {
+		return res, err
+	}
 	if err := par.ForEach(0, len(capacities), func(i int) error {
 		capacity := capacities[i]
 		opts := core.DefaultControllerOptions()
 		opts.BufferSize = capacity
-		sum, ctrl, err := odinSummaryFor(sys, res.Model, opts, cfg)
+		ctrl, err := core.NewController(sys, wl, pol.Clone(), opts)
 		if err != nil {
 			return err
 		}
-		o := arch.OverheadModel(0, capacity, core.UpdateEpochs)
+		sum := core.SimulateHorizon(ctrl, cfg)
+		o := sys.Arch.OverheadModel(0, capacity, core.UpdateEpochs)
 		res.Rows[i] = AblBufferRow{
 			Capacity:      capacity,
 			PolicyUpdates: ctrl.PolicyUpdates(),
@@ -197,7 +180,11 @@ func AblEta(base core.System, etas []float64) (AblEtaResult, error) {
 	if err := par.ForEach(0, len(etas), func(i int) error {
 		sys := base
 		sys.Acc.Eta = etas[i]
-		sum, _, err := odinSummaryFor(sys, res.Model, core.DefaultControllerOptions(), cfg)
+		wl, pol, err := odinSetup(sys, res.Model)
+		if err != nil {
+			return err
+		}
+		sum, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
 		if err != nil {
 			return err
 		}
@@ -247,15 +234,15 @@ func AblRate(sys core.System, rates []float64) (AblRateResult, error) {
 		rates = []float64{1e-5, 1e-4, 2e-4, 1e-3, 1e-2}
 	}
 	res := AblRateResult{Model: "VGG11", Rows: make([]AblRateRow, len(rates))}
+	wl, pol, err := odinSetup(sys, res.Model)
+	if err != nil {
+		return res, err
+	}
 	if err := par.ForEach(0, len(rates), func(i int) error {
 		cfg := ablationHorizon()
 		cfg.InferenceRate = rates[i]
 
-		odinSum, _, err := odinSummaryFor(sys, res.Model, core.DefaultControllerOptions(), cfg)
-		if err != nil {
-			return err
-		}
-		wl, err := sys.Prepare(dnn.NewVGG11())
+		odinSum, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
 		if err != nil {
 			return err
 		}
@@ -316,7 +303,7 @@ func AblCluster(base core.System, widths []int) (AblClusterResult, error) {
 		if err != nil {
 			return err
 		}
-		sizes := bestSizes(sys, wl, sys.Device.T0)
+		sizes := sys.OptimalSizes(wl, sys.Device.T0)
 		var sumC, sumR, sumEDP float64
 		for j, s := range sizes {
 			sumC += float64(s.C)

@@ -32,16 +32,19 @@ func Confidence(sys core.System, thresholds []float64) (ConfidenceResult, error)
 	}
 	cfg := ablationHorizon()
 	res := ConfidenceResult{Model: "VGG11"}
-	layers := 11.0
 
+	wl, pol, err := odinSetup(sys, res.Model)
+	if err != nil {
+		return res, err
+	}
 	run := func(name string, opts core.ControllerOptions) error {
-		sum, _, err := odinSummaryFor(sys, res.Model, opts, cfg)
+		sum, err := odinHorizon(sys, wl, pol, opts, cfg)
 		if err != nil {
 			return err
 		}
 		res.Rows = append(res.Rows, ConfidenceRow{
 			Name:          name,
-			EvalsPerLayer: float64(sum.SearchEvaluations) / (float64(cfg.Epochs) * layers),
+			EvalsPerLayer: float64(sum.SearchEvaluations) / (float64(cfg.Epochs) * float64(wl.Layers())),
 			EDP:           sum.TotalEDP(),
 			Reprograms:    sum.Reprograms,
 		})
@@ -53,7 +56,6 @@ func Confidence(sys core.System, thresholds []float64) (ConfidenceResult, error)
 	}
 	for _, th := range thresholds {
 		opts := core.DefaultControllerOptions()
-		opts.ConfidenceEX = true
 		opts.ConfidenceThreshold = th
 		if err := run(fmt.Sprintf("hybrid ≥%.1f", th), opts); err != nil {
 			return res, err

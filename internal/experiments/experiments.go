@@ -83,36 +83,70 @@ func defaultHorizon() core.HorizonConfig {
 	return core.HorizonConfig{End: 1e8, Epochs: 1000}
 }
 
-// bootstrapFor builds the offline policy for an unseen workload using the
-// paper's leave-one-out protocol: the policy is trained on every zoo family
-// except the target's.
-func bootstrapFor(sys core.System, target *dnn.Model) (*core.Controller, *core.Workload, error) {
-	pol, err := leaveOutPolicy(sys, familyOf(target.Name))
-	if err != nil {
-		return nil, nil, err
-	}
-	return newController(sys, target, pol)
-}
+// Every driver sets up once: it prepares each (system, model) workload
+// and trains each (system, left-out family) offline policy a single time,
+// then runs every baseline and controller of that pair on the shared
+// workload, which only System.Prepare writes, each controller adapting its
+// own Clone of the policy. Nothing is kept between driver calls.
 
-// leaveOutPolicy trains the offline policy on every zoo family except
-// family.
-func leaveOutPolicy(sys core.System, family string) (*policy.Policy, error) {
-	pol, _, err := core.BootstrapPolicy(sys, core.LeaveOut(dnn.AllWorkloads(), family), core.DefaultBootstrapConfig())
+// offlinePolicy trains the offline policy for the workload named target
+// with the paper's leave-one-out protocol: on every zoo workload outside
+// target's family.
+func offlinePolicy(sys core.System, target string) (*policy.Policy, error) {
+	known := core.LeaveOut(dnn.AllWorkloads(), familyOf(target))
+	pol, _, err := core.BootstrapPolicy(sys, known, core.DefaultBootstrapConfig())
 	return pol, err
 }
 
-// newController prepares target and gives it a default controller that
-// adapts pol online.
-func newController(sys core.System, target *dnn.Model, pol *policy.Policy) (*core.Controller, *core.Workload, error) {
-	wl, err := sys.Prepare(target)
+// odinSetup prepares the zoo model name on sys and trains its offline
+// policy.
+func odinSetup(sys core.System, name string) (*core.Workload, *policy.Policy, error) {
+	m, err := dnn.ByName(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	ctrl, err := core.NewController(sys, wl, pol, core.DefaultControllerOptions())
+	wl, err := sys.Prepare(m)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ctrl, wl, nil
+	pol, err := offlinePolicy(sys, name)
+	return wl, pol, err
+}
+
+// odinHorizon runs an Odin controller with opts over cfg on wl, adapting a
+// clone of the offline policy pol.
+func odinHorizon(sys core.System, wl *core.Workload, pol *policy.Policy,
+	opts core.ControllerOptions, cfg core.HorizonConfig) (core.HorizonSummary, error) {
+	ctrl, err := core.NewController(sys, wl, pol.Clone(), opts)
+	if err != nil {
+		return core.HorizonSummary{}, err
+	}
+	return core.SimulateHorizon(ctrl, cfg), nil
+}
+
+// configNames names the four standard baselines, in
+// core.StandardBaselineSizes order, then "Odin".
+func configNames() []string {
+	var names []string
+	for _, size := range core.StandardBaselineSizes() {
+		names = append(names, size.String())
+	}
+	return append(names, "Odin")
+}
+
+// baselineHorizons runs the four standard homogeneous baselines over cfg
+// on wl, in core.StandardBaselineSizes order.
+func baselineHorizons(sys core.System, wl *core.Workload, cfg core.HorizonConfig) ([]core.HorizonSummary, error) {
+	sizes := core.StandardBaselineSizes()
+	sums := make([]core.HorizonSummary, len(sizes))
+	for i, size := range sizes {
+		b, err := core.NewBaseline(sys, wl, size)
+		if err != nil {
+			return nil, err
+		}
+		sums[i] = core.SimulateHorizon(b, cfg)
+	}
+	return sums, nil
 }
 
 // familyOf maps a model name to its leave-one-out family substring.

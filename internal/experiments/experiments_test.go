@@ -143,12 +143,11 @@ func TestFig4DistributionShiftsLeft(t *testing.T) {
 	}
 }
 
+// TestFig5AgreementAndOverhead asserts on the fig5 run whose bytes
+// TestGoldenArtifacts freezes.
 func TestFig5AgreementAndOverhead(t *testing.T) {
 	t.Parallel()
-	res, err := Fig5(core.DefaultSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, "fig5").(Fig5Result)
 	if len(res.Snapshots) != 3 {
 		t.Fatalf("expected 3 snapshots, got %d", len(res.Snapshots))
 	}
@@ -239,12 +238,11 @@ func TestFig8Claims(t *testing.T) {
 	}
 }
 
+// TestFig7AccuracyStory asserts on the fig7 run whose bytes
+// TestGoldenArtifacts freezes.
 func TestFig7AccuracyStory(t *testing.T) {
 	t.Parallel()
-	res, err := Fig7(core.DefaultSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, "fig7").(Fig7Result)
 	series := map[string]Fig7Series{}
 	for _, s := range res.Series {
 		series[s.Name] = s

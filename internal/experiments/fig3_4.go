@@ -10,28 +10,7 @@ import (
 	"odin/internal/dnn"
 	"odin/internal/ou"
 	"odin/internal/par"
-	"odin/internal/search"
 )
-
-// bestSizes returns the constrained EDP-optimal OU size for every layer of
-// the workload at the given device age (exhaustive search — the optimum
-// Odin's online loop converges to). Layers with no feasible size fall back
-// to the smallest grid size, mirroring the controller. Layers are searched
-// in parallel: each objective only reads sys/wl and each goroutine writes
-// only sizes[j], so the result is worker-count independent.
-func bestSizes(sys core.System, wl *core.Workload, age float64) []ou.Size {
-	grid := sys.Grid()
-	sizes := make([]ou.Size, wl.Layers())
-	par.Each(0, len(sizes), func(j int) {
-		res := search.Exhaustive(grid, core.LayerObjective(sys, wl, j, age))
-		if res.Found {
-			sizes[j] = res.Best
-		} else {
-			sizes[j] = grid.SizeAt(0, 0)
-		}
-	})
-	return sizes
-}
 
 // Fig3Row is one layer of the Fig. 3 plot.
 type Fig3Row struct {
@@ -56,7 +35,7 @@ func Fig3(sys core.System) (Fig3Result, error) {
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	sizes := bestSizes(sys, wl, sys.Device.T0)
+	sizes := sys.OptimalSizes(wl, sys.Device.T0)
 	res := Fig3Result{Model: model.Name}
 	for j, s := range sizes {
 		l := model.Layers[j]
@@ -117,7 +96,7 @@ func Fig4(sys core.System, ages []float64) (Fig4Result, error) {
 	// Index-sharded age sweep: each goroutine fills only res.Counts[i] /
 	// res.MeanProduct[i], so the histogram is identical at any worker count.
 	par.Each(0, len(ages), func(i int) {
-		sizes := bestSizes(sys, wl, ages[i])
+		sizes := sys.OptimalSizes(wl, ages[i])
 		counts := make(map[string]int)
 		total := 0
 		for _, s := range sizes {

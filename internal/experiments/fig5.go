@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"odin/internal/core"
-	"odin/internal/dnn"
 	"odin/internal/opt"
 	"odin/internal/ou"
 	"odin/internal/search"
@@ -34,40 +33,31 @@ type Fig5Result struct {
 	OverheadRatio float64 // EX / RB comparator work (paper: ≈3×)
 }
 
-// Fig5 reproduces the online-adaptation study. Two controllers (RB and EX)
-// bootstrapped from the non-VGG families run the horizon; at each snapshot
-// age their decisions are compared with the exhaustive offline optimum.
+// Fig5 reproduces the online-adaptation study. Two controllers (RB and EX),
+// each adapting its own clone of the policy bootstrapped from the non-VGG
+// families, run the horizon; at each snapshot age their decisions are
+// compared with the exhaustive offline optimum.
 func Fig5(sys core.System) (Fig5Result, error) {
-	model := dnn.NewVGG11()
+	res := Fig5Result{Model: "VGG11"}
 	ages := []float64{1, 1e2, 1e4}
-
-	mkController := func(strategy string) (*core.Controller, *core.Workload, error) {
-		target := dnn.NewVGG11()
-		known := core.LeaveOut(dnn.AllWorkloads(), "VGG")
-		pol, _, err := core.BootstrapPolicy(sys, known, core.DefaultBootstrapConfig())
-		if err != nil {
-			return nil, nil, err
-		}
-		wl, err := sys.Prepare(target)
-		if err != nil {
-			return nil, nil, err
-		}
+	wl, pol, err := odinSetup(sys, res.Model)
+	if err != nil {
+		return res, err
+	}
+	controllerFor := func(strategy string) (*core.Controller, error) {
 		opts := core.DefaultControllerOptions()
 		opts.Strategy = strategy
-		ctrl, err := core.NewController(sys, wl, pol, opts)
-		return ctrl, wl, err
+		return core.NewController(sys, wl, pol.Clone(), opts)
+	}
+	rbCtrl, err := controllerFor("rb")
+	if err != nil {
+		return res, err
+	}
+	exCtrl, err := controllerFor("ex")
+	if err != nil {
+		return res, err
 	}
 
-	rbCtrl, rbWl, err := mkController("rb")
-	if err != nil {
-		return Fig5Result{}, err
-	}
-	exCtrl, _, err := mkController("ex")
-	if err != nil {
-		return Fig5Result{}, err
-	}
-
-	res := Fig5Result{Model: model.Name}
 	products := func(sizes []ou.Size) []int {
 		out := make([]int, len(sizes))
 		for i, s := range sizes {
@@ -96,7 +86,7 @@ func Fig5(sys core.System) (Fig5Result, error) {
 			lastEX = exCtrl.RunInference(warmups[idx])
 			idx++
 		}
-		offline := bestSizes(sys, rbWl, age)
+		offline := sys.OptimalSizes(wl, age)
 		snap := Fig5Snapshot{
 			Age:         age,
 			Offline:     products(offline),
@@ -110,7 +100,7 @@ func Fig5(sys core.System) (Fig5Result, error) {
 
 	// Search overhead: evaluations per layer decision.
 	grid := sys.Grid()
-	obj := core.LayerObjective(sys, rbWl, 4, 1)
+	obj := core.LayerObjective(sys, wl, 4, 1)
 	rb := opt.ResourceBounded{}.Optimize(grid, obj, grid.SizeAt(2, 2), 0)
 	ex := search.Exhaustive(grid, obj)
 	res.RBEvaluations = rb.Evaluations

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"odin/internal/core"
-	"odin/internal/dnn"
 	"odin/internal/ou"
 )
 
@@ -30,40 +29,23 @@ type Fig6Result struct {
 
 // Fig6 runs the VGG11 horizon for every configuration.
 func Fig6(sys core.System) (Fig6Result, error) {
-	model := dnn.NewVGG11()
 	cfg := defaultHorizon()
-	res := Fig6Result{Model: model.Name}
-
-	summaries := make([]core.HorizonSummary, 0, 5)
-	names := make([]string, 0, 5)
-	var norm core.HorizonSummary
-
-	for i, size := range core.StandardBaselineSizes() {
-		wl, err := sys.Prepare(dnn.NewVGG11())
-		if err != nil {
-			return Fig6Result{}, err
-		}
-		b, err := core.NewBaseline(sys, wl, size)
-		if err != nil {
-			return Fig6Result{}, err
-		}
-		sum := core.SimulateHorizon(b, cfg)
-		if i == 0 {
-			norm = sum // 16×16 is the normalisation basis
-		}
-		summaries = append(summaries, sum)
-		names = append(names, size.String())
-	}
-
-	ctrl, _, err := bootstrapFor(sys, model)
+	res := Fig6Result{Model: "VGG11"}
+	wl, pol, err := odinSetup(sys, res.Model)
 	if err != nil {
-		return Fig6Result{}, err
+		return res, err
 	}
-	odin := core.SimulateHorizon(ctrl, cfg)
-	summaries = append(summaries, odin)
-	names = append(names, "Odin")
-
-	for i, sum := range summaries {
+	summaries, err := baselineHorizons(sys, wl, cfg)
+	if err != nil {
+		return res, err
+	}
+	odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+	if err != nil {
+		return res, err
+	}
+	names := configNames()
+	norm := summaries[0] // 16×16 is the normalisation basis
+	for i, sum := range append(summaries, odin) {
 		res.Rows = append(res.Rows, Fig6Row{
 			Name:            names[i],
 			Reprograms:      sum.Reprograms,
@@ -115,43 +97,33 @@ type Fig7Result struct {
 
 // Fig7 runs the accuracy sweeps.
 func Fig7(sys core.System) (Fig7Result, error) {
-	model := dnn.NewVGG11()
 	cfg := defaultHorizon()
 	cfg.RecordEvery = cfg.Epochs / 50
-
-	res := Fig7Result{Model: model.Name, IdealAcc: model.IdealAccuracy}
-
-	addBaseline := func(size ou.Size, disable bool, name string) error {
-		wl, err := sys.Prepare(dnn.NewVGG11())
-		if err != nil {
-			return err
-		}
-		b, err := core.NewBaseline(sys, wl, size)
-		if err != nil {
-			return err
-		}
-		b.DisableReprogram = disable
-		sum := core.SimulateHorizon(b, cfg)
-		res.Series = append(res.Series, seriesFrom(name, sum))
-		return nil
-	}
-	if err := addBaseline(ou.Size{R: 16, C: 16}, true, "16×16 w/o reprog"); err != nil {
-		return res, err
-	}
-	if err := addBaseline(ou.Size{R: 16, C: 16}, false, "16×16 w/ reprog"); err != nil {
-		return res, err
-	}
-	if err := addBaseline(ou.Size{R: 8, C: 4}, true, "8×4 w/o reprog"); err != nil {
-		return res, err
-	}
-	if err := addBaseline(ou.Size{R: 8, C: 4}, false, "8×4 w/ reprog"); err != nil {
-		return res, err
-	}
-	ctrl, _, err := bootstrapFor(sys, model)
+	res := Fig7Result{Model: "VGG11"}
+	wl, pol, err := odinSetup(sys, res.Model)
 	if err != nil {
 		return res, err
 	}
-	res.Series = append(res.Series, seriesFrom("Odin", core.SimulateHorizon(ctrl, cfg)))
+	res.IdealAcc = wl.Model.IdealAccuracy
+	for _, size := range []ou.Size{{R: 16, C: 16}, {R: 8, C: 4}} {
+		for _, disable := range []bool{true, false} {
+			b, err := core.NewBaseline(sys, wl, size)
+			if err != nil {
+				return res, err
+			}
+			b.DisableReprogram = disable
+			name := size.String() + " w/ reprog"
+			if disable {
+				name = size.String() + " w/o reprog"
+			}
+			res.Series = append(res.Series, seriesFrom(name, core.SimulateHorizon(b, cfg)))
+		}
+	}
+	odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+	if err != nil {
+		return res, err
+	}
+	res.Series = append(res.Series, seriesFrom("Odin", odin))
 	return res, nil
 }
 

@@ -37,18 +37,16 @@ type Fig8Result struct {
 // baselines, applying the leave-one-out bootstrap per workload. Workloads
 // of one family (VGG11/16/19, ResNet18/34/50) leave out the same family, so
 // each family's offline policy is trained once and every workload adapts
-// its own clone. Workloads are simulated in parallel (each goroutine fills
-// only rows[i]; every horizon gets its own freshly prepared workload and
-// controller); the mean/max reductions are then reduced over the rows in
-// workload order, so the rounding — and the rendered bytes — match the
-// sequential loop exactly.
+// its own clone. Workloads are simulated in parallel (each goroutine
+// prepares its own workload, which its baselines and controller share, and
+// fills only rows[i]); the mean/max reductions are then reduced over the
+// rows in workload order, so the rounding — and the rendered bytes — match
+// the sequential loop exactly.
 func Fig8(sys core.System) (Fig8Result, error) {
 	cfg := defaultHorizon()
 	res := Fig8Result{MeanReduction: map[string]float64{}}
-	baselineNames := make([]string, 0, 4)
-	for _, s := range core.StandardBaselineSizes() {
-		baselineNames = append(baselineNames, s.String())
-	}
+	names := configNames()
+	baselineNames := names[:len(names)-1]
 
 	models := dnn.AllWorkloads()
 	// One offline policy per family, trained by the first of its workloads
@@ -58,7 +56,7 @@ func Fig8(sys core.System) (Fig8Result, error) {
 	offline := map[string]func() (*policy.Policy, error){}
 	for _, m := range models {
 		if f := familyOf(m.Name); offline[f] == nil {
-			offline[f] = sync.OnceValues(func() (*policy.Policy, error) { return leaveOutPolicy(sys, f) })
+			offline[f] = sync.OnceValues(func() (*policy.Policy, error) { return offlinePolicy(sys, m.Name) })
 		}
 	}
 	rows := make([]Fig8Row, len(models))
@@ -70,35 +68,28 @@ func Fig8(sys core.System) (Fig8Result, error) {
 			EDP:             map[string]float64{},
 			ReductionVsOdin: map[string]float64{},
 		}
-		var norm float64
-		for bi, size := range core.StandardBaselineSizes() {
-			wl, err := sys.Prepare(cloneOf(model.Name))
-			if err != nil {
-				return err
-			}
-			b, err := core.NewBaseline(sys, wl, size)
-			if err != nil {
-				return err
-			}
-			sum := core.SimulateHorizon(b, cfg)
-			if bi == 0 {
-				norm = sum.InferenceEDP()
-			}
-			row.EDP[size.String()] = sum.TotalEDP() / norm
-		}
-		boot, err := offline[familyOf(model.Name)]()
+		wl, err := sys.Prepare(model)
 		if err != nil {
 			return err
 		}
-		ctrl, _, err := newController(sys, model, boot.Clone())
+		baselines, err := baselineHorizons(sys, wl, cfg)
 		if err != nil {
 			return err
 		}
-		odin := core.SimulateHorizon(ctrl, cfg)
-		row.EDP["Odin"] = odin.TotalEDP() / norm
+		pol, err := offline[familyOf(model.Name)]()
+		if err != nil {
+			return err
+		}
+		odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+		if err != nil {
+			return err
+		}
+		norm := baselines[0].InferenceEDP()
+		for k, sum := range append(baselines, odin) {
+			row.EDP[names[k]] = sum.TotalEDP() / norm
+		}
 		for _, name := range baselineNames {
-			red := row.EDP[name] / row.EDP["Odin"]
-			row.ReductionVsOdin[name] = red
+			row.ReductionVsOdin[name] = row.EDP[name] / row.EDP["Odin"]
 		}
 		rows[i] = row
 		return nil
@@ -120,16 +111,6 @@ func Fig8(sys core.System) (Fig8Result, error) {
 		res.MeanReduction[name] /= float64(len(res.Rows))
 	}
 	return res, nil
-}
-
-// cloneOf returns a fresh zoo instance by name (workloads are mutated by
-// pruning, so each runner gets its own copy).
-func cloneOf(name string) *dnn.Model {
-	m, err := dnn.ByName(name)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: clone workload: %v", err))
-	}
-	return m
 }
 
 // Render prints the per-workload bars and the headline averages.
@@ -176,25 +157,23 @@ func Fig9(base core.System, sizes []int) (Fig9Result, error) {
 	cfg := defaultHorizon()
 	res := Fig9Result{Model: "ResNet34", Rows: make([]Fig9Row, len(sizes))}
 	// Index-sharded crossbar-size sweep: each goroutine scales its own copy
-	// of the base system and writes only res.Rows[i].
+	// of the base system, sets up ResNet34 on it and writes only
+	// res.Rows[i].
 	if err := par.ForEach(0, len(sizes), func(i int) error {
 		xb := sizes[i]
 		sys := base.WithCrossbarSize(xb)
 		row := Fig9Row{CrossbarSize: xb, Ratios: map[string]float64{}}
-
-		ctrl, _, err := bootstrapFor(sys, dnn.NewResNet34())
+		wl, pol, err := odinSetup(sys, res.Model)
 		if err != nil {
 			return err
 		}
-		odin := core.SimulateHorizon(ctrl, cfg)
-
+		odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+		if err != nil {
+			return err
+		}
 		for _, size := range core.StandardBaselineSizes() {
 			if size.R > xb || size.C > xb {
 				continue // configuration does not fit this crossbar
-			}
-			wl, err := sys.Prepare(dnn.NewResNet34())
-			if err != nil {
-				return err
 			}
 			b, err := core.NewBaseline(sys, wl, size)
 			if err != nil {

@@ -43,9 +43,11 @@ func runOnce(t *testing.T, id string) Result {
 
 // TestGoldenArtifacts freezes the rendered output of a representative slice
 // of the paper's tables and figures: the two static platform tables, one
-// layer-wise placement figure (fig3), the headline energy/latency
-// comparison (fig6, the full horizon driver), the §V-E overhead
-// analysis, the line-6 optimizer head-to-head (opt-compare, which
+// layer-wise placement figure (fig3), the online-adaptation snapshots
+// (fig5), the headline energy/latency comparison (fig6), the accuracy
+// curves (fig7), the cross-workload EDP comparison (fig8), the §V-E
+// overhead analysis, the endurance and MobileNetV2 extensions (lifetime,
+// mobilenet), the line-6 optimizer head-to-head (opt-compare, which
 // freezes all four registered strategies including the TPE sampler's
 // draws), and the fleet-scale routing comparison (fleet, which freezes
 // the serve layer's routing, admission, drift steering, and churned-replay
@@ -57,12 +59,15 @@ func runOnce(t *testing.T, id string) Result {
 //
 //	go test ./internal/experiments -run TestGoldenArtifacts -update
 //
-// The remaining experiments are deliberately not frozen: they re-measure
-// the same code paths at much higher horizon cost, and tier-1 runtime
-// matters.
+// Each frozen experiment is one some test already runs in full, so its
+// golden costs no extra run: runOnce shares it. Most others are tested on
+// reduced sweeps or not at all (fig4, fig9, the ablations, proactive,
+// confidence), so a golden would add a full run to every tier-1 pass;
+// `make smoke` pins every section of `odinsim all` against
+// cmd/odinsim/testdata/all.sha256.
 func TestGoldenArtifacts(t *testing.T) {
 	t.Parallel()
-	for _, id := range []string{"tab1", "tab2", "fig3", "fig6", "overhead", "opt-compare", "fleet"} {
+	for _, id := range []string{"tab1", "tab2", "fig3", "fig5", "fig6", "fig7", "fig8", "lifetime", "mobilenet", "overhead", "opt-compare", "fleet"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"odin/internal/core"
-	"odin/internal/dnn"
 	"odin/internal/reram"
 )
 
@@ -36,34 +35,27 @@ func Lifetime(sys core.System) (LifetimeResult, error) {
 	endurance := reram.DefaultEndurance()
 	res := LifetimeResult{Model: "VGG11", Endurance: endurance, HorizonSec: cfg.End}
 
-	add := func(name string, reprograms int) {
-		res.Rows = append(res.Rows, LifetimeRow{
-			Name:          name,
-			Reprograms:    reprograms,
-			WearFraction:  endurance.WearFraction(reprograms, sys.Device),
-			LifetimeYears: endurance.LifetimeYears(reprograms, cfg.End, sys.Device),
-		})
-	}
-
-	for _, size := range core.StandardBaselineSizes() {
-		wl, err := sys.Prepare(dnn.NewVGG11())
-		if err != nil {
-			return res, err
-		}
-		b, err := core.NewBaseline(sys, wl, size)
-		if err != nil {
-			return res, err
-		}
-		sum := core.SimulateHorizon(b, cfg)
-		add(size.String(), sum.Reprograms)
-	}
-
-	ctrl, _, err := bootstrapFor(sys, dnn.NewVGG11())
+	wl, pol, err := odinSetup(sys, res.Model)
 	if err != nil {
 		return res, err
 	}
-	sum := core.SimulateHorizon(ctrl, cfg)
-	add("Odin", sum.Reprograms)
+	baselines, err := baselineHorizons(sys, wl, cfg)
+	if err != nil {
+		return res, err
+	}
+	odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+	if err != nil {
+		return res, err
+	}
+	names := configNames()
+	for i, sum := range append(baselines, odin) {
+		res.Rows = append(res.Rows, LifetimeRow{
+			Name:          names[i],
+			Reprograms:    sum.Reprograms,
+			WearFraction:  endurance.WearFraction(sum.Reprograms, sys.Device),
+			LifetimeYears: endurance.LifetimeYears(sum.Reprograms, cfg.End, sys.Device),
+		})
+	}
 	return res, nil
 }
 

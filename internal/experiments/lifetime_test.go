@@ -9,12 +9,11 @@ import (
 	"odin/internal/core"
 )
 
+// TestLifetimeOrdering asserts on the lifetime run whose bytes
+// TestGoldenArtifacts freezes.
 func TestLifetimeOrdering(t *testing.T) {
 	t.Parallel()
-	res, err := Lifetime(core.DefaultSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, "lifetime").(LifetimeResult)
 	if len(res.Rows) != 5 {
 		t.Fatalf("expected 5 rows, got %d", len(res.Rows))
 	}
@@ -64,12 +63,11 @@ func TestNoCValidateTightBound(t *testing.T) {
 	}
 }
 
+// TestMobileNetExtension asserts on the mobilenet run whose bytes
+// TestGoldenArtifacts freezes.
 func TestMobileNetExtension(t *testing.T) {
 	t.Parallel()
-	res, err := MobileNet(core.DefaultSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, "mobilenet").(MobileNetResult)
 	if len(res.Rows) != 5 {
 		t.Fatalf("expected 5 rows, got %d", len(res.Rows))
 	}

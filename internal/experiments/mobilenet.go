@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"odin/internal/core"
-	"odin/internal/dnn"
 )
 
 // MobileNetRow is one configuration's outcome on the extension workload.
@@ -30,49 +29,31 @@ type MobileNetResult struct {
 func MobileNet(sys core.System) (MobileNetResult, error) {
 	cfg := defaultHorizon()
 	res := MobileNetResult{Model: "MobileNetV2"}
-	var norm float64
-	for i, size := range core.StandardBaselineSizes() {
-		wl, err := sys.Prepare(dnn.NewMobileNetV2())
-		if err != nil {
-			return res, err
-		}
-		b, err := core.NewBaseline(sys, wl, size)
-		if err != nil {
-			return res, err
-		}
-		sum := core.SimulateHorizon(b, cfg)
-		if i == 0 {
-			norm = sum.InferenceEDP()
-		}
+	// MobileNetV2 belongs to no zoo family, so its offline policy learns
+	// from all nine paper workloads: it is fully unseen, layer type
+	// included.
+	wl, pol, err := odinSetup(sys, res.Model)
+	if err != nil {
+		return res, err
+	}
+	baselines, err := baselineHorizons(sys, wl, cfg)
+	if err != nil {
+		return res, err
+	}
+	odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+	if err != nil {
+		return res, err
+	}
+	names := configNames()
+	norm := baselines[0].InferenceEDP()
+	for i, sum := range append(baselines, odin) {
 		res.Rows = append(res.Rows, MobileNetRow{
-			Name:       size.String(),
+			Name:       names[i],
 			EDP:        sum.TotalEDP() / norm,
 			Reprograms: sum.Reprograms,
 			MinAcc:     sum.MinAccuracy,
 		})
 	}
-
-	// Odin bootstrapped from the paper's nine workloads — MobileNetV2 is
-	// fully unseen, including its layer type.
-	pol, _, err := core.BootstrapPolicy(sys, dnn.AllWorkloads(), core.DefaultBootstrapConfig())
-	if err != nil {
-		return res, err
-	}
-	wl, err := sys.Prepare(dnn.NewMobileNetV2())
-	if err != nil {
-		return res, err
-	}
-	ctrl, err := core.NewController(sys, wl, pol, core.DefaultControllerOptions())
-	if err != nil {
-		return res, err
-	}
-	sum := core.SimulateHorizon(ctrl, cfg)
-	res.Rows = append(res.Rows, MobileNetRow{
-		Name:       "Odin",
-		EDP:        sum.TotalEDP() / norm,
-		Reprograms: sum.Reprograms,
-		MinAcc:     sum.MinAccuracy,
-	})
 	return res, nil
 }
 

@@ -63,7 +63,7 @@ type OptCompareResult struct {
 // OptCompare runs every registered line-6 strategy on every layer decision
 // of every zoo workload at three drift ages, from the same clamped 16×16
 // start Algorithm 1 would seed a cold policy with. Workloads are simulated
-// in parallel (each goroutine prepares its own workload copy and fills only
+// in parallel (each goroutine prepares its own workload and fills only
 // rows[i]); strategies share nothing across decisions, so the table is
 // byte-identical at any worker count.
 func OptCompare(sys core.System) (OptCompareResult, error) {
@@ -79,7 +79,7 @@ func OptCompare(sys core.System) (OptCompareResult, error) {
 	rows := make([]OptCompareRow, len(models))
 	if err := par.ForEach(0, len(models), func(i int) error {
 		model := models[i]
-		wl, err := sys.Prepare(cloneOf(model.Name))
+		wl, err := sys.Prepare(model)
 		if err != nil {
 			return err
 		}

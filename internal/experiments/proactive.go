@@ -34,8 +34,12 @@ func Proactive(sys core.System, factors []float64) (ProactiveResult, error) {
 	cfg := defaultHorizon()
 	res := ProactiveResult{Model: "VGG11"}
 
+	wl, pol, err := odinSetup(sys, res.Model)
+	if err != nil {
+		return res, err
+	}
 	run := func(name string, opts core.ControllerOptions) error {
-		sum, _, err := odinSummaryFor(sys, res.Model, opts, cfg)
+		sum, err := odinHorizon(sys, wl, pol, opts, cfg)
 		if err != nil {
 			return err
 		}
@@ -55,7 +59,6 @@ func Proactive(sys core.System, factors []float64) (ProactiveResult, error) {
 	}
 	for _, f := range factors {
 		opts := core.DefaultControllerOptions()
-		opts.ProactiveReprogram = true
 		opts.ProactiveFactor = f
 		if err := run(fmt.Sprintf("proactive %.1f×", f), opts); err != nil {
 			return res, err

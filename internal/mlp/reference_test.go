@@ -381,7 +381,10 @@ func paramValues(n *Network) []float64 {
 // which sends those examples down the dense path instead. The shifted
 // cases also drive Train's frozen-trunk shortcuts (DESIGN §2): dead
 // verdicts forgotten whenever a trunk bit moves, and all-dead steps that
-// clear and, once settled, update only the head biases.
+// clear and, once settled, update only the head biases. Two hand-built
+// cases run first: a step that turns a head weight infinite
+// (staleHeadsCase) and settled steps whose cached probabilities turn NaN
+// (settledNaNCase), which the generated cases reach only rarely.
 func TestPropTrainBitIdentical(t *testing.T) {
 	t.Parallel()
 	prop := func(c bitCase) error {
@@ -409,8 +412,10 @@ func TestPropTrainBitIdentical(t *testing.T) {
 		}
 		return sameBits("trained parameters", paramValues(got), paramValues(want))
 	}
-	if err := prop(staleHeadsCase); err != nil {
-		t.Fatalf("%v: %v", staleHeadsCase, err)
+	for _, c := range []bitCase{staleHeadsCase, settledNaNCase} {
+		if err := prop(c); err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
 	}
 	check.RunConfig(t, check.Config{Trials: 300}, genBitCase(), prop)
 }
@@ -430,6 +435,20 @@ var staleHeadsCase = bitCase{
 	},
 	Opts:   TrainOptions{Epochs: 2, LearningRate: 1e308, Seed: 1},
 	Params: []float64{100, 0, -0.01, 0.01, 0, 0}, // trunk w, b; head w, b
+}
+
+// settledNaNCase starts with its one example dead (the trunk unit
+// x − 1 is off at x = 0), so every step is settled and moves only the
+// head biases. At learning rate 1e308 their momentum overflows a bias to
+// +Inf in the fifth step, and the cached all-zero-trunk probabilities
+// turn NaN: the sixth epoch must leave the fused all-dead loop for
+// accumulate's dense pass, which spreads the NaN into the head-weight
+// gradients as the reference does.
+var settledNaNCase = bitCase{
+	Cfg:      Config{InputDim: 1, Hidden: []int{1}, Heads: []int{2}, Seed: 1},
+	Examples: []Example{{Input: []float64{0}, Targets: []int{0}}},
+	Opts:     TrainOptions{Epochs: 8, LearningRate: 1e308, Seed: 1},
+	Params:   []float64{1, -1, 0.01, -0.01, 0, 0}, // trunk w, b; head w, b
 }
 
 // refClassify is the arg-max of each head's reference logits, the first

@@ -177,9 +177,8 @@ type ChipStatus struct {
 
 // Status is the fleet snapshot behind GET /statusz.
 type Status struct {
-	Seq     uint64       `json:"seq"`  // last published sequence number
-	Time    float64      `json:"time"` // largest published event time
-	Events  uint64       `json:"events"`
+	Seq     uint64       `json:"seq"`     // last published sequence number (= events published)
+	Time    float64      `json:"time"`    // largest published event time
 	Rejects uint64       `json:"rejects"` // fleet-level sheds (quota, reject)
 	Chips   []ChipStatus `json:"chips"`
 }
@@ -193,7 +192,7 @@ func (b *Bus) Snapshot() Status {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := Status{Seq: b.nextSeq, Time: b.lastT, Events: b.nextSeq, Rejects: b.rejects}
+	st := Status{Seq: b.nextSeq, Time: b.lastT, Rejects: b.rejects}
 	for _, id := range b.order {
 		cs := b.series[id]
 		row := ChipStatus{

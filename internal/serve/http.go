@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -167,14 +168,34 @@ func NewHandlerOpts(s *Server, opts HandlerOptions) http.Handler {
 	return h
 }
 
-// writeJSON emits one JSON response. Headers must be set before
-// WriteHeader; mutations after it are silently ignored.
+// writeJSON emits one JSON response. The body is encoded before the
+// status line goes out, so a body encoding/json refuses answers a JSON 500
+// instead of the status with no body.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	data, err := json.Marshal(body)
+	if err != nil {
+		status = http.StatusInternalServerError
+		data, _ = json.Marshal(httpError{Error: fmt.Sprintf("odinserve: encoding the response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// An encode failure here means the client went away mid-write; nothing
+	// A write failure here means the client went away mid-write; nothing
 	// sensible left to do.
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(append(data, '\n'))
+}
+
+// MarshalJSON encodes a +Inf DeadlineAge as the string "+Inf", as pulse
+// events quote it: JSON has no literal for it, and encoding/json refuses
+// the value.
+func (c ChipInfo) MarshalJSON() ([]byte, error) {
+	type fields ChipInfo // ChipInfo without this method
+	if !math.IsInf(c.DeadlineAge, 1) {
+		return json.Marshal(fields(c))
+	}
+	return json.Marshal(struct {
+		fields
+		DeadlineAge string
+	}{fields(c), "+Inf"})
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

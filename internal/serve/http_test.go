@@ -2,12 +2,14 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"odin/internal/clock"
+	"odin/internal/core"
 )
 
 // postInfer drives one request through a fresh recorder.
@@ -326,6 +328,41 @@ func TestHTTPAdminFleet(t *testing.T) {
 	if rec := do(http.MethodGet, "/admin/fleet", ""); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("fleet snapshot while draining = %d, want 503", rec.Code)
 	}
+}
+
+// TestHTTPAdminFleetNeverForced serves one chip on a device without drift
+// (Nu = 0), whose forced-reprogram deadline is +Inf: GET /admin/fleet must
+// answer 200 with a body that decodes, carrying the deadline as "+Inf" the
+// way pulse events quote it.
+func TestHTTPAdminFleetNeverForced(t *testing.T) {
+	t.Parallel()
+	sys := core.DefaultSystem()
+	sys.Device.Nu = 0
+	sys.Acc.Device.Nu = 0
+	s, _ := tinyServer(t, 1, Config{System: &sys})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	NewHandlerOpts(s, HandlerOptions{Admin: true}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/admin/fleet", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /admin/fleet = %d (%s)", rec.Code, rec.Body.String())
+	}
+	var rows []map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
+		t.Fatalf("body %q does not decode: %v", rec.Body.String(), err)
+	}
+	if len(rows) != 1 || rows[0]["DeadlineAge"] != "+Inf" || rows[0]["Model"] != "tiny" {
+		t.Fatalf("fleet snapshot %v, want one tiny chip with DeadlineAge \"+Inf\"", rows)
+	}
+}
+
+// TestWriteJSONEncodeFailure pins that a body encoding/json refuses never
+// goes out as the requested status with an empty body: the client gets a
+// JSON 500 naming the failure.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	t.Parallel()
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.NaN())
+	decodeError(t, rec, http.StatusInternalServerError, "unsupported value")
 }
 
 // TestHTTPAdminMethodNotAllowed pins the 405 contract of the control

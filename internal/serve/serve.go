@@ -863,8 +863,11 @@ type ChipInfo struct {
 	Energy        float64 // cumulative served energy (J)
 	Latency       float64 // cumulative chip-busy time (s)
 	Age           float64 // device age at snapshot time
-	DeadlineAge   float64 // forced-reprogram age (+Inf when drift never forces)
 	Degraded      bool    // reprogram budget exhausted
+	// DeadlineAge is the forced-reprogram age, +Inf when drift never
+	// forces. JSON carries that +Inf as the string "+Inf"; MarshalJSON's
+	// override writes the key last, so the field stays last too.
+	DeadlineAge float64
 }
 
 // Close stops admissions, drains every admitted request to completion, and
