@@ -130,7 +130,7 @@ func NewWith(opts Options) *Cache {
 		r.Counter("odin_decache_predict_hits_total", zero)
 		r.Counter("odin_decache_predict_misses_total", zero)
 		c.flushes = r.Counter("odin_decache_flushes_total",
-			"wholesale cache flushes (explicit or capacity-triggered)")
+			"wholesale flushes of one context, when a store exceeds its 4096-decision cap")
 	}
 	return c
 }

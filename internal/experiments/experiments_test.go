@@ -238,6 +238,40 @@ func TestFig8Claims(t *testing.T) {
 	}
 }
 
+// TestFig9Claims makes EXPERIMENTS.md's Fig. 9 statement executable on the
+// run whose bytes TestGoldenArtifacts freezes: at 128², 64² and 32² every
+// baseline's EDP is above Odin's (ratio > 1), 16×16 is the worst baseline,
+// and its ratio rises as the crossbar shrinks.
+func TestFig9Claims(t *testing.T) {
+	t.Parallel()
+	res := runOnce(t, "fig9").(Fig9Result)
+	if len(res.Rows) != 3 {
+		t.Fatalf("fig9 has %d crossbar sizes, want 3", len(res.Rows))
+	}
+	prev := 0.0
+	for i, row := range res.Rows {
+		if want := []int{128, 64, 32}[i]; row.CrossbarSize != want {
+			t.Errorf("row %d: crossbar %d, want %d", i, row.CrossbarSize, want)
+		}
+		if len(row.Ratios) != 4 {
+			t.Errorf("%d²: %d baselines, want 4 (%v)", row.CrossbarSize, len(row.Ratios), row.Ratios)
+		}
+		worst := row.Ratios["16×16"]
+		for name, ratio := range row.Ratios {
+			if !(ratio > 1) {
+				t.Errorf("%d²: %s EDP / Odin EDP = %v, want > 1", row.CrossbarSize, name, ratio)
+			}
+			if ratio > worst {
+				t.Errorf("%d²: %s ratio %v above 16×16's %v, want 16×16 worst", row.CrossbarSize, name, ratio, worst)
+			}
+		}
+		if !(worst > prev) {
+			t.Errorf("%d²: 16×16 ratio %v, want above the larger crossbar's %v", row.CrossbarSize, worst, prev)
+		}
+		prev = worst
+	}
+}
+
 // TestFig7AccuracyStory asserts on the fig7 run whose bytes
 // TestGoldenArtifacts freezes.
 func TestFig7AccuracyStory(t *testing.T) {

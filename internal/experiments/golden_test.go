@@ -45,29 +45,29 @@ func runOnce(t *testing.T, id string) Result {
 // of the paper's tables and figures: the two static platform tables, one
 // layer-wise placement figure (fig3), the online-adaptation snapshots
 // (fig5), the headline energy/latency comparison (fig6), the accuracy
-// curves (fig7), the cross-workload EDP comparison (fig8), the §V-E
-// overhead analysis, the endurance and MobileNetV2 extensions (lifetime,
-// mobilenet), the line-6 optimizer head-to-head (opt-compare, which
-// freezes all four registered strategies including the TPE sampler's
-// draws), and the fleet-scale routing comparison (fleet, which freezes
-// the serve layer's routing, admission, drift steering, and churned-replay
-// checksums at 1024 chips). Every numeric path in the repository —
-// mapping, cost models, drift, search, policy bootstrap, horizon
-// amortisation, serving — feeds at least one of these byte streams, so
-// any unintended change to the physics or the controller shows up as a
-// golden diff. Accept intended changes with:
+// curves (fig7), the cross-workload EDP comparison (fig8), the
+// crossbar-size sensitivity study (fig9), the §V-E overhead analysis, the
+// endurance and MobileNetV2 extensions (lifetime, mobilenet), the line-6
+// optimizer head-to-head (opt-compare, which freezes all four registered
+// strategies including the TPE sampler's draws), and the fleet-scale
+// routing comparison (fleet, which freezes the serve layer's routing,
+// admission, drift steering, and churned-replay checksums at 1024 chips).
+// Every numeric path in the repository — mapping, cost models, drift,
+// search, policy bootstrap, horizon amortisation, serving — feeds at least
+// one of these byte streams, so any unintended change to the physics or
+// the controller shows up as a golden diff. Accept intended changes with:
 //
 //	go test ./internal/experiments -run TestGoldenArtifacts -update
 //
 // Each frozen experiment is one some test already runs in full, so its
-// golden costs no extra run: runOnce shares it. Most others are tested on
-// reduced sweeps or not at all (fig4, fig9, the ablations, proactive,
-// confidence), so a golden would add a full run to every tier-1 pass;
-// `make smoke` pins every section of `odinsim all` against
-// cmd/odinsim/testdata/all.sha256.
+// golden costs no extra run: runOnce shares it (fig9's with
+// TestFig9Claims). Most others are tested on reduced sweeps or not at all
+// (fig4, the ablations, proactive, confidence), so a golden would add a
+// full run to every tier-1 pass; `make smoke` pins every section of
+// `odinsim all` against cmd/odinsim/testdata/all.sha256.
 func TestGoldenArtifacts(t *testing.T) {
 	t.Parallel()
-	for _, id := range []string{"tab1", "tab2", "fig3", "fig5", "fig6", "fig7", "fig8", "lifetime", "mobilenet", "overhead", "opt-compare", "fleet"} {
+	for _, id := range []string{"tab1", "tab2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "lifetime", "mobilenet", "overhead", "opt-compare", "fleet"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

@@ -160,19 +160,30 @@ func (m *Dense) MaxAbs() float64 {
 
 // Softmax writes the softmax of src into dst (may alias) and returns dst.
 // It is numerically stabilised by max-subtraction.
+//
+// The first maximal entry gets exactly 1 without calling math.Exp when
+// the maximum is finite: v − mx is then +0, and exp(+0) is exactly 1. A
+// maximum of +Inf gives v − mx = NaN there, so a non-finite one calls
+// math.Exp for every entry.
 func Softmax(src, dst []float64) []float64 {
 	if len(dst) != len(src) {
 		dst = make([]float64, len(src))
 	}
-	mx := math.Inf(-1)
-	for _, v := range src {
+	mx, top := math.Inf(-1), -1
+	for i, v := range src {
 		if v > mx {
-			mx = v
+			mx, top = v, i
 		}
+	}
+	if !(math.Abs(mx) <= math.MaxFloat64) {
+		top = -1
 	}
 	var sum float64
 	for i, v := range src {
-		e := math.Exp(v - mx)
+		e := 1.0
+		if i != top {
+			e = math.Exp(v - mx)
+		}
 		dst[i] = e
 		sum += e
 	}

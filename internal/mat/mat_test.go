@@ -324,3 +324,76 @@ func TestPropMulVecMatchesRowLoop(t *testing.T) {
 		return nil
 	})
 }
+
+// TestExpZeroIsOne pins the premise of Softmax's shortcut: math.Exp(+0) is
+// exactly 1.
+func TestExpZeroIsOne(t *testing.T) {
+	t.Parallel()
+	if got := math.Exp(0); math.Float64bits(got) != math.Float64bits(1) {
+		t.Errorf("math.Exp(0) = %v (%#x), want exactly 1", got, math.Float64bits(got))
+	}
+}
+
+// TestPropSoftmaxMatchesExpLoop pins that Softmax, which writes 1 for its
+// first maximal entry instead of calling math.Exp when the maximum is
+// finite, returns exactly what calling math.Exp on every entry returns.
+// Hand-built vectors run first: tied maxima, a signed-zero tie, a +Inf, a
+// NaN and an all −Inf vector; at +Inf and −Inf maxima every entry must
+// still call math.Exp. Then
+// generated vectors of 1 to 8 entries drawn from ±0, ±Inf, NaN,
+// subnormals and ±1e300-scale values, with a repeated entry in half of
+// them. A NaN matches any NaN, as in TestPropMulVecMatchesRowLoop.
+func TestPropSoftmaxMatchesExpLoop(t *testing.T) {
+	t.Parallel()
+	expLoop := func(z []float64) []float64 {
+		p := make([]float64, len(z))
+		mx := math.Inf(-1)
+		for _, v := range z {
+			if v > mx {
+				mx = v
+			}
+		}
+		var sum float64
+		for i, v := range z {
+			p[i] = math.Exp(v - mx)
+			sum += p[i]
+		}
+		for i := range p {
+			p[i] /= sum
+		}
+		return p
+	}
+	same := func(z []float64) error {
+		got, want := Softmax(z, nil), expLoop(z)
+		for i := range got {
+			g, w := got[i], want[i]
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				return fmt.Errorf("Softmax(%v)[%d] = %v (%#x), want %v (%#x)", z, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+		return nil
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, z := range [][]float64{
+		{0.5, 2, 2, -1, 2},
+		{0, math.Copysign(0, -1), -3},
+		{1, inf, 2},
+		{nan, 1, 3, 3},
+		{-inf, -inf},
+	} {
+		if err := same(z); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := check.Gen[[]float64]{Generate: func(t *check.T) []float64 {
+		z := make([]float64, 1+t.Rng.Intn(8))
+		for i := range z {
+			z[i] = specialFloat(t.Rng)
+		}
+		if len(z) > 1 && t.Rng.Bernoulli(0.5) {
+			z[t.Rng.Intn(len(z))] = z[t.Rng.Intn(len(z))]
+		}
+		return z
+	}}
+	check.RunConfig(t, check.Config{Trials: 500}, gen, same)
+}

@@ -80,6 +80,35 @@ type Network struct {
 	cfg   Config
 	trunk []*linear
 	heads []*linear
+	// sched is the shuffle schedule of the network's last Train call.
+	sched schedule
+}
+
+// schedule is every epoch's shuffled example order for Train's options on
+// size examples, epoch after epoch, as rng.New(seed).PermInto draws them.
+// The orders depend only on the key, and nothing writes them once drawn,
+// so clones share them.
+type schedule struct {
+	seed         uint64
+	size, epochs int
+	orders       []int32
+}
+
+// shuffles returns the shuffle schedule for opts on size examples, drawn
+// on the first Train call with this (seed, size, epochs) and kept for the
+// next. Train draws nothing else from its random source, so the kept
+// orders are exactly what a fresh source would draw.
+func (n *Network) shuffles(size int, opts TrainOptions) []int32 {
+	s := &n.sched
+	if s.orders == nil || s.seed != opts.Seed || s.size != size || s.epochs != opts.Epochs {
+		src := rng.New(opts.Seed)
+		orders := make([]int32, size*max(opts.Epochs, 0))
+		for e := range opts.Epochs {
+			src.PermInto(orders[e*size : (e+1)*size])
+		}
+		*s = schedule{seed: opts.Seed, size: size, epochs: opts.Epochs, orders: orders}
+	}
+	return s.orders
 }
 
 // New builds a network with He-initialised weights drawn from the config
@@ -109,9 +138,10 @@ func New(cfg Config) *Network {
 // Config returns the configuration the network was built with.
 func (n *Network) Config() Config { return n.cfg }
 
-// Clone returns an independent deep copy of the network.
+// Clone returns an independent deep copy of the network. It shares the
+// shuffle schedule, which no Train call writes.
 func (n *Network) Clone() *Network {
-	c := &Network{cfg: n.cfg}
+	c := &Network{cfg: n.cfg, sched: n.sched}
 	for _, l := range n.trunk {
 		c.trunk = append(c.trunk, l.clone())
 	}
@@ -436,11 +466,24 @@ func activeUnits(v []float64, dst []int) []int {
 // activeHeadPass is headPass summing only the products of the units of h
 // listed in active. With every head weight finite, each skipped product is
 // ±0, and adding ±0 to a sum that starts at +0, and so is never −0, leaves
-// its bits alone.
+// its bits alone. As in MulVec, rows go in pairs with one accumulator
+// each, and each row still sums its products in order.
 func (n *Network) activeHeadPass(h []float64, active []int, logits [][]float64) {
 	for k, l := range n.heads {
 		z := logits[k]
-		for i := range z {
+		i := 0
+		for ; i+1 < len(z); i += 2 {
+			r0, r1 := l.W.Row(i), l.W.Row(i+1)
+			r0, r1 = r0[:len(h)], r1[:len(h)] // one bounds check per unit, on h[j]
+			var s0, s1 float64
+			for _, j := range active {
+				x := h[j]
+				s0 += r0[j] * x
+				s1 += r1[j] * x
+			}
+			z[i], z[i+1] = s0+l.B[i], s1+l.B[i+1]
+		}
+		if i < len(z) {
 			row := l.W.Row(i)
 			var s float64
 			for _, j := range active {
@@ -451,19 +494,48 @@ func (n *Network) activeHeadPass(h []float64, active []int, logits [][]float64) 
 	}
 }
 
-// addOuterActive is m += a·hᵀ over the columns of h listed in active,
-// skipping zero entries of a as AddOuterScaled does. With a finite, each
-// skipped cell would add a_i·(±0) = ±0 to a gradient cell, which starts at
-// +0 and so is never −0: its bits would stay.
-func addOuterActive(m *mat.Dense, a, h []float64, active []int) {
-	for i, ai := range a {
-		if ai == 0 {
-			continue
+// backActive runs one head's backward pass on the units of h listed in
+// active. For each listed unit j it sums entry j of Wᵀ·dz into dTop[j],
+// down the rows and skipping those whose dz entry is zero, as MulVecT
+// does; unless gw is nil it also adds dz_i·h_j into the gradient cell
+// (i, j) of each row it visits, as AddOuterScaled does for those rows.
+// Each cell takes one addition, and each sum keeps its order. With dz
+// finite, a cell (i, j) of an unlisted unit would add dz_i·(±0) = ±0 to a
+// cell that starts at +0 and so is never −0: its bits would stay.
+func backActive(dTop, h []float64, gw, w *mat.Dense, dz []float64, active []int) {
+	cols := w.Cols
+	a := 0
+	for ; a+1 < len(active); a += 2 {
+		j0, j1 := active[a], active[a+1]
+		h0, h1 := h[j0], h[j1]
+		var s0, s1 float64
+		for i, dzi := range dz {
+			if dzi != 0 {
+				c := i * cols
+				s0 += w.Data[c+j0] * dzi
+				s1 += w.Data[c+j1] * dzi
+				if gw != nil {
+					gw.Data[c+j0] += dzi * h0
+					gw.Data[c+j1] += dzi * h1
+				}
+			}
 		}
-		row := m.Row(i)
-		for _, j := range active {
-			row[j] += ai * h[j]
+		dTop[j0] += s0
+		dTop[j1] += s1
+	}
+	if a < len(active) {
+		j := active[a]
+		hj := h[j]
+		var s float64
+		for i, dzi := range dz {
+			if dzi != 0 {
+				s += w.Data[i*cols+j] * dzi
+				if gw != nil {
+					gw.Data[i*cols+j] += dzi * hj
+				}
+			}
 		}
+		dTop[j] += s
 	}
 }
 
@@ -532,23 +604,14 @@ func (n *Network) accumulate(e Example, dead *bool, g []*linear, ws *workspace, 
 		dz := p // reuse; p is this head's workspace buffer
 		dz[e.Targets[k]] -= 1
 		gh := g[len(n.trunk)+k]
-		if finite(dz) {
-			addOuterActive(gh.W, dz, top, act)
-		} else {
+		gw := gh.W
+		if !finite(dz) {
 			gh.W.AddOuterScaled(1, dz, top)
+			gw = nil
 		}
+		backActive(dTop, top, gw, n.heads[k].W, dz, act)
 		for j := range dz {
 			gh.B[j] += dz[j]
-		}
-		w := n.heads[k].W
-		for _, j := range act {
-			var s float64 // MulVecT's sum for column j
-			for i, dzi := range dz {
-				if dzi != 0 {
-					s += w.Data[i*w.Cols+j] * dzi
-				}
-			}
-			dTop[j] += s
 		}
 	}
 
@@ -586,33 +649,37 @@ func (n *Network) accumulate(e Example, dead *bool, g []*linear, ws *workspace, 
 	return loss, false
 }
 
-// deadEpoch accumulates one epoch in which every example is known dead and
-// probs, the cached dead probabilities, are finite, and returns its summed
-// loss when withLoss. It writes each head's rows p − onehot(t) into
-// addend, and each example adds its targets' rows into the head-bias
-// gradients, so every cell takes the same additions in the same order as
-// on accumulate's bias-only path.
-func deadEpoch(examples []Example, order []int, probs [][]float64, headGrads []*linear, addend []float64, withLoss bool) float64 {
-	a := addend[:0]
-	for _, p := range probs {
-		for t := range p {
-			for j, v := range p {
-				if j == t {
-					v -= 1
-				}
-				a = append(a, v)
-			}
+// targetColumns returns the examples' targets head by head: entry
+// k·len(examples) + i is example i's target for head k.
+func targetColumns(examples []Example, heads int) []int32 {
+	cols := make([]int32, heads*len(examples))
+	for i, e := range examples {
+		for k, t := range e.Targets {
+			cols[k*len(examples)+i] = int32(t)
 		}
 	}
+	return cols
+}
+
+// deadEpoch accumulates one epoch in which every example is known dead and
+// probs, the cached dead probabilities, are finite, and returns its summed
+// loss when withLoss. targets holds the examples' targets as
+// targetColumns lays them out. It writes each head's rows p − onehot(t)
+// into addend, and each example adds its targets' rows into the head-bias
+// gradients, so every cell takes the same additions in the same order as
+// on accumulate's bias-only path.
+func deadEpoch(targets, order []int32, probs [][]float64, headGrads []*linear, addend []float64, withLoss bool) float64 {
+	size := len(targets) / len(probs)
+	a := addend
 	for k, p := range probs {
 		h := len(p)
-		gb := headGrads[k].B[:h]
-		for _, idx := range order {
-			t := examples[idx].Targets[k]
-			for j, v := range a[t*h : (t+1)*h] {
-				gb[j] += v
-			}
+		rows := a[:h*h]
+		for t := range p {
+			row := rows[t*h : (t+1)*h]
+			copy(row, p)
+			row[t] -= 1
 		}
+		addTargetRows(headGrads[k].B[:h], rows, targets[k*size:(k+1)*size], order)
 		a = a[h*h:]
 	}
 	var epochLoss float64
@@ -620,12 +687,42 @@ func deadEpoch(examples []Example, order []int, probs [][]float64, headGrads []*
 		for _, idx := range order {
 			var loss float64
 			for k, p := range probs {
-				loss += -math.Log(math.Max(p[examples[idx].Targets[k]], 1e-300))
+				loss += -math.Log(math.Max(p[targets[k*size+int(idx)]], 1e-300))
 			}
 			epochLoss += loss
 		}
 	}
 	return epochLoss
+}
+
+// addTargetRows adds into gb, for each example idx of order in turn, row
+// targets[idx] of rows, whose rows are len(gb) wide. The cells are
+// independent sums, so six of them at a time run in registers, one pass
+// over order each, and a narrower rest one at a time; each cell still
+// takes its additions in example order.
+func addTargetRows(gb, rows []float64, targets, order []int32) {
+	h := len(gb)
+	j := 0
+	for ; j+6 <= h; j += 6 {
+		s0, s1, s2, s3, s4, s5 := gb[j], gb[j+1], gb[j+2], gb[j+3], gb[j+4], gb[j+5]
+		for _, idx := range order {
+			r := rows[int(targets[idx])*h+j:][:6]
+			s0 += r[0]
+			s1 += r[1]
+			s2 += r[2]
+			s3 += r[3]
+			s4 += r[4]
+			s5 += r[5]
+		}
+		gb[j], gb[j+1], gb[j+2], gb[j+3], gb[j+4], gb[j+5] = s0, s1, s2, s3, s4, s5
+	}
+	for ; j < h; j++ {
+		s := gb[j]
+		for _, idx := range order {
+			s += rows[int(targets[idx])*h+j]
+		}
+		gb[j] = s
+	}
 }
 
 // trunkMoved reports whether any trunk parameter's bits differ from those
@@ -681,7 +778,10 @@ type TrainStats struct {
 // one step per epoch over the examples in a seeded shuffled order, and
 // reports first/final epoch mean loss. Training is deterministic given
 // the options' seed. Its buffers are sized once per call, so epochs and
-// examples allocate nothing.
+// examples allocate nothing. The shuffled orders are drawn once per
+// (seed, example count, epochs) and kept on the network, epochs × examples
+// int32s, for the next call with the same shape (DESIGN §2, "Cheaper
+// epochs").
 //
 // Three shortcuts change no bit of the result (DESIGN §2, "Frozen
 // trunks"). An example whose top trunk output was all zeros skips
@@ -709,15 +809,15 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	// settled, that the last step had such a gradient and left every
 	// parameter and velocity but the head biases' as it was.
 	clean, settled := true, false
-	order := make([]int, len(examples))
-	src := rng.New(opts.Seed)
+	orders := n.shuffles(len(examples), opts)
+	var targets []int32 // targetColumns, built for the first fused epoch
 	scale := 1.0 / float64(len(examples))
 	stats := TrainStats{Epochs: opts.Epochs}
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		// TrainStats reports the first and the last epoch's loss, so only
 		// those two epochs compute it.
 		withLoss := epoch == 0 || epoch == opts.Epochs-1
-		src.PermInto(order)
+		order := orders[epoch*len(examples) : (epoch+1)*len(examples)]
 		if clean {
 			for _, l := range headGrads {
 				clear(l.B)
@@ -733,7 +833,10 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 			probs = n.deadProbs(&ws)
 		}
 		if probs != nil {
-			epochLoss = deadEpoch(examples, order, probs, headGrads, ws.addend, withLoss)
+			if targets == nil {
+				targets = targetColumns(examples, len(n.heads))
+			}
+			epochLoss = deadEpoch(targets, order, probs, headGrads, ws.addend, withLoss)
 		} else {
 			clean = true
 			for _, idx := range order {

@@ -252,6 +252,17 @@ type bitCase struct {
 	// Params, when set, replaces every parameter, in Parameters order,
 	// before the shift and the poison.
 	Params []float64
+	// Again, when set, trains the network a second time after the first
+	// Train call.
+	Again *retrain
+}
+
+// retrain is a second Train call on a bitCase's network: on Examples with
+// Opts, and on a Clone of the network when Clone is set.
+type retrain struct {
+	Examples []Example
+	Opts     TrainOptions
+	Clone    bool
 }
 
 func (c bitCase) String() string {
@@ -264,6 +275,9 @@ func (c bitCase) String() string {
 	}
 	if c.Poisoned {
 		s += fmt.Sprintf(", parameter %d = %v", c.PoisonAt, c.PoisonVal)
+	}
+	if a := c.Again; a != nil {
+		s += fmt.Sprintf(", then %d examples, opts %+v, clone %v", len(a.Examples), a.Opts, a.Clone)
 	}
 	return s + "}"
 }
@@ -287,41 +301,71 @@ func (c bitCase) network() *Network {
 	return n
 }
 
+// policyShape is the policy's own network: 4 inputs, a 16-unit ReLU
+// trunk and two 6-way heads.
+var policyShape = Config{InputDim: 4, Hidden: []int{16}, Heads: []int{6, 6}}
+
+// genExamples draws n examples for cfg, with inputs in [−2, 2) and one
+// input zeroed in a fifth of them.
+func genExamples(r *rng.Source, cfg Config, n int) []Example {
+	examples := make([]Example, n)
+	for i := range examples {
+		in := make([]float64, cfg.InputDim)
+		for d := range in {
+			in[d] = 4*r.Float64() - 2
+		}
+		if r.Bernoulli(0.2) {
+			in[r.Intn(len(in))] = 0
+		}
+		tg := make([]int, len(cfg.Heads))
+		for k, h := range cfg.Heads {
+			tg[k] = r.Intn(h)
+		}
+		examples[i] = Example{Input: in, Targets: tg}
+	}
+	return examples
+}
+
+// genBitCase draws a network, a dataset and training options. One case
+// in four takes policyShape with every example dead (a top trunk bias
+// shift of 1000), up to 50 examples and up to 20 epochs, so that Train's
+// fused all-dead epochs run on six-class heads; the others draw 0-2
+// hidden layers of up to 8 units, 1-3 heads of up to 6 classes, up to 12
+// examples and up to 8 epochs. Three cases in ten train the network a
+// second time, with new examples, seed or options or with the same call,
+// half of them on a Clone.
 func genBitCase() check.Gen[bitCase] {
 	return check.Gen[bitCase]{Generate: func(t *check.T) bitCase {
 		r := t.Rng
+		policy := r.Intn(4) == 0
 		cfg := Config{InputDim: 1 + r.Intn(5), Seed: r.Uint64()}
-		for range r.Intn(3) { // 0, 1 or 2 hidden layers
-			cfg.Hidden = append(cfg.Hidden, 1+r.Intn(8))
-		}
-		for range 1 + r.Intn(3) { // 1 to 3 heads
-			cfg.Heads = append(cfg.Heads, 1+r.Intn(6))
-		}
-		examples := make([]Example, 1+r.Intn(12))
-		for i := range examples {
-			in := make([]float64, cfg.InputDim)
-			for d := range in {
-				in[d] = 4*r.Float64() - 2
+		maxExamples, maxEpochs := 12, 8
+		if policy {
+			cfg = policyShape
+			cfg.Seed = r.Uint64()
+			maxExamples, maxEpochs = 50, 20
+		} else {
+			for range r.Intn(3) { // 0, 1 or 2 hidden layers
+				cfg.Hidden = append(cfg.Hidden, 1+r.Intn(8))
 			}
-			if r.Bernoulli(0.2) {
-				in[r.Intn(len(in))] = 0
+			for range 1 + r.Intn(3) { // 1 to 3 heads
+				cfg.Heads = append(cfg.Heads, 1+r.Intn(6))
 			}
-			tg := make([]int, len(cfg.Heads))
-			for k, h := range cfg.Heads {
-				tg[k] = r.Intn(h)
-			}
-			examples[i] = Example{Input: in, Targets: tg}
 		}
 		// A learning rate of 1e308 overflows the head biases within a few
 		// steps, so the cached probabilities of an all-dead network turn
 		// non-finite while its steps are settled.
-		opts := TrainOptions{
-			Epochs:       1 + r.Intn(8),
-			LearningRate: []float64{0, 0.02, 0.3, 1e308}[r.Intn(4)],
-			Seed:         r.Uint64(),
+		genOpts := func() TrainOptions {
+			return TrainOptions{
+				Epochs:       1 + r.Intn(maxEpochs),
+				LearningRate: []float64{0, 0.02, 0.3, 1e308}[r.Intn(4)],
+				Seed:         r.Uint64(),
+			}
 		}
-		c := bitCase{Cfg: cfg, Examples: examples, Opts: opts}
-		if len(cfg.Hidden) > 0 && r.Bernoulli(0.5) {
+		c := bitCase{Cfg: cfg, Examples: genExamples(r, cfg, 1+r.Intn(maxExamples)), Opts: genOpts()}
+		if policy {
+			c.DeadShift = 1000
+		} else if len(cfg.Hidden) > 0 && r.Bernoulli(0.5) {
 			// The smaller shifts leave some examples alive, and training
 			// can kill or revive more; 1000 kills every example for good.
 			c.DeadShift = []float64{0.5, 1, 2, 4, 1000}[r.Intn(5)]
@@ -340,6 +384,21 @@ func genBitCase() check.Gen[bitCase] {
 			c.Poisoned = true
 			c.PoisonAt = first + r.Intn(n.NumParams()-first)
 			c.PoisonVal = []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e308}[r.Intn(5)]
+		}
+		if r.Bernoulli(0.3) {
+			// The second call takes new examples, a new seed only, new
+			// options or none of these, so that it needs a new shuffle
+			// schedule or reuses the network's.
+			a := &retrain{Examples: c.Examples, Opts: c.Opts, Clone: r.Bernoulli(0.5)}
+			switch r.Intn(4) {
+			case 0:
+				a.Examples = genExamples(r, cfg, 1+r.Intn(maxExamples))
+			case 1:
+				a.Opts.Seed = r.Uint64()
+			case 2:
+				a.Opts = genOpts()
+			}
+			c.Again = a
 		}
 		return c
 	}}
@@ -368,56 +427,118 @@ func paramValues(n *Network) []float64 {
 }
 
 // TestPropTrainBitIdentical pins that Predict, Loss, Gradients and Train
-// compute exactly what the frozen reference computes: every parameter after
-// training, FirstLoss, FinalLoss, every gradient component, every
-// probability and the loss, compared by math.Float64bits. The cases cover
-// 0-2 hidden layers (two reach the trunk's MulVecT backprop) and 1-3
-// heads. The reference's update adds the old + 0·w weight-decay term to
-// every finite weight, so the cases also show that the production update,
-// which has none, moves no bit there. Half the cases with a hidden layer
-// shift its top biases down, so that some or all examples take the
-// all-zero-trunk path, whose cached probabilities every optimizer step
-// invalidates; three in ten set one parameter to ±Inf, NaN or ±1e308,
-// which sends those examples down the dense path instead. The shifted
-// cases also drive Train's frozen-trunk shortcuts (DESIGN §2): dead
-// verdicts forgotten whenever a trunk bit moves, and all-dead steps that
-// clear and, once settled, update only the head biases. Two hand-built
-// cases run first: a step that turns a head weight infinite
-// (staleHeadsCase) and settled steps whose cached probabilities turn NaN
-// (settledNaNCase), which the generated cases reach only rarely.
+// compute exactly what the frozen reference computes (matchesReference).
+// The cases cover 0-2 hidden layers (two reach the trunk's MulVecT
+// backprop) and 1-3 heads. The reference's update adds the old + 0·w
+// weight-decay term to every finite weight, so the cases also show that
+// the production update, which has none, moves no bit there. Half the
+// cases with a hidden layer shift its top biases down, so that some or all
+// examples take the all-zero-trunk path, whose cached probabilities every
+// optimizer step invalidates; three in ten set one parameter to ±Inf, NaN
+// or ±1e308, which sends those examples down the dense path instead. The
+// shifted cases also drive Train's frozen-trunk shortcuts (DESIGN §2):
+// dead verdicts forgotten whenever a trunk bit moves, and all-dead steps
+// that clear and, once settled, update only the head biases. One case in
+// four is the policy's own shape with every example dead, whose epochs
+// run fused, and three in ten train a second time, on a Clone in half of
+// them, so that a kept shuffle schedule must match the call. The
+// hand-built cases run first.
 func TestPropTrainBitIdentical(t *testing.T) {
 	t.Parallel()
-	prop := func(c bitCase) error {
-		got, want := c.network(), c.network()
-		for _, e := range c.Examples {
-			_, logits := refForward(want, e.Input)
-			for k, p := range got.Predict(e.Input) {
-				if err := sameBits(fmt.Sprintf("Predict head %d", k), p, refSoftmax(logits[k])); err != nil {
-					return err
-				}
-			}
-		}
-		if err := sameBits("Loss", []float64{got.Loss(c.Examples)}, []float64{refLoss(want, c.Examples)}); err != nil {
-			return err
-		}
-		if err := sameBits("Gradients", got.Gradients(c.Examples), refGradients(want, c.Examples)); err != nil {
-			return err
-		}
-		gs, ws := got.Train(c.Examples, c.Opts), refTrain(want, c.Examples, c.Opts)
-		if gs.Epochs != ws.Epochs {
-			return fmt.Errorf("Epochs = %d, want %d", gs.Epochs, ws.Epochs)
-		}
-		if err := sameBits("FirstLoss, FinalLoss", []float64{gs.FirstLoss, gs.FinalLoss}, []float64{ws.FirstLoss, ws.FinalLoss}); err != nil {
-			return err
-		}
-		return sameBits("trained parameters", paramValues(got), paramValues(want))
-	}
-	for _, c := range []bitCase{staleHeadsCase, settledNaNCase} {
-		if err := prop(c); err != nil {
+	for _, c := range handBuiltCases() {
+		if err := matchesReference(c); err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
 	}
-	check.RunConfig(t, check.Config{Trials: 300}, genBitCase(), prop)
+	check.RunConfig(t, check.Config{Trials: 300}, genBitCase(), matchesReference)
+}
+
+// matchesReference builds the case's network twice and compares the
+// production code with the frozen reference on it: every probability, the
+// loss, every gradient component, FirstLoss, FinalLoss and every parameter
+// after training, by math.Float64bits; then the same after the second
+// Train call, if the case has one.
+func matchesReference(c bitCase) error {
+	got, want := c.network(), c.network()
+	for _, e := range c.Examples {
+		_, logits := refForward(want, e.Input)
+		for k, p := range got.Predict(e.Input) {
+			if err := sameBits(fmt.Sprintf("Predict head %d", k), p, refSoftmax(logits[k])); err != nil {
+				return err
+			}
+		}
+	}
+	if err := sameBits("Loss", []float64{got.Loss(c.Examples)}, []float64{refLoss(want, c.Examples)}); err != nil {
+		return err
+	}
+	if err := sameBits("Gradients", got.Gradients(c.Examples), refGradients(want, c.Examples)); err != nil {
+		return err
+	}
+	train := func(call string, examples []Example, opts TrainOptions) error {
+		gs, ws := got.Train(examples, opts), refTrain(want, examples, opts)
+		if gs.Epochs != ws.Epochs {
+			return fmt.Errorf("%s: Epochs = %d, want %d", call, gs.Epochs, ws.Epochs)
+		}
+		if err := sameBits(call+": FirstLoss, FinalLoss", []float64{gs.FirstLoss, gs.FinalLoss}, []float64{ws.FirstLoss, ws.FinalLoss}); err != nil {
+			return err
+		}
+		return sameBits(call+": trained parameters", paramValues(got), paramValues(want))
+	}
+	if err := train("Train", c.Examples, c.Opts); err != nil || c.Again == nil {
+		return err
+	}
+	if c.Again.Clone {
+		got = got.Clone()
+	}
+	return train("second Train", c.Again.Examples, c.Again.Opts)
+}
+
+// handBuiltCases are the cases TestPropTrainBitIdentical runs before the
+// generated ones, each aimed at one shortcut that generated cases reach
+// rarely:
+//   - staleHeadsCase and settledNaNCase (below);
+//   - tied maximal logits, and a +Inf and a NaN maximal logit, for which
+//     mat.Softmax must still call math.Exp;
+//   - policyShape trained twice with every example dead, the second time
+//     under a different seed, example count or epoch count, or on a Clone
+//     with all three different: a network keeps its shuffle schedule only
+//     for the (seed, example count, epochs) it was drawn for, and a Clone
+//     shares it.
+func handBuiltCases() []bitCase {
+	cases := []bitCase{staleHeadsCase, settledNaNCase}
+	// One input, one ReLU unit (weight 1, bias 0) and a 3-way head with
+	// zero weights: the logits are the head biases, and the first two tie.
+	logits := bitCase{
+		Cfg: Config{InputDim: 1, Hidden: []int{1}, Heads: []int{3}, Seed: 1},
+		Examples: []Example{
+			{Input: []float64{1}, Targets: []int{2}},
+			{Input: []float64{0.5}, Targets: []int{0}},
+		},
+		Opts:   TrainOptions{Epochs: 3, Seed: 1},
+		Params: []float64{1, 0, 0, 0, 0, 0.5, 0.5, -1}, // trunk w, b; head w, b
+	}
+	cases = append(cases, logits)
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		c := logits
+		c.Poisoned, c.PoisonAt, c.PoisonVal = true, 6, v // the second head bias
+		cases = append(cases, c)
+	}
+	r := rng.New(7)
+	cfg := policyShape
+	cfg.Seed = 7
+	dead := bitCase{Cfg: cfg, Examples: genExamples(r, cfg, 20), Opts: TrainOptions{Epochs: 10, Seed: 1}, DeadShift: 1000}
+	other := genExamples(r, cfg, 13)
+	for _, a := range []retrain{
+		{Examples: dead.Examples, Opts: TrainOptions{Epochs: 10, Seed: 2}},
+		{Examples: other, Opts: dead.Opts},
+		{Examples: dead.Examples, Opts: TrainOptions{Epochs: 11, Seed: 1}},
+		{Examples: other[:11], Opts: TrainOptions{Epochs: 7, Seed: 3}, Clone: true},
+	} {
+		c := dead
+		c.Again = &a
+		cases = append(cases, c)
+	}
+	return cases
 }
 
 // staleHeadsCase turns a head weight infinite in a step that also kills

@@ -99,16 +99,19 @@ func (s *Source) NormFloat64() float64 {
 // Perm returns a pseudo-random permutation of [0, n) via Fisher-Yates.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
-	s.PermInto(p)
+	shuffle(s, p)
 	return p
 }
 
 // PermInto overwrites p with a pseudo-random permutation of [0, len(p)). It
 // draws exactly what Perm(len(p)) draws and yields the same order, without
-// allocating.
-func (s *Source) PermInto(p []int) {
+// allocating; int32 entries keep a run of many permutations compact.
+func (s *Source) PermInto(p []int32) { shuffle(s, p) }
+
+// shuffle is Fisher-Yates on p = 0, 1, …, len(p)−1.
+func shuffle[T int | int32](s *Source, p []T) {
 	for i := range p {
-		p[i] = i
+		p[i] = T(i)
 	}
 	for i := len(p) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)

@@ -107,11 +107,11 @@ func TestLabelledStreamsDecorrelate(t *testing.T) {
 	}
 }
 
-// TestPermIntoKnownAnswer pins the shuffle Train runs every epoch. PermInto
-// must yield the order Perm returns and consume the same Intn draws, so the
-// next draw from both streams agrees too; the vectors were taken from Perm
-// before PermInto existed. A second round reuses the filled slice, as Train
-// does, and must still match Perm.
+// TestPermIntoKnownAnswer pins the shuffle that Train draws its epochs'
+// orders with. PermInto must yield the order Perm returns and consume the
+// same Intn draws, so the next draw from both streams agrees too; the
+// vectors were taken from Perm before PermInto existed. A second round
+// refills the slice, as Train's epochs do, and must still match Perm.
 func TestPermIntoKnownAnswer(t *testing.T) {
 	t.Parallel()
 	vectors := []struct {
@@ -125,19 +125,26 @@ func TestPermIntoKnownAnswer(t *testing.T) {
 	}
 	for _, v := range vectors {
 		a, b := New(1), New(1)
-		p := make([]int, v.n)
+		p := make([]int32, v.n)
 		for i := range p {
 			p[i] = -1 // PermInto overwrites whatever the slice holds
 		}
+		ints := func(p []int32) []int {
+			out := make([]int, len(p))
+			for i, x := range p {
+				out[i] = int(x)
+			}
+			return out
+		}
 		b.PermInto(p)
-		if got := a.Perm(v.n); !slices.Equal(got, v.perm) || !slices.Equal(p, v.perm) {
+		if got := a.Perm(v.n); !slices.Equal(got, v.perm) || !slices.Equal(ints(p), v.perm) {
 			t.Errorf("n=%d: Perm = %v, PermInto = %v, want %v", v.n, got, p, v.perm)
 		}
 		if ga, gb := a.Uint64(), b.Uint64(); ga != v.next || gb != v.next {
 			t.Errorf("n=%d: next draw after Perm %#x, after PermInto %#x, want %#x", v.n, ga, gb, v.next)
 		}
 		b.PermInto(p)
-		if got := a.Perm(v.n); !slices.Equal(got, p) {
+		if got := a.Perm(v.n); !slices.Equal(got, ints(p)) {
 			t.Errorf("n=%d: second round Perm = %v, PermInto = %v", v.n, got, p)
 		}
 	}

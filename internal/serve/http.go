@@ -198,6 +198,28 @@ func (c ChipInfo) MarshalJSON() ([]byte, error) {
 	}{fields(c), "+Inf"})
 }
 
+// UnmarshalJSON reads what MarshalJSON writes, so a Go client can decode
+// GET /admin/fleet: a DeadlineAge of "+Inf" is +Inf.
+func (c *ChipInfo) UnmarshalJSON(data []byte) error {
+	type fields ChipInfo // ChipInfo without this method
+	var in struct {
+		fields
+		DeadlineAge json.RawMessage
+	}
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	*c = ChipInfo(in.fields)
+	switch string(in.DeadlineAge) {
+	case "":
+		return nil
+	case `"+Inf"`:
+		c.DeadlineAge = math.Inf(1)
+		return nil
+	}
+	return json.Unmarshal(in.DeadlineAge, &c.DeadlineAge)
+}
+
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, httpError{Error: fmt.Sprintf(format, args...)})
 }

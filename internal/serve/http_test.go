@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -333,7 +334,8 @@ func TestHTTPAdminFleet(t *testing.T) {
 // TestHTTPAdminFleetNeverForced serves one chip on a device without drift
 // (Nu = 0), whose forced-reprogram deadline is +Inf: GET /admin/fleet must
 // answer 200 with a body that decodes, carrying the deadline as "+Inf" the
-// way pulse events quote it.
+// way pulse events quote it, and that decodes into []ChipInfo with the
+// deadline back at +Inf.
 func TestHTTPAdminFleetNeverForced(t *testing.T) {
 	t.Parallel()
 	sys := core.DefaultSystem()
@@ -352,6 +354,17 @@ func TestHTTPAdminFleetNeverForced(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0]["DeadlineAge"] != "+Inf" || rows[0]["Model"] != "tiny" {
 		t.Fatalf("fleet snapshot %v, want one tiny chip with DeadlineAge \"+Inf\"", rows)
+	}
+	var info []ChipInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		t.Fatalf("body %q does not decode into []ChipInfo: %v", rec.Body.String(), err)
+	}
+	want, err := s.FleetInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(info, want) || !math.IsInf(info[0].DeadlineAge, 1) {
+		t.Fatalf("decoded %+v, want %+v with DeadlineAge +Inf", info, want)
 	}
 }
 

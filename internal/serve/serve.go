@@ -865,8 +865,9 @@ type ChipInfo struct {
 	Age           float64 // device age at snapshot time
 	Degraded      bool    // reprogram budget exhausted
 	// DeadlineAge is the forced-reprogram age, +Inf when drift never
-	// forces. JSON carries that +Inf as the string "+Inf"; MarshalJSON's
-	// override writes the key last, so the field stays last too.
+	// forces. JSON carries that +Inf as the string "+Inf", which
+	// UnmarshalJSON reads back; MarshalJSON's override writes the key
+	// last, so the field stays last too.
 	DeadlineAge float64
 }
 
