@@ -118,6 +118,8 @@ ODINSIM_SHA256 = cmd/odinsim/testdata/all.sha256
 #   - each experiment's section of that output, and `odinsim -json all`,
 #     hash to the values in ODINSIM_SHA256, so a failure names the
 #     experiment that moved;
+#   - `odinsim -cache off -json all` renders the pinned JSON bytes too (the
+#     JSON engine carries the cache switch itself);
 #   - a multi-worker `odinsim` run is clean under the race detector;
 #   - `odinsim trace` renders its audit table and writes a Chrome trace
 #     whose SHA-256 is TRACE_SHA256;
@@ -157,6 +159,9 @@ smoke:
 	awk -v d=$$tmp/sec '/^==> /{ if (f) close(f); n++; id = $$NF; gsub(/[()]/, "", id); f = sprintf("%s/%02d-%s", d, n, id) } { print > f }' $$tmp/on1.txt; \
 	{ echo "GOARCH $$($(GO) env GOARCH)"; (cd $$tmp/sec && sha256sum *); (cd $$tmp && sha256sum all.json); } > $$tmp/all.sha256; \
 	diff $(ODINSIM_SHA256) $$tmp/all.sha256; \
+	echo "smoke: odinsim -cache off -json all against the pinned -json all"; \
+	$$sim -cache off -workers 2 -json all > $$tmp/alloff.json; \
+	cmp $$tmp/all.json $$tmp/alloff.json; \
 	echo "smoke: odinsim -race -workers 4"; \
 	$(GO) run -race ./cmd/odinsim -workers 4 tab1 fig3 fig4 overhead > /dev/null; \
 	echo "smoke: odinsim trace"; \

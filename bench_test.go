@@ -35,7 +35,7 @@ func benchmarkExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run()
+		res, err := e.Run(core.ControllerOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,14 +20,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"odin/internal/clock"
-	"odin/internal/core"
 	"odin/internal/experiments"
 	"odin/internal/telemetry"
 )
@@ -52,101 +51,59 @@ type cliOptions struct {
 	runs    int     // 0 = default
 	horizon float64 // 0 = default
 
-	// cacheOff disables the controller decision cache process-wide
-	// (-cache=off), for byte-for-byte cached-vs-uncached comparisons.
+	// cacheOff turns the controllers' decision cache off (-cache off), for
+	// byte-for-byte cached-vs-uncached comparisons.
 	cacheOff bool
 }
 
-// parseArgs scans args for flags wherever they appear and returns the
-// remaining positional arguments in order. This is the regression fix for
-// "odinsim all -json": the old parser only honoured -json as the first
-// argument and treated it as an experiment id anywhere else.
+// parseArgs parses flags wherever they appear and returns the remaining
+// positional arguments in order: flag.FlagSet stops at the first
+// positional, so parsing resumes after each one. This is the regression
+// fix for "odinsim all -json": the old parser only honoured -json as the
+// first argument and treated it as an experiment id anywhere else.
 func parseArgs(args []string) (cliOptions, []string, error) {
-	opts := cliOptions{out: "trace.json"}
+	var opts cliOptions
+	fs := flag.NewFlagSet("odinsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // run prints the usage; errors are returned
+	fs.BoolVar(&opts.json, "json", false, "")
+	fs.BoolVar(&opts.metrics, "metrics", false, "")
+	fs.IntVar(&opts.workers, "workers", 0, "")
+	fs.StringVar(&opts.out, "out", "trace.json", "")
+	fs.StringVar(&opts.model, "model", "", "")
+	fs.IntVar(&opts.runs, "runs", 0, "")
+	fs.Float64Var(&opts.horizon, "horizon", 0, "")
+	cache := fs.String("cache", "on", "")
 	var pos []string
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		name, val, hasVal := strings.Cut(arg, "=")
-		takesValue := func(flag string) (string, error) {
-			if hasVal {
-				return val, nil
-			}
-			if i+1 >= len(args) {
-				return "", fmt.Errorf("flag %s needs a value", flag)
-			}
-			i++
-			return args[i], nil
-		}
-		switch name {
-		case "-json", "--json":
-			opts.json = true
-		case "-metrics", "--metrics":
-			opts.metrics = true
-		case "-workers", "--workers":
-			v, err := takesValue(name)
-			if err != nil {
-				return opts, nil, err
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return opts, nil, fmt.Errorf("flag %s needs a positive integer, got %q", name, v)
-			}
-			opts.workers = n
-		case "-out", "--out":
-			v, err := takesValue(name)
-			if err != nil {
-				return opts, nil, err
-			}
-			opts.out = v
-		case "-model", "--model":
-			v, err := takesValue(name)
-			if err != nil {
-				return opts, nil, err
-			}
-			opts.model = v
-		case "-runs", "--runs":
-			v, err := takesValue(name)
-			if err != nil {
-				return opts, nil, err
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return opts, nil, fmt.Errorf("flag %s needs a positive integer, got %q", name, v)
-			}
-			opts.runs = n
-		case "-horizon", "--horizon":
-			v, err := takesValue(name)
-			if err != nil {
-				return opts, nil, err
-			}
-			h, err := strconv.ParseFloat(v, 64)
-			if err != nil || !(h > 0) {
-				return opts, nil, fmt.Errorf("flag %s needs a positive duration in seconds, got %q", name, v)
-			}
-			opts.horizon = h
-		case "-cache", "--cache":
-			v, err := takesValue(name)
-			if err != nil {
-				return opts, nil, err
-			}
-			switch v {
-			case "on":
-				opts.cacheOff = false
-			case "off":
-				opts.cacheOff = true
-			default:
-				return opts, nil, fmt.Errorf("flag %s needs on or off, got %q", name, v)
-			}
-		case "-h", "-help", "--help":
+	for {
+		if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 			opts.help = true
-		default:
-			if strings.HasPrefix(arg, "-") {
-				return opts, nil, fmt.Errorf("unknown flag %s (try -h)", arg)
-			}
-			pos = append(pos, arg)
+			return opts, pos, nil
+		} else if err != nil {
+			return opts, nil, fmt.Errorf("%w (try -h)", err)
 		}
+		if fs.NArg() == 0 {
+			break
+		}
+		pos = append(pos, fs.Arg(0))
+		args = fs.Args()[1:]
 	}
-	return opts, pos, nil
+	var bad error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case f.Name == "workers" && opts.workers < 1, f.Name == "runs" && opts.runs < 1:
+			bad = fmt.Errorf("flag -%s needs a positive integer, got %q", f.Name, f.Value)
+		case f.Name == "horizon" && !(opts.horizon > 0):
+			bad = fmt.Errorf("flag -horizon needs a positive duration in seconds, got %q", f.Value)
+		}
+	})
+	switch *cache {
+	case "on":
+	case "off":
+		opts.cacheOff = true
+	default:
+		bad = fmt.Errorf("flag -cache needs on or off, got %q", *cache)
+	}
+	return opts, pos, bad
 }
 
 func run(stdout, stderr io.Writer, args []string, clk clock.Clock) error {
@@ -158,10 +115,6 @@ func run(stdout, stderr io.Writer, args []string, clk clock.Clock) error {
 		usage(stdout)
 		return nil
 	}
-	// The decision cache is deterministic by contract (artefacts are
-	// byte-identical either way); the switch exists so that contract can be
-	// checked from the command line (`make smoke` diffs the two).
-	core.SetDecisionCacheDefault(!opts.cacheOff)
 	if len(pos) == 0 {
 		usage(stdout)
 		return fmt.Errorf("no experiment selected")
@@ -185,24 +138,23 @@ func run(stdout, stderr io.Writer, args []string, clk clock.Clock) error {
 			}
 		}
 	}
+	// The decision cache is deterministic by contract (artefacts are
+	// byte-identical either way); the switch exists so that contract can be
+	// checked from the command line (`make smoke` diffs the two).
+	ro := experiments.RunOptions{Workers: opts.workers, IDs: ids, Clock: clk,
+		DisableDecisionCache: opts.cacheOff}
 	if opts.json {
-		return experiments.RunAllJSON(stdout, experiments.RunOptions{Workers: opts.workers, IDs: ids})
+		return experiments.RunAllJSON(stdout, ro)
 	}
-	var reg *telemetry.Registry
 	if opts.metrics {
-		reg = telemetry.NewRegistry()
+		ro.Registry = telemetry.NewRegistry()
 	}
-	_, err = experiments.RunAll(stdout, experiments.RunOptions{
-		Workers:  opts.workers,
-		IDs:      ids,
-		Clock:    clk,
-		Registry: reg,
-	})
+	_, err = experiments.RunAll(stdout, ro)
 	if err != nil {
 		return err
 	}
-	if reg != nil {
-		if werr := reg.WritePrometheus(stderr); werr != nil {
+	if ro.Registry != nil {
+		if werr := ro.Registry.WritePrometheus(stderr); werr != nil {
 			return werr
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"odin/internal/clock"
-	"odin/internal/core"
 	"odin/internal/experiments"
 )
 
@@ -138,24 +137,25 @@ func TestWorkersFlagOutputIdentical(t *testing.T) {
 }
 
 // TestCacheFlagOutputIdentical is the CLI face of the decision-cache
-// contract: -cache=off and -cache=on (the default) render byte-identical
-// artefacts. Not parallel — the flag flips process-wide state, which this
-// test restores on exit. fig7 is the cheapest experiment whose output
-// changes when the cache serves a decision from the wrong age bucket.
+// contract: -cache off and -cache on (the default) render byte-identical
+// artefacts, as text and as -json. fig7 is the cheapest experiment whose
+// output changes when the cache serves a decision from the wrong age
+// bucket. The switch travels in experiments.RunOptions, so the runs can
+// share the process.
 func TestCacheFlagOutputIdentical(t *testing.T) {
-	defer core.SetDecisionCacheDefault(true)
-	render := func(mode string) string {
+	t.Parallel()
+	render := func(mode string, format ...string) string {
+		args := append([]string{"-cache", mode, "tab1", "fig3", "overhead", "fig7"}, format...)
 		var out, errs bytes.Buffer
-		if err := run(&out, &errs, []string{"-cache", mode, "tab1", "fig3", "overhead", "fig7"}, clock.NewVirtual(0)); err != nil {
-			t.Fatalf("-cache=%s: %v", mode, err)
+		if err := run(&out, &errs, args, clock.NewVirtual(0)); err != nil {
+			t.Fatalf("%v: %v", args, err)
 		}
 		return out.String()
 	}
-	if on, off := render("on"), render("off"); on != off {
-		t.Fatalf("-cache changed the rendered artefacts\non:  %q\noff: %q", on, off)
-	}
-	if core.DecisionCacheDefault() {
-		t.Fatal("-cache=off did not flip the process-wide default")
+	for _, format := range [][]string{nil, {"-json"}} {
+		if on, off := render("on", format...), render("off", format...); on != off {
+			t.Fatalf("-cache changed the rendered artefacts %v\non:  %q\noff: %q", format, on, off)
+		}
 	}
 }
 

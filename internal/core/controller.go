@@ -82,38 +82,26 @@ type ControllerOptions struct {
 	// Disabled (nil) auditing costs one pointer test per run.
 	Audit *obs.AuditLog
 
-	// Cache, when non-nil, memoizes the per-layer line-6 decisions in the
-	// given decision cache; the serving layer shares one cache across a
-	// fleet of same-platform chips. When nil and the process-wide default
-	// is on (SetDecisionCacheDefault, the initial state), the controller
-	// creates a private cache. Ignored when Audit is set. Cached decisions
-	// are byte-identical to live searches — see internal/decache for the
-	// argument and DESIGN.md §13 for the invalidation contract.
-	Cache *decache.Cache
-	// DisableDecisionCache opts this controller out of decision caching
-	// regardless of Cache and the process-wide default (`odinsim
-	// -cache=off` uses the global switch instead, so experiment drivers
-	// need no plumbing).
+	// DisableDecisionCache is the one decision-cache switch: false (the
+	// default) memoizes the per-layer line-6 decisions, true searches live
+	// on every decision (`odinsim -cache off`, for byte-for-byte cached vs
+	// uncached comparisons). Cached decisions are byte-identical to live
+	// searches — see internal/decache for the argument and DESIGN.md §13
+	// for the invalidation contract.
 	DisableDecisionCache bool
+	// Cache names the decision cache a caching controller memoizes into;
+	// the serving layer shares one across a fleet of same-platform chips.
+	// nil gives the controller a private one.
+	Cache *decache.Cache
 }
+
+// Caches reports whether a controller built with o memoizes its line-6
+// decisions: the switch is on and no audit log asks for live searches.
+func (o ControllerOptions) Caches() bool { return !o.DisableDecisionCache && o.Audit == nil }
 
 // UpdateEpochs is the supervised-learning epoch count of one online policy
 // update (paper: 100).
 const UpdateEpochs = 100
-
-// decisionCacheOff is the process-wide decision-cache default: zero value
-// (false) means controllers without an explicit Cache memoize into a
-// private one. `odinsim -cache=off` flips it to compare cached and
-// uncached artefacts byte for byte.
-var decisionCacheOff atomic.Bool
-
-// SetDecisionCacheDefault turns the process-wide decision-cache default on
-// or off. Controllers constructed with an explicit ControllerOptions.Cache
-// are unaffected; DisableDecisionCache still wins per controller.
-func SetDecisionCacheDefault(enabled bool) { decisionCacheOff.Store(!enabled) }
-
-// DecisionCacheDefault reports the process-wide decision-cache default.
-func DecisionCacheDefault() bool { return !decisionCacheOff.Load() }
 
 // DefaultControllerOptions returns the paper's settings.
 func DefaultControllerOptions() ControllerOptions {
@@ -183,12 +171,12 @@ type Controller struct {
 	updates      int
 	lastSizes    []ou.Size
 
-	// forcedDeadline caches ForcedReprogramAge (0 = not yet computed; the
-	// real value is >= T0 > 0).
+	// forcedDeadline is ForcedReprogramAge, computed at construction.
 	forcedDeadline float64
 
-	// freshLatency caches the fresh-device (t₀) constrained-optimal
-	// inference latency, the proactive-reprogram reference. Computed lazily.
+	// freshLatency is the fresh-device (t₀) constrained-optimal inference
+	// latency, the proactive-reprogram reference; computed at construction
+	// when ProactiveFactor > 1.
 	freshLatency float64
 
 	// running guards against concurrent RunInference calls. A Controller
@@ -233,8 +221,17 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 	if resolved.Tracer.Enabled() || resolved.Audit.Enabled() {
 		c.outs = make([]layerOutcome, wl.Layers())
 	}
-	if !resolved.DisableDecisionCache && resolved.Audit == nil &&
-		(resolved.Cache != nil || DecisionCacheDefault()) {
+	smallest := sys.Grid().SizeAt(0, 0)
+	c.forcedDeadline = math.Inf(1)
+	for j, total := 0, wl.Layers(); j < total; j++ {
+		if d := sys.Acc.ReprogramDeadline(j, total, smallest); d < c.forcedDeadline {
+			c.forcedDeadline = d
+		}
+	}
+	if resolved.ProactiveFactor > 1 {
+		_, c.freshLatency = sys.inferenceCost(wl, sys.OptimalSizes(wl, sys.Device.T0))
+	}
+	if resolved.Caches() {
 		c.cache = resolved.Cache
 		if c.cache == nil {
 			c.cache = decache.New()
@@ -284,21 +281,8 @@ func (c *Controller) Age(t float64) float64 {
 // smallest grid size decides satisfiability per layer, and the fleet
 // deadline is the minimum over layers. +Inf when no layer ever violates
 // (ν = 0). The value depends only on the platform and workload shape, so
-// it is computed once and cached.
-func (c *Controller) ForcedReprogramAge() float64 {
-	if c.forcedDeadline == 0 {
-		smallest := c.sys.Grid().SizeAt(0, 0)
-		total := c.wl.Layers()
-		deadline := math.Inf(1)
-		for j := 0; j < total; j++ {
-			if d := c.sys.Acc.ReprogramDeadline(j, total, smallest); d < deadline {
-				deadline = d
-			}
-		}
-		c.forcedDeadline = deadline
-	}
-	return c.forcedDeadline
-}
+// NewController computes it once.
+func (c *Controller) ForcedReprogramAge() float64 { return c.forcedDeadline }
 
 // Reprogram performs a maintenance write pass at simulation time t without
 // running an inference: the device is rewritten, drift age resets, and the
@@ -376,13 +360,8 @@ func (c *Controller) RunInference(t float64) RunReport {
 	rep.Accuracy = c.sys.Acc.AccuracyWith(c.wl.Model.IdealAccuracy, c.weights, amp, rep.Sizes)
 	c.lastSizes = rep.Sizes
 
-	if c.opts.ProactiveFactor > 1 && !needReprogram {
-		if c.freshLatency == 0 {
-			_, c.freshLatency = c.sys.inferenceCost(c.wl, c.sys.OptimalSizes(c.wl, c.sys.Device.T0))
-		}
-		if rep.Latency > c.opts.ProactiveFactor*c.freshLatency {
-			needReprogram = true
-		}
+	if c.opts.ProactiveFactor > 1 && !needReprogram && rep.Latency > c.opts.ProactiveFactor*c.freshLatency {
+		needReprogram = true
 	}
 
 	if needReprogram {
@@ -471,25 +450,20 @@ func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 
 	// Lines 7–8 precondition: when no OU size meets η, the layer runs
 	// degraded at the smallest size. NF is monotone in R+C, so the
-	// smallest size decides; with a cache, Bucket == 0 is the same
-	// predicate on the same size (accuracy.Model.AnySatisfiable with w and
-	// A resolved).
+	// smallest size decides (accuracy.Model.AnySatisfiable with w and A
+	// resolved); a cached controller's Bucket is then at least 1.
+	if !c.sys.Acc.SatisfiesWith(w, amp, smallest) {
+		return layerOutcome{predicted: predicted, chosen: smallest,
+			strategy: opt.StrategyDegraded, degraded: true}
+	}
 	var key decache.Key
 	if c.cache != nil {
-		bucket := dctx.Bucket(w, amp)
-		if bucket == 0 {
-			return layerOutcome{predicted: predicted, chosen: smallest,
-				strategy: opt.StrategyDegraded, degraded: true}
-		}
 		key = decache.Key{Work: c.wl.Works[j], Layer: j, Of: c.wl.Layers(),
-			Predicted: predicted, Bucket: bucket}
+			Predicted: predicted, Bucket: dctx.Bucket(w, amp)}
 		if e, ok := dctx.Lookup(key); ok {
 			return layerOutcome{predicted: predicted, chosen: e.Chosen,
 				strategy: optim.Name(), evaluations: e.Evaluations}
 		}
-	} else if !c.sys.Acc.SatisfiesWith(w, amp, smallest) {
-		return layerOutcome{predicted: predicted, chosen: smallest,
-			strategy: opt.StrategyDegraded, degraded: true}
 	}
 
 	// Line 6: shrink the prediction into the feasible region if drift has

@@ -45,7 +45,7 @@ type AblSearchBudgetResult struct {
 }
 
 // AblSearchBudget runs the K sweep on VGG11.
-func AblSearchBudget(sys core.System, ks []int) (AblSearchBudgetResult, error) {
+func AblSearchBudget(sys core.System, base core.ControllerOptions, ks []int) (AblSearchBudgetResult, error) {
 	if len(ks) == 0 {
 		ks = []int{1, 2, 3, 5, 8}
 	}
@@ -56,7 +56,7 @@ func AblSearchBudget(sys core.System, ks []int) (AblSearchBudgetResult, error) {
 	if err != nil {
 		return res, err
 	}
-	exOpts := core.DefaultControllerOptions()
+	exOpts := base
 	exOpts.Strategy = "ex"
 	exSum, err := odinHorizon(sys, wl, pol, exOpts, cfg)
 	if err != nil {
@@ -65,7 +65,7 @@ func AblSearchBudget(sys core.System, ks []int) (AblSearchBudgetResult, error) {
 
 	res.Rows = make([]AblSearchBudgetRow, len(ks))
 	if err := par.ForEach(0, len(ks), func(i int) error {
-		opts := core.DefaultControllerOptions()
+		opts := base
 		opts.SearchBudget = ks[i]
 		sum, err := odinHorizon(sys, wl, pol, opts, cfg)
 		if err != nil {
@@ -111,7 +111,7 @@ type AblBufferResult struct {
 }
 
 // AblBuffer runs the buffer sweep on VGG16.
-func AblBuffer(sys core.System, capacities []int) (AblBufferResult, error) {
+func AblBuffer(sys core.System, base core.ControllerOptions, capacities []int) (AblBufferResult, error) {
 	if len(capacities) == 0 {
 		capacities = []int{10, 25, 50, 100, 200}
 	}
@@ -123,7 +123,7 @@ func AblBuffer(sys core.System, capacities []int) (AblBufferResult, error) {
 	}
 	if err := par.ForEach(0, len(capacities), func(i int) error {
 		capacity := capacities[i]
-		opts := core.DefaultControllerOptions()
+		opts := base
 		opts.BufferSize = capacity
 		ctrl, err := core.NewController(sys, wl, pol.Clone(), opts)
 		if err != nil {
@@ -171,20 +171,20 @@ type AblEtaResult struct {
 }
 
 // AblEta runs the η sweep on ResNet18.
-func AblEta(base core.System, etas []float64) (AblEtaResult, error) {
+func AblEta(platform core.System, base core.ControllerOptions, etas []float64) (AblEtaResult, error) {
 	if len(etas) == 0 {
 		etas = []float64{0.0025, 0.005, 0.01, 0.02}
 	}
 	cfg := ablationHorizon()
 	res := AblEtaResult{Model: "ResNet18", Rows: make([]AblEtaRow, len(etas))}
 	if err := par.ForEach(0, len(etas), func(i int) error {
-		sys := base
+		sys := platform
 		sys.Acc.Eta = etas[i]
 		wl, pol, err := odinSetup(sys, res.Model)
 		if err != nil {
 			return err
 		}
-		sum, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+		sum, err := odinHorizon(sys, wl, pol, base, cfg)
 		if err != nil {
 			return err
 		}
@@ -229,7 +229,7 @@ type AblRateResult struct {
 }
 
 // AblRate runs the rate sweep on VGG11.
-func AblRate(sys core.System, rates []float64) (AblRateResult, error) {
+func AblRate(sys core.System, base core.ControllerOptions, rates []float64) (AblRateResult, error) {
 	if len(rates) == 0 {
 		rates = []float64{1e-5, 1e-4, 2e-4, 1e-3, 1e-2}
 	}
@@ -242,7 +242,7 @@ func AblRate(sys core.System, rates []float64) (AblRateResult, error) {
 		cfg := ablationHorizon()
 		cfg.InferenceRate = rates[i]
 
-		odinSum, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+		odinSum, err := odinHorizon(sys, wl, pol, base, cfg)
 		if err != nil {
 			return err
 		}

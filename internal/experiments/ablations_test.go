@@ -12,7 +12,8 @@ import (
 
 func TestAblSearchBudgetTrend(t *testing.T) {
 	t.Parallel()
-	res, err := AblSearchBudget(core.DefaultSystem(), []int{1, 3})
+	base := cachedBase()
+	res, err := AblSearchBudget(core.DefaultSystem(), base, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +36,13 @@ func TestAblSearchBudgetTrend(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("no render output")
 	}
+	requireLookups(t, "abl-k", base)
 }
 
 func TestAblBufferTrend(t *testing.T) {
 	t.Parallel()
-	res, err := AblBuffer(core.DefaultSystem(), []int{10, 100})
+	base := cachedBase()
+	res, err := AblBuffer(core.DefaultSystem(), base, []int{10, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +56,13 @@ func TestAblBufferTrend(t *testing.T) {
 	if small.StorageKB >= large.StorageKB {
 		t.Error("storage did not grow with capacity")
 	}
+	requireLookups(t, "abl-buffer", base)
 }
 
 func TestAblEtaTrend(t *testing.T) {
 	t.Parallel()
-	res, err := AblEta(core.DefaultSystem(), []float64{0.0025, 0.02})
+	base := cachedBase()
+	res, err := AblEta(core.DefaultSystem(), base, []float64{0.0025, 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +75,13 @@ func TestAblEtaTrend(t *testing.T) {
 	if tight.MinAcc < loose.MinAcc-1e-9 {
 		t.Errorf("tight η min accuracy %v below loose %v", tight.MinAcc, loose.MinAcc)
 	}
+	requireLookups(t, "abl-eta", base)
 }
 
 func TestAblRateCrossover(t *testing.T) {
 	t.Parallel()
-	res, err := AblRate(core.DefaultSystem(), []float64{1e-5, 1e-2})
+	base := cachedBase()
+	res, err := AblRate(core.DefaultSystem(), base, []float64{1e-5, 1e-2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +95,7 @@ func TestAblRateCrossover(t *testing.T) {
 	if highRate.EDPRatio < 1 {
 		t.Errorf("16×16 beat Odin at high rate: %v", highRate.EDPRatio)
 	}
+	requireLookups(t, "abl-rate", base)
 }
 
 func TestAblClusterTracksWidth(t *testing.T) {

@@ -26,7 +26,7 @@ type ConfidenceResult struct {
 }
 
 // Confidence runs the comparison on VGG11.
-func Confidence(sys core.System, thresholds []float64) (ConfidenceResult, error) {
+func Confidence(sys core.System, base core.ControllerOptions, thresholds []float64) (ConfidenceResult, error) {
 	if len(thresholds) == 0 {
 		thresholds = []float64{0.3, 0.5, 0.8}
 	}
@@ -51,17 +51,17 @@ func Confidence(sys core.System, thresholds []float64) (ConfidenceResult, error)
 		return nil
 	}
 
-	if err := run("RB (paper)", core.DefaultControllerOptions()); err != nil {
+	if err := run("RB (paper)", base); err != nil {
 		return res, err
 	}
 	for _, th := range thresholds {
-		opts := core.DefaultControllerOptions()
+		opts := base
 		opts.ConfidenceThreshold = th
 		if err := run(fmt.Sprintf("hybrid ≥%.1f", th), opts); err != nil {
 			return res, err
 		}
 	}
-	ex := core.DefaultControllerOptions()
+	ex := base
 	ex.Strategy = "ex"
 	if err := run("EX always", ex); err != nil {
 		return res, err

@@ -22,43 +22,46 @@ import (
 type Result interface{ Render(w io.Writer) }
 
 // Experiment is a runnable evaluation artefact. Run calls the driver once
-// and returns its typed result.
+// and returns its typed result; every Odin controller the driver builds
+// starts from base, the controller configuration under evaluation.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func() (Result, error)
+	Run   func(base core.ControllerOptions) (Result, error)
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"tab1", "Table I: PIM architecture specifications", func() (Result, error) { return Table1(core.DefaultSystem()), nil }},
-		{"tab2", "Table II: parameters of ReRAM crossbar system", func() (Result, error) { return Table2(core.DefaultSystem()), nil }},
-		{"fig3", "Fig. 3: layer-wise OU size and weight sparsity (ResNet18, CIFAR-10)", func() (Result, error) { return Fig3(core.DefaultSystem()) }},
-		{"fig4", "Fig. 4: OU size distribution shift under conductance drift (ResNet18)", func() (Result, error) { return Fig4(core.DefaultSystem(), nil) }},
-		{"fig5", "Fig. 5: offline vs online (RB/EX) layer-wise OU configurations (VGG11)", func() (Result, error) { return Fig5(core.DefaultSystem()) }},
-		{"fig6", "Fig. 6: energy and latency vs homogeneous OUs (VGG11, CIFAR-10)", func() (Result, error) { return Fig6(core.DefaultSystem()) }},
-		{"fig7", "Fig. 7: inference accuracy with and without reprogramming (VGG11)", func() (Result, error) { return Fig7(core.DefaultSystem()) }},
-		{"fig8", "Fig. 8: EDP across all DNN workloads (normalised to 16×16 inference EDP)", func() (Result, error) { return Fig8(core.DefaultSystem()) }},
-		{"fig9", "Fig. 9: EDP vs crossbar size (ResNet34, CIFAR-100)", func() (Result, error) { return Fig9(core.DefaultSystem(), nil) }},
-		{"overhead", "Sec. V-E: online learning and OU control overhead analysis", func() (Result, error) { return Overhead(core.DefaultSystem()) }},
-		{"abl-k", "Ablation: resource-bounded search budget K", func() (Result, error) { return AblSearchBudget(core.DefaultSystem(), nil) }},
-		{"abl-buffer", "Ablation: training-buffer capacity", func() (Result, error) { return AblBuffer(core.DefaultSystem(), nil) }},
-		{"abl-eta", "Ablation: non-ideality threshold η", func() (Result, error) { return AblEta(core.DefaultSystem(), nil) }},
-		{"abl-rate", "Ablation: served inference rate (reprogramming crossover)", func() (Result, error) { return AblRate(core.DefaultSystem(), nil) }},
-		{"abl-cluster", "Ablation: pruning cluster width vs optimal OU width", func() (Result, error) { return AblCluster(core.DefaultSystem(), nil) }},
-		{"abl-policy", "Ablation: policy trunk architecture", func() (Result, error) { return AblPolicy(core.DefaultSystem(), nil) }},
-		{"noc-validate", "NoC model validation: analytic bound vs cut-through simulation", func() (Result, error) { return NoCValidate(core.DefaultSystem()) }},
-		{"lifetime", "Extension: write endurance and projected device lifetime", func() (Result, error) { return Lifetime(core.DefaultSystem()) }},
-		{"proactive", "Extension: proactive reprogramming vs the paper's trigger", func() (Result, error) { return Proactive(core.DefaultSystem(), nil) }},
-		{"mobilenet", "Extension: MobileNetV2 (depthwise-separable, unseen architecture class)", func() (Result, error) { return MobileNet(core.DefaultSystem()) }},
-		{"empirical", "Device-level validation: class-flip rate on crossbar-executed CNN", func() (Result, error) { return Empirical(core.DefaultSystem(), nil, nil) }},
-		{"confidence", "Extension: confidence-gated search routing (RB/EX hybrid)", func() (Result, error) { return Confidence(core.DefaultSystem(), nil) }},
-		{"rowskip", "Model validation: analytic vs measured row-segment skipping", func() (Result, error) { return RowSkip(core.DefaultSystem(), nil) }},
-		{"indexes", "Sec. II motivation: index-table storage of offline OU compression vs Odin", func() (Result, error) { return Indexes(core.DefaultSystem(), nil) }},
-		{"noise", "Device-level read-noise sensitivity (thermal noise axis)", func() (Result, error) { return Noise(core.DefaultSystem(), nil) }},
-		{"opt-compare", "Extension: line-6 optimizer head-to-head (rb/ex/bo/pareto)", func() (Result, error) { return OptCompare(core.DefaultSystem()) }},
-		{"fleet", "Extension: fleet-scale serving — drift-aware routing vs round-robin (1024 chips)", func() (Result, error) { return Fleet() }},
+		{"tab1", "Table I: PIM architecture specifications", func(core.ControllerOptions) (Result, error) { return Table1(core.DefaultSystem()), nil }},
+		{"tab2", "Table II: parameters of ReRAM crossbar system", func(core.ControllerOptions) (Result, error) { return Table2(core.DefaultSystem()), nil }},
+		{"fig3", "Fig. 3: layer-wise OU size and weight sparsity (ResNet18, CIFAR-10)", func(core.ControllerOptions) (Result, error) { return Fig3(core.DefaultSystem()) }},
+		{"fig4", "Fig. 4: OU size distribution shift under conductance drift (ResNet18)", func(core.ControllerOptions) (Result, error) { return Fig4(core.DefaultSystem(), nil) }},
+		{"fig5", "Fig. 5: offline vs online (RB/EX) layer-wise OU configurations (VGG11)", func(base core.ControllerOptions) (Result, error) { return Fig5(core.DefaultSystem(), base) }},
+		{"fig6", "Fig. 6: energy and latency vs homogeneous OUs (VGG11, CIFAR-10)", func(base core.ControllerOptions) (Result, error) { return Fig6(core.DefaultSystem(), base) }},
+		{"fig7", "Fig. 7: inference accuracy with and without reprogramming (VGG11)", func(base core.ControllerOptions) (Result, error) { return Fig7(core.DefaultSystem(), base) }},
+		{"fig8", "Fig. 8: EDP across all DNN workloads (normalised to 16×16 inference EDP)", func(base core.ControllerOptions) (Result, error) { return Fig8(core.DefaultSystem(), base) }},
+		{"fig9", "Fig. 9: EDP vs crossbar size (ResNet34, CIFAR-100)", func(base core.ControllerOptions) (Result, error) { return Fig9(core.DefaultSystem(), base, nil) }},
+		{"overhead", "Sec. V-E: online learning and OU control overhead analysis", func(core.ControllerOptions) (Result, error) { return Overhead(core.DefaultSystem()) }},
+		{"abl-k", "Ablation: resource-bounded search budget K", func(base core.ControllerOptions) (Result, error) {
+			return AblSearchBudget(core.DefaultSystem(), base, nil)
+		}},
+		{"abl-buffer", "Ablation: training-buffer capacity", func(base core.ControllerOptions) (Result, error) { return AblBuffer(core.DefaultSystem(), base, nil) }},
+		{"abl-eta", "Ablation: non-ideality threshold η", func(base core.ControllerOptions) (Result, error) { return AblEta(core.DefaultSystem(), base, nil) }},
+		{"abl-rate", "Ablation: served inference rate (reprogramming crossover)", func(base core.ControllerOptions) (Result, error) { return AblRate(core.DefaultSystem(), base, nil) }},
+		{"abl-cluster", "Ablation: pruning cluster width vs optimal OU width", func(core.ControllerOptions) (Result, error) { return AblCluster(core.DefaultSystem(), nil) }},
+		{"abl-policy", "Ablation: policy trunk architecture", func(core.ControllerOptions) (Result, error) { return AblPolicy(core.DefaultSystem(), nil) }},
+		{"noc-validate", "NoC model validation: analytic bound vs cut-through simulation", func(core.ControllerOptions) (Result, error) { return NoCValidate(core.DefaultSystem()) }},
+		{"lifetime", "Extension: write endurance and projected device lifetime", func(base core.ControllerOptions) (Result, error) { return Lifetime(core.DefaultSystem(), base) }},
+		{"proactive", "Extension: proactive reprogramming vs the paper's trigger", func(base core.ControllerOptions) (Result, error) { return Proactive(core.DefaultSystem(), base, nil) }},
+		{"mobilenet", "Extension: MobileNetV2 (depthwise-separable, unseen architecture class)", func(base core.ControllerOptions) (Result, error) { return MobileNet(core.DefaultSystem(), base) }},
+		{"empirical", "Device-level validation: class-flip rate on crossbar-executed CNN", func(core.ControllerOptions) (Result, error) { return Empirical(core.DefaultSystem(), nil, nil) }},
+		{"confidence", "Extension: confidence-gated search routing (RB/EX hybrid)", func(base core.ControllerOptions) (Result, error) { return Confidence(core.DefaultSystem(), base, nil) }},
+		{"rowskip", "Model validation: analytic vs measured row-segment skipping", func(core.ControllerOptions) (Result, error) { return RowSkip(core.DefaultSystem(), nil) }},
+		{"indexes", "Sec. II motivation: index-table storage of offline OU compression vs Odin", func(core.ControllerOptions) (Result, error) { return Indexes(core.DefaultSystem(), nil) }},
+		{"noise", "Device-level read-noise sensitivity (thermal noise axis)", func(core.ControllerOptions) (Result, error) { return Noise(core.DefaultSystem(), nil) }},
+		{"opt-compare", "Extension: line-6 optimizer head-to-head (rb/ex/bo/pareto)", func(core.ControllerOptions) (Result, error) { return OptCompare(core.DefaultSystem()) }},
+		{"fleet", "Extension: fleet-scale serving — drift-aware routing vs round-robin (1024 chips)", func(base core.ControllerOptions) (Result, error) { return Fleet(base) }},
 	}
 }
 
@@ -88,6 +91,12 @@ func defaultHorizon() core.HorizonConfig {
 // then runs every baseline and controller of that pair on the shared
 // workload, which only System.Prepare writes, each controller adapting its
 // own Clone of the policy. Nothing is kept between driver calls.
+//
+// Every driver that builds Odin controllers takes the base
+// core.ControllerOptions it evaluates: each controller starts from base
+// and sets only the knob its row varies. The zero value is the paper's
+// controller (NewController fills in its defaults), which is what RunAll
+// hands out, plus RunOptions.DisableDecisionCache.
 
 // offlinePolicy trains the offline policy for the workload named target
 // with the paper's leave-one-out protocol: on every zoo workload outside

@@ -344,7 +344,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run()
+		res, err := e.Run(core.ControllerOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -367,7 +367,7 @@ func TestDataFuncsPresent(t *testing.T) {
 	// must produce marshal-able results.
 	for _, id := range []string{"tab1", "tab2", "fig3", "fig4"} {
 		e, _ := ByID(id)
-		res, err := e.Run()
+		res, err := e.Run(core.ControllerOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

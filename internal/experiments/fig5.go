@@ -37,7 +37,7 @@ type Fig5Result struct {
 // each adapting its own clone of the policy bootstrapped from the non-VGG
 // families, run the horizon; at each snapshot age their decisions are
 // compared with the exhaustive offline optimum.
-func Fig5(sys core.System) (Fig5Result, error) {
+func Fig5(sys core.System, base core.ControllerOptions) (Fig5Result, error) {
 	res := Fig5Result{Model: "VGG11"}
 	ages := []float64{1, 1e2, 1e4}
 	wl, pol, err := odinSetup(sys, res.Model)
@@ -45,7 +45,7 @@ func Fig5(sys core.System) (Fig5Result, error) {
 		return res, err
 	}
 	controllerFor := func(strategy string) (*core.Controller, error) {
-		opts := core.DefaultControllerOptions()
+		opts := base
 		opts.Strategy = strategy
 		return core.NewController(sys, wl, pol.Clone(), opts)
 	}

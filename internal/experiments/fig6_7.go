@@ -28,7 +28,7 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the VGG11 horizon for every configuration.
-func Fig6(sys core.System) (Fig6Result, error) {
+func Fig6(sys core.System, base core.ControllerOptions) (Fig6Result, error) {
 	cfg := defaultHorizon()
 	res := Fig6Result{Model: "VGG11"}
 	wl, pol, err := odinSetup(sys, res.Model)
@@ -39,7 +39,7 @@ func Fig6(sys core.System) (Fig6Result, error) {
 	if err != nil {
 		return res, err
 	}
-	odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+	odin, err := odinHorizon(sys, wl, pol, base, cfg)
 	if err != nil {
 		return res, err
 	}
@@ -96,7 +96,7 @@ type Fig7Result struct {
 }
 
 // Fig7 runs the accuracy sweeps.
-func Fig7(sys core.System) (Fig7Result, error) {
+func Fig7(sys core.System, base core.ControllerOptions) (Fig7Result, error) {
 	cfg := defaultHorizon()
 	cfg.RecordEvery = cfg.Epochs / 50
 	res := Fig7Result{Model: "VGG11"}
@@ -119,7 +119,7 @@ func Fig7(sys core.System) (Fig7Result, error) {
 			res.Series = append(res.Series, seriesFrom(name, core.SimulateHorizon(b, cfg)))
 		}
 	}
-	odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+	odin, err := odinHorizon(sys, wl, pol, base, cfg)
 	if err != nil {
 		return res, err
 	}

@@ -42,7 +42,7 @@ type Fig8Result struct {
 // fills only rows[i]); the mean/max reductions are then reduced over the
 // rows in workload order, so the rounding — and the rendered bytes — match
 // the sequential loop exactly.
-func Fig8(sys core.System) (Fig8Result, error) {
+func Fig8(sys core.System, base core.ControllerOptions) (Fig8Result, error) {
 	cfg := defaultHorizon()
 	res := Fig8Result{MeanReduction: map[string]float64{}}
 	names := configNames()
@@ -80,7 +80,7 @@ func Fig8(sys core.System) (Fig8Result, error) {
 		if err != nil {
 			return err
 		}
-		odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+		odin, err := odinHorizon(sys, wl, pol, base, cfg)
 		if err != nil {
 			return err
 		}
@@ -150,24 +150,24 @@ type Fig9Result struct {
 }
 
 // Fig9 sweeps crossbar sizes 128², 64², 32² (ResNet34 / CIFAR-100).
-func Fig9(base core.System, sizes []int) (Fig9Result, error) {
+func Fig9(platform core.System, base core.ControllerOptions, sizes []int) (Fig9Result, error) {
 	if len(sizes) == 0 {
 		sizes = []int{128, 64, 32}
 	}
 	cfg := defaultHorizon()
 	res := Fig9Result{Model: "ResNet34", Rows: make([]Fig9Row, len(sizes))}
 	// Index-sharded crossbar-size sweep: each goroutine scales its own copy
-	// of the base system, sets up ResNet34 on it and writes only
+	// of the platform, sets up ResNet34 on it and writes only
 	// res.Rows[i].
 	if err := par.ForEach(0, len(sizes), func(i int) error {
 		xb := sizes[i]
-		sys := base.WithCrossbarSize(xb)
+		sys := platform.WithCrossbarSize(xb)
 		row := Fig9Row{CrossbarSize: xb, Ratios: map[string]float64{}}
 		wl, pol, err := odinSetup(sys, res.Model)
 		if err != nil {
 			return err
 		}
-		odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+		odin, err := odinHorizon(sys, wl, pol, base, cfg)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"odin/internal/accuracy"
 	"odin/internal/clock"
@@ -81,16 +82,18 @@ func fleetSystem() core.System {
 	return sys
 }
 
-// fleetProbe measures one variant on a throwaway controller: its service
-// latency (for rate calibration) and its forced-reprogram deadline (for
-// the stagger span). Deterministic, and shares nothing with the fleets.
-func fleetProbe(sys core.System, m *dnn.Model) (lat, deadline float64, err error) {
+// fleetProbe measures one variant on a throwaway controller built from
+// base: its service latency (for rate calibration) and its
+// forced-reprogram deadline (for the stagger span). Deterministic, and
+// shares no state with the fleets but base's decision cache, whose entries
+// are pure functions of their keys.
+func fleetProbe(sys core.System, base core.ControllerOptions, m *dnn.Model) (lat, deadline float64, err error) {
 	wl, err := sys.Prepare(m)
 	if err != nil {
 		return 0, 0, err
 	}
 	pol := policy.New(policy.Config{Grid: sys.Grid(), Seed: 1})
-	ctrl, err := core.NewController(sys, wl, pol, core.ControllerOptions{})
+	ctrl, err := core.NewController(sys, wl, pol, base)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -127,7 +130,9 @@ func sojournQuantile(sojourns []float64, q float64) float64 {
 // the drift configuration with two hot adds and a mid-trace removal to pin
 // that lifecycle events do not perturb the routing win — or determinism
 // (its checksum is frozen in the golden file alongside the others).
-func Fleet() (*FleetResult, error) {
+// Every chip's controller starts from base, whose zero TrainSeed keeps
+// each chip's own seed.
+func Fleet(base core.ControllerOptions) (*FleetResult, error) {
 	sys := fleetSystem()
 
 	variants := []*dnn.Model{
@@ -140,7 +145,7 @@ func Fleet() (*FleetResult, error) {
 	deadline := 0.0
 	for i, m := range variants {
 		names[i] = m.Name
-		lat, d, err := fleetProbe(sys, m)
+		lat, d, err := fleetProbe(sys, base, m)
 		if err != nil {
 			return nil, err
 		}
@@ -187,6 +192,7 @@ func Fleet() (*FleetResult, error) {
 			Clock:      clk,
 			Registry:   reg,
 			System:     &sys,
+			Controller: base,
 		}
 		s, err := serve.NewServer(cfg)
 		if err != nil {
@@ -248,7 +254,7 @@ func Fleet() (*FleetResult, error) {
 // Render prints the paper-style comparison table.
 func (r *FleetResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fleet-scale routing: %d chips, %d-request mixed trace (%s)\n",
-		r.Chips, r.Requests, joinNames(r.Models))
+		r.Chips, r.Requests, strings.Join(r.Models, ", "))
 	fmt.Fprintf(w, "rate %.4g req/s; drift phases staggered across the %.4g s forced-reprogram deadline\n",
 		r.Rate, r.Deadline)
 	fmt.Fprintf(w, "%-8s %-5s %9s %6s %8s %6s %10s %10s  %s\n",
@@ -277,15 +283,4 @@ func (r *FleetResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "drift vs rr: on-path reprogram stalls %d -> %d, p99 %.2fx lower\n",
 			rr.ReprogramOnPath, drift.ReprogramOnPath, rr.P99/drift.P99)
 	}
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }

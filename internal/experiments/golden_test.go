@@ -7,14 +7,18 @@ import (
 	"testing"
 
 	"odin/internal/check"
+	"odin/internal/core"
+	"odin/internal/decache"
 )
 
 // runs maps an experiment id to its Run, memoised: runOnce runs each
 // experiment at most once per test binary, so a test asserting on an
-// experiment's result reuses the run its golden renders.
+// experiment's result reuses the run its golden renders. Each run is
+// handed a base whose decision cache is its own, kept in bases.
 var (
 	runsMu sync.Mutex
 	runs   = map[string]func() (Result, error){}
+	bases  = map[string]core.ControllerOptions{}
 )
 
 // runOnce returns the result of experiment id's Run, computed by the first
@@ -24,14 +28,15 @@ func runOnce(t *testing.T, id string) Result {
 	runsMu.Lock()
 	run, ok := runs[id]
 	if !ok {
+		base := cachedBase()
 		run = sync.OnceValues(func() (Result, error) {
 			e, err := ByID(id)
 			if err != nil {
 				return nil, err
 			}
-			return e.Run()
+			return e.Run(base)
 		})
-		runs[id] = run
+		runs[id], bases[id] = run, base
 	}
 	runsMu.Unlock()
 	res, err := run()
@@ -39,6 +44,42 @@ func runOnce(t *testing.T, id string) Result {
 		t.Fatalf("experiment %s: %v", id, err)
 	}
 	return res
+}
+
+// cachedBase returns the paper's controller options with a decision cache
+// the test owns.
+func cachedBase() core.ControllerOptions {
+	return core.ControllerOptions{Cache: decache.New()}
+}
+
+// requireLookups fails t unless some controller looked up base's decision
+// cache: a driver that builds its Odin controllers from the base it is
+// handed sends their decisions there, and one that builds them from
+// anything else leaves the cache untouched.
+func requireLookups(t *testing.T, id string, base core.ControllerOptions) {
+	t.Helper()
+	if c := base.Cache.Counters(); c.DecisionHits+c.DecisionMisses == 0 {
+		t.Errorf("%s: no controller looked up the base options' decision cache", id)
+	}
+}
+
+// TestDriversBuildFromBase checks, on the runs TestGoldenArtifacts renders,
+// that these drivers build every Odin controller from the base Run hands
+// them. The ablation, proactive and confidence tests check their reduced
+// sweeps the same way, which covers all 14 drivers that build Odin
+// controllers.
+func TestDriversBuildFromBase(t *testing.T) {
+	t.Parallel()
+	for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "lifetime", "mobilenet", "fleet"} {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			runOnce(t, id)
+			runsMu.Lock()
+			base := bases[id]
+			runsMu.Unlock()
+			requireLookups(t, id, base)
+		})
+	}
 }
 
 // TestGoldenArtifacts freezes the rendered output of a representative slice

@@ -30,7 +30,7 @@ type LifetimeResult struct {
 // wear. This is an extension beyond the paper's evaluation: the paper
 // motivates minimising reprogramming by its energy cost; endurance makes
 // the same cadence a *lifetime* limit.
-func Lifetime(sys core.System) (LifetimeResult, error) {
+func Lifetime(sys core.System, base core.ControllerOptions) (LifetimeResult, error) {
 	cfg := defaultHorizon()
 	endurance := reram.DefaultEndurance()
 	res := LifetimeResult{Model: "VGG11", Endurance: endurance, HorizonSec: cfg.End}
@@ -43,7 +43,7 @@ func Lifetime(sys core.System) (LifetimeResult, error) {
 	if err != nil {
 		return res, err
 	}
-	odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+	odin, err := odinHorizon(sys, wl, pol, base, cfg)
 	if err != nil {
 		return res, err
 	}

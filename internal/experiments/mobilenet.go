@@ -26,7 +26,7 @@ type MobileNetResult struct {
 }
 
 // MobileNet runs the extension study.
-func MobileNet(sys core.System) (MobileNetResult, error) {
+func MobileNet(sys core.System, base core.ControllerOptions) (MobileNetResult, error) {
 	cfg := defaultHorizon()
 	res := MobileNetResult{Model: "MobileNetV2"}
 	// MobileNetV2 belongs to no zoo family, so its offline policy learns
@@ -40,7 +40,7 @@ func MobileNet(sys core.System) (MobileNetResult, error) {
 	if err != nil {
 		return res, err
 	}
-	odin, err := odinHorizon(sys, wl, pol, core.DefaultControllerOptions(), cfg)
+	odin, err := odinHorizon(sys, wl, pol, base, cfg)
 	if err != nil {
 		return res, err
 	}

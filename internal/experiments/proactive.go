@@ -27,7 +27,7 @@ type ProactiveResult struct {
 }
 
 // Proactive runs the comparison on VGG11.
-func Proactive(sys core.System, factors []float64) (ProactiveResult, error) {
+func Proactive(sys core.System, base core.ControllerOptions, factors []float64) (ProactiveResult, error) {
 	if len(factors) == 0 {
 		factors = []float64{1.2, 1.5, 2}
 	}
@@ -54,11 +54,11 @@ func Proactive(sys core.System, factors []float64) (ProactiveResult, error) {
 		return nil
 	}
 
-	if err := run("Odin (paper)", core.DefaultControllerOptions()); err != nil {
+	if err := run("Odin (paper)", base); err != nil {
 		return res, err
 	}
 	for _, f := range factors {
-		opts := core.DefaultControllerOptions()
+		opts := base
 		opts.ProactiveFactor = f
 		if err := run(fmt.Sprintf("proactive %.1f×", f), opts); err != nil {
 			return res, err

@@ -10,7 +10,8 @@ import (
 
 func TestProactiveTriggerBehaviour(t *testing.T) {
 	t.Parallel()
-	res, err := Proactive(core.DefaultSystem(), []float64{1.2, 3})
+	base := cachedBase()
+	res, err := Proactive(core.DefaultSystem(), base, []float64{1.2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +45,13 @@ func TestProactiveTriggerBehaviour(t *testing.T) {
 	if !strings.Contains(buf.String(), "best variant") {
 		t.Fatal("render missing summary line")
 	}
+	requireLookups(t, "proactive", base)
 }
 
 func TestConfidenceRoutingMonotone(t *testing.T) {
 	t.Parallel()
-	res, err := Confidence(core.DefaultSystem(), []float64{0.3, 0.8})
+	base := cachedBase()
+	res, err := Confidence(core.DefaultSystem(), base, []float64{0.3, 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,4 +73,5 @@ func TestConfidenceRoutingMonotone(t *testing.T) {
 			t.Errorf("%s EDP %v strays >5%% from RB's %v", row.Name, row.EDP, rb.EDP)
 		}
 	}
+	requireLookups(t, "confidence", base)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"odin/internal/clock"
+	"odin/internal/core"
 	"odin/internal/par"
 	"odin/internal/telemetry"
 )
@@ -25,6 +26,16 @@ type RunOptions struct {
 	// Registry, when non-nil, receives per-experiment wall time and the
 	// engine's aggregate speedup as telemetry gauges.
 	Registry *telemetry.Registry
+	// DisableDecisionCache turns the decision cache off in every Odin
+	// controller the experiments build (`odinsim -cache off`). Artefacts
+	// are byte-identical either way; the switch lets that be checked.
+	DisableDecisionCache bool
+}
+
+// base returns the controller options every driver starts from: the
+// paper's controller (the zero value) with the run's cache switch.
+func (o RunOptions) base() core.ControllerOptions {
+	return core.ControllerOptions{DisableDecisionCache: o.DisableDecisionCache}
 }
 
 // Timing is one experiment's measured wall time.
@@ -128,7 +139,7 @@ func streamSelected(w io.Writer, exps []Experiment, opts RunOptions) (Report, er
 			c, e := &cells[i], exps[i]
 			start := clk.Now()
 			fmt.Fprintf(&c.buf, "==> %s (%s)\n", e.Title, e.ID)
-			res, err := e.Run()
+			res, err := e.Run(opts.base())
 			if err != nil {
 				c.err = fmt.Errorf("%s: %w", e.ID, err)
 				c.seconds = clk.Now() - start
@@ -190,7 +201,7 @@ func RunAllJSON(w io.Writer, opts RunOptions) error {
 	}
 	payloads := make([][]byte, len(exps))
 	if err := par.ForEach(opts.Workers, len(exps), func(i int) error {
-		res, err := exps[i].Run()
+		res, err := exps[i].Run(opts.base())
 		if err == nil {
 			payloads[i], err = json.MarshalIndent(res, "  ", "  ")
 		}

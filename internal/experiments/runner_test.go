@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"odin/internal/clock"
+	"odin/internal/core"
 	"odin/internal/telemetry"
 )
 
@@ -42,7 +43,7 @@ func sequentialReference(t *testing.T, ids []string) []byte {
 		}
 		fmt.Fprintf(&buf, "==> %s (%s)\n", e.Title, e.ID)
 		start := clk.Now()
-		res, err := e.Run()
+		res, err := e.Run(core.ControllerOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -170,7 +171,8 @@ func (s text) Render(w io.Writer) { io.WriteString(w, string(s)) }
 
 // synth builds a synthetic experiment for engine-semantics tests.
 func synth(id string, run func() (Result, error)) Experiment {
-	return Experiment{ID: id, Title: "synthetic " + id, Run: run}
+	return Experiment{ID: id, Title: "synthetic " + id,
+		Run: func(core.ControllerOptions) (Result, error) { return run() }}
 }
 
 // TestRunSelectedFlushOrderSurvivesOutOfOrderCompletion forces the first

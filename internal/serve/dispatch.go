@@ -651,16 +651,20 @@ func (s *Server) finishBatch(b *batch) {
 
 // sizesLabel renders OU sizes as "RxC", comma-joined in layer order.
 func sizesLabel(sizes []ou.Size) string {
-	buf := make([]byte, 0, 8*len(sizes))
+	return string(appendSizes(make([]byte, 0, 8*len(sizes)), sizes))
+}
+
+// appendSizes appends sizesLabel's rendering of sizes to dst.
+func appendSizes(dst []byte, sizes []ou.Size) []byte {
 	for i, sz := range sizes {
 		if i > 0 {
-			buf = append(buf, ',')
+			dst = append(dst, ',')
 		}
-		buf = strconv.AppendInt(buf, int64(sz.R), 10)
-		buf = append(buf, 'x')
-		buf = strconv.AppendInt(buf, int64(sz.C), 10)
+		dst = strconv.AppendInt(dst, int64(sz.R), 10)
+		dst = append(dst, 'x')
+		dst = strconv.AppendInt(dst, int64(sz.C), 10)
 	}
-	return string(buf)
+	return dst
 }
 
 // batchTenants renders the batch's distinct rider tenant labels, sorted —

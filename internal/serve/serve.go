@@ -543,14 +543,10 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 
 	// One decision cache for the whole fleet (unless the caller brought
-	// their own or opted out): same-platform chips hit each other's
-	// memoized decisions, and the cache's counters land on the fleet's
-	// metrics registry. Gated on the process-wide default so `odinsim
-	// -cache=off` style comparisons reach the serving layer too. Audited
-	// chips search live (core.ControllerOptions.Audit), so their fleet
-	// gets none.
-	if cfg.Controller.Cache == nil && !cfg.Controller.DisableDecisionCache &&
-		cfg.Controller.Audit == nil && core.DecisionCacheDefault() {
+	// their own or the chips do not cache): same-platform chips hit each
+	// other's memoized decisions, and the cache's counters land on the
+	// fleet's metrics registry.
+	if cfg.Controller.Caches() && cfg.Controller.Cache == nil {
 		cfg.Controller.Cache = decache.NewWith(decache.Options{Registry: cfg.Registry})
 	}
 

@@ -198,15 +198,7 @@ func appendLogLine(dst []byte, resp *Response) []byte {
 		dst = strconv.AppendInt(dst, int64(resp.Chip), 10)
 		dst = append(dst, " batch="...)
 		dst = strconv.AppendUint(dst, resp.Batch, 10)
-		dst = append(dst, " ou="...)
-		for j, sz := range resp.Sizes {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(sz.R), 10)
-			dst = append(dst, 'x')
-			dst = strconv.AppendInt(dst, int64(sz.C), 10)
-		}
+		dst = appendSizes(append(dst, " ou="...), resp.Sizes)
 		dst = append(dst, " E="...)
 		dst = strconv.AppendFloat(dst, resp.Energy, 'g', -1, 64)
 		dst = append(dst, " L="...)
