@@ -97,6 +97,13 @@ FLEET_CHECKSUM = checksum=0xac76fa0f7b08713c
 # below, the value holds on GOARCH amd64.
 TRACE_SHA256 = 46e973ce598665567f30b03bc8ff7cdb59b4f29fe59565a6c19ffc845373df3f
 
+# The SHA-256 of `ouexplore -model VGG11 -layer 4 -age 1e4 -strategy
+# rb,ex,bo,pareto` (one layer's landscape with every strategy's pick and
+# the Pareto front), then of `ouexplore -model ResNet18 -summary -strategy
+# rb,ex,bo,pareto` (each strategy's per-layer picks at five ages). Like
+# ODINSIM_SHA256 below, the values hold on GOARCH amd64.
+OUEXPLORE_SHA256 = 67eb3e4f2e454179022c71276f9126c1d747b62ae7fb1ceb437acdcef537f0d0 a237b79f3729ebc6fe05ac5cfa06a6830a8a07fbaffcf3f75ca0f428c92e997e
+
 # The SHA-256 values `odinsim all` must render: one per experiment section
 # of the text output (split at its `==> ` headers, `<== ` lines removed),
 # then the whole `-json all` output. The first line records GOARCH: the Go
@@ -123,6 +130,8 @@ ODINSIM_SHA256 = cmd/odinsim/testdata/all.sha256
 #   - a multi-worker `odinsim` run is clean under the race detector;
 #   - `odinsim trace` renders its audit table and writes a Chrome trace
 #     whose SHA-256 is TRACE_SHA256;
+#   - `ouexplore`'s landscape and summary, every strategy marked, hash to
+#     OUEXPLORE_SHA256;
 #   - the disabled-instrumentation overhead guards (obs_guard_test.go,
 #     pulse_guard_test.go), armed: a nil tracer or bus must stay one
 #     pointer test per site.
@@ -130,8 +139,8 @@ ODINSIM_SHA256 = cmd/odinsim/testdata/all.sha256
 # line of `odinsim` output that legitimately differs between runs.
 smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/ ./cmd/odinsim ./cmd/odinserve; \
-	sim=$$tmp/odinsim; srv=$$tmp/odinserve; \
+	$(GO) build -o $$tmp/ ./cmd/odinsim ./cmd/odinserve ./cmd/ouexplore; \
+	sim=$$tmp/odinsim; srv=$$tmp/odinserve; explore=$$tmp/ouexplore; \
 	echo "smoke: replay -verify -max-shed 0"; \
 	$$srv replay -models VGG11,VGG11 -requests 200 -verify -max-shed 0; \
 	echo "smoke: 1024-chip replay checksum, workers 1 vs 8 and the pinned value"; \
@@ -168,6 +177,11 @@ smoke:
 	$$sim trace -model resnet18 -runs 4 -out $$tmp/trace.json > /dev/null; \
 	sha256sum < $$tmp/trace.json | cut -d' ' -f1 > $$tmp/trace.sha; \
 	echo '$(TRACE_SHA256)' | cmp - $$tmp/trace.sha; \
+	echo "smoke: ouexplore landscape and summary against OUEXPLORE_SHA256"; \
+	$$explore -model VGG11 -layer 4 -age 1e4 -strategy rb,ex,bo,pareto > $$tmp/landscape.txt; \
+	$$explore -model ResNet18 -summary -strategy rb,ex,bo,pareto > $$tmp/summary.txt; \
+	echo $$(sha256sum < $$tmp/landscape.txt | cut -d' ' -f1) $$(sha256sum < $$tmp/summary.txt | cut -d' ' -f1) > $$tmp/explore.sha; \
+	echo '$(OUEXPLORE_SHA256)' | cmp - $$tmp/explore.sha; \
 	echo "smoke: overhead guards"; \
 	ODIN_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'TestDisabled(Obs|Pulse)OverheadGuard' .
 

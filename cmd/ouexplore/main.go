@@ -20,7 +20,6 @@ import (
 
 	"odin/internal/core"
 	"odin/internal/dnn"
-	"odin/internal/opt"
 	"odin/internal/ou"
 	"odin/internal/search"
 )
@@ -31,7 +30,7 @@ func main() {
 		layer      = flag.Int("layer", 0, "layer index (0-based)")
 		age        = flag.Float64("age", 1, "device age in seconds")
 		summary    = flag.Bool("summary", false, "print per-layer picks at several ages instead of one landscape")
-		strategies = flag.String("strategy", "ex", "comma-separated line-6 strategies to mark ("+strings.Join(opt.Names(), ", ")+")")
+		strategies = flag.String("strategy", "ex", "comma-separated line-6 strategies to mark ("+strings.Join(search.Names(), ", ")+")")
 	)
 	flag.Parse()
 	if err := run(*modelName, *layer, *age, *summary, *strategies); err != nil {
@@ -63,10 +62,10 @@ func run(modelName string, layer int, age float64, summary bool, strategies stri
 	return printLandscape(sys, wl, layer, age, opts)
 }
 
-func parseStrategies(list string) ([]opt.Optimizer, error) {
-	var out []opt.Optimizer
+func parseStrategies(list string) ([]search.Optimizer, error) {
+	var out []search.Optimizer
 	for _, name := range strings.Split(list, ",") {
-		o, err := opt.ByName(strings.TrimSpace(name))
+		o, err := search.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +80,7 @@ func startFor(g ou.Grid, obj search.Objective) ou.Size {
 	return search.ClampFeasible(g, obj, ou.Size{R: 16, C: 16})
 }
 
-func printLandscape(sys core.System, wl *core.Workload, layer int, age float64, opts []opt.Optimizer) error {
+func printLandscape(sys core.System, wl *core.Workload, layer int, age float64, opts []search.Optimizer) error {
 	l := wl.Model.Layers[layer]
 	fmt.Printf("%s layer %d (%s): kernel %dx%d, %d->%d ch, sparsity %.1f%%, %d crossbars\n",
 		wl.Model.Name, layer, l.Name, l.KernelH, l.KernelW, l.InChannels, l.OutChannels,
@@ -102,7 +101,7 @@ func printLandscape(sys core.System, wl *core.Workload, layer int, age float64, 
 			continue
 		}
 		anyFound = true
-		chosenBy[res.Best] = append(chosenBy[res.Best], o.Name())
+		chosenBy[res.Best] = append(chosenBy[res.Best], o.Name)
 		for _, p := range res.Front {
 			front[p.Size] = true
 		}
@@ -131,7 +130,7 @@ func printLandscape(sys core.System, wl *core.Workload, layer int, age float64, 
 	return nil
 }
 
-func printSummary(sys core.System, wl *core.Workload, opts []opt.Optimizer) error {
+func printSummary(sys core.System, wl *core.Workload, opts []search.Optimizer) error {
 	ages := []float64{1, 1e2, 1e4, 1e6, 5e7}
 	grid := sys.Grid()
 	fmt.Printf("%s: constrained per-layer OU pick per strategy and device age\n", wl.Model.Name)
@@ -139,7 +138,7 @@ func printSummary(sys core.System, wl *core.Workload, opts []opt.Optimizer) erro
 		if oi > 0 {
 			fmt.Println()
 		}
-		fmt.Printf("strategy %s\n", o.Name())
+		fmt.Printf("strategy %s\n", o.Name)
 		fmt.Printf("%-5s %-22s", "layer", "name")
 		for _, a := range ages {
 			fmt.Printf("%12.0e", a)

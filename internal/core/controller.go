@@ -10,7 +10,6 @@ import (
 	"odin/internal/decache"
 	"odin/internal/mlp"
 	"odin/internal/obs"
-	"odin/internal/opt"
 	"odin/internal/ou"
 	"odin/internal/policy"
 	"odin/internal/search"
@@ -18,8 +17,8 @@ import (
 
 // ControllerOptions tune the Odin online-learning loop.
 type ControllerOptions struct {
-	// Strategy names the registered internal/opt optimizer driving line 6
-	// of Algorithm 1: "rb", "ex", "bo" or "pareto" (opt.Names()). Empty
+	// Strategy names the registered search optimizer driving line 6 of
+	// Algorithm 1: "rb", "ex", "bo" or "pareto" (search.Names()). Empty
 	// selects the paper's online "rb"; "ex" is §V.B's higher-quality, ~3×
 	// costlier alternative. The name is stamped verbatim into
 	// decision-audit records and trace spans, so new strategies attribute
@@ -137,9 +136,11 @@ type Controller struct {
 	opts ControllerOptions
 
 	// optim is the line-6 strategy resolved from opts.Strategy at
-	// construction; its Name() is the single source of the strategy
-	// strings in audit records and trace spans.
-	optim opt.Optimizer
+	// construction; its Name is the single source of the strategy strings
+	// in audit records and trace spans. optimEX is the exhaustive scan a
+	// low-confidence decision escalates to, resolved with it (set only
+	// with a ConfidenceThreshold and a strategy other than "ex").
+	optim, optimEX search.Optimizer
 
 	// cache memoizes line-6 decisions; nil disables caching. dctx is the
 	// interned decision context of the configured strategy, dctxEX the
@@ -202,9 +203,15 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 			pol.Grid(), sys.Grid())
 	}
 	resolved := opts.withDefaults()
-	optim, err := opt.ByName(resolved.Strategy)
+	optim, err := search.ByName(resolved.Strategy)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	var optimEX search.Optimizer
+	if resolved.ConfidenceThreshold > 0 && optim.Name != search.EX {
+		if optimEX, err = search.ByName(search.EX); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	c := &Controller{
 		sys:          sys,
@@ -213,6 +220,7 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 		buf:          policy.NewBuffer(resolved.BufferSize),
 		opts:         resolved,
 		optim:        optim,
+		optimEX:      optimEX,
 		scratch:      search.NewScratch(),
 		ws:           pol.NewWorkspace(),
 		weights:      sys.Acc.Sens.Weights(wl.Layers()),
@@ -237,10 +245,9 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 			c.cache = decache.New()
 		}
 		cost := sys.Arch.CostModel()
-		c.dctx = c.cache.Context(sys.Grid(), cost, sys.Acc, optim.Name(), resolved.SearchBudget)
-		if resolved.ConfidenceThreshold > 0 && optim.Name() != (opt.Exhaustive{}).Name() {
-			c.dctxEX = c.cache.Context(sys.Grid(), cost, sys.Acc,
-				(opt.Exhaustive{}).Name(), resolved.SearchBudget)
+		c.dctx = c.cache.Context(sys.Grid(), cost, sys.Acc, optim.Name, resolved.SearchBudget)
+		if optimEX.Optimize != nil {
+			c.dctxEX = c.cache.Context(sys.Grid(), cost, sys.Acc, optimEX.Name, resolved.SearchBudget)
 		}
 	}
 	return c, nil
@@ -251,7 +258,7 @@ func NewController(sys System, wl *Workload, pol *policy.Policy, opts Controller
 func (c *Controller) DecisionCache() *decache.Cache { return c.cache }
 
 // Strategy returns the name of the line-6 optimizer the controller runs.
-func (c *Controller) Strategy() string { return c.optim.Name() }
+func (c *Controller) Strategy() string { return c.optim.Name }
 
 // Policy returns the (adapting) policy.
 func (c *Controller) Policy() *policy.Policy { return c.pol }
@@ -442,10 +449,8 @@ func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 	// full grid scan; the strategy string always comes from the optimizer
 	// that actually ran, so attribution stays exact.
 	optim, dctx := c.optim, c.dctx
-	if c.opts.ConfidenceThreshold > 0 && optim.Name() != (opt.Exhaustive{}).Name() &&
-		c.pol.Confidence(feat) < c.opts.ConfidenceThreshold {
-		optim = opt.Exhaustive{}
-		dctx = c.dctxEX
+	if c.optimEX.Optimize != nil && c.pol.Confidence(feat) < c.opts.ConfidenceThreshold {
+		optim, dctx = c.optimEX, c.dctxEX
 	}
 
 	// Lines 7–8 precondition: when no OU size meets η, the layer runs
@@ -454,7 +459,7 @@ func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 	// resolved); a cached controller's Bucket is then at least 1.
 	if !c.sys.Acc.SatisfiesWith(w, amp, smallest) {
 		return layerOutcome{predicted: predicted, chosen: smallest,
-			strategy: opt.StrategyDegraded, degraded: true}
+			strategy: search.StrategyDegraded, degraded: true}
 	}
 	var key decache.Key
 	if c.cache != nil {
@@ -462,7 +467,7 @@ func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 			Predicted: predicted, Bucket: dctx.Bucket(w, amp)}
 		if e, ok := dctx.Lookup(key); ok {
 			return layerOutcome{predicted: predicted, chosen: e.Chosen,
-				strategy: optim.Name(), evaluations: e.Evaluations}
+				strategy: optim.Name, evaluations: e.Evaluations}
 		}
 	}
 
@@ -493,7 +498,7 @@ func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 		dctx.Store(key, decache.Entry{Chosen: res.Best, Evaluations: res.Evaluations})
 	}
 	out := layerOutcome{predicted: predicted, start: start, chosen: res.Best,
-		strategy: optim.Name(), evaluations: res.Evaluations}
+		strategy: optim.Name, evaluations: res.Evaluations}
 	if audited {
 		out.candidates = c.cands
 		if len(res.Front) > 0 {

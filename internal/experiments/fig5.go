@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"odin/internal/core"
-	"odin/internal/opt"
 	"odin/internal/ou"
 	"odin/internal/search"
 )
@@ -101,7 +100,7 @@ func Fig5(sys core.System, base core.ControllerOptions) (Fig5Result, error) {
 	// Search overhead: evaluations per layer decision.
 	grid := sys.Grid()
 	obj := core.LayerObjective(sys, wl, 4, 1)
-	rb := opt.ResourceBounded{}.Optimize(grid, obj, grid.SizeAt(2, 2), 0)
+	rb := search.ResourceBounded(grid, obj, grid.SizeAt(2, 2), 3)
 	ex := search.Exhaustive(grid, obj)
 	res.RBEvaluations = rb.Evaluations
 	res.EXEvaluations = ex.Evaluations

@@ -7,7 +7,6 @@ import (
 
 	"odin/internal/core"
 	"odin/internal/dnn"
-	"odin/internal/opt"
 	"odin/internal/ou"
 	"odin/internal/par"
 	"odin/internal/search"
@@ -68,7 +67,7 @@ type OptCompareResult struct {
 // byte-identical at any worker count.
 func OptCompare(sys core.System) (OptCompareResult, error) {
 	grid := sys.Grid()
-	strategies := opt.All()
+	strategies := search.All()
 	t0 := sys.Acc.Device.T0
 	res := OptCompareResult{}
 	for _, exp := range optCompareAgeExps {
@@ -128,14 +127,14 @@ func OptCompare(sys core.System) (OptCompareResult, error) {
 
 		var exEDP float64
 		for si, strat := range strategies {
-			if strat.Name() == (opt.Exhaustive{}).Name() {
+			if strat.Name == search.EX {
 				exEDP = tallies[si].edp
 			}
 		}
 		for si, strat := range strategies {
 			tl := tallies[si]
 			st := OptStrategyStats{
-				Strategy:         strat.Name(),
+				Strategy:         strat.Name,
 				EvalsPerDecision: float64(tl.evals) / float64(row.Decisions),
 			}
 			if tl.found > 0 {

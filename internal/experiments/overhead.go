@@ -6,7 +6,6 @@ import (
 
 	"odin/internal/core"
 	"odin/internal/dnn"
-	"odin/internal/opt"
 	"odin/internal/policy"
 	"odin/internal/search"
 )
@@ -39,7 +38,7 @@ func Overhead(sys core.System) (OverheadResult, error) {
 	}
 	grid := sys.Grid()
 	obj := core.LayerObjective(sys, wl, 4, 1)
-	rb := opt.ResourceBounded{}.Optimize(grid, obj, grid.SizeAt(2, 2), 0)
+	rb := search.ResourceBounded(grid, obj, grid.SizeAt(2, 2), 3)
 	ex := search.Exhaustive(grid, obj)
 
 	return OverheadResult{

@@ -1,4 +1,4 @@
-package opt
+package search
 
 import (
 	"math"
@@ -6,42 +6,7 @@ import (
 
 	"odin/internal/ou"
 	"odin/internal/rng"
-	"odin/internal/search"
 )
-
-// Bayesian is a TPE-style (tree-structured Parzen estimator) surrogate
-// optimizer over the discrete OU grid, the stdlib-only analogue of the
-// crossbar design-space Bayesian optimization of arXiv 2605.08461.
-//
-// Instead of modelling EDP(x) directly, TPE splits the evaluated
-// candidates into a good set (the lowest-EDP γ fraction) and a bad set,
-// estimates a per-axis kernel density for each (a triangular kernel over
-// the discrete R/C level axes with Laplace smoothing), and evaluates next
-// the unseen grid point maximising the density
-// ratio good(x)/bad(x). Candidates are drawn from the good density, so
-// search effort concentrates where low-EDP evidence accumulates while the
-// smoothing keeps every cell reachable.
-//
-// Budget is the maximum number of candidate evaluations; budget <= 0 uses
-// half the grid (18 on the paper's 6×6 grid — half the EX comparator
-// work). The start point (the controller's feasibility-clamped seed) is
-// always evaluated first, so a feasible start is never lost: on failure to
-// improve, the incumbent is returned (the same guarantee RB gives
-// Algorithm 1).
-//
-// Determinism: every random draw flows through an internal/rng SplitMix64
-// stream whose label is derived from the objective identity (workload
-// shape, layer position, start and budget), so Optimize is a pure function
-// of its arguments — replays, worker pools and odinlint's detflow analysis
-// all see identical candidate sequences. The label deliberately excludes
-// the device age: EDP is age-free and the feasibility ordering is
-// age-invariant, so an age-free stream makes the whole decision a function
-// of the *feasible set* rather than the raw age — the invariant the
-// decision cache (internal/decache) memoizes on.
-type Bayesian struct{}
-
-// Name returns "bo".
-func (Bayesian) Name() string { return "bo" }
 
 // TPE constants: γ is the good-set fraction, boCandidates the number of
 // draws from the good density per iteration, boInit the quasi-random
@@ -64,10 +29,10 @@ type boObservation struct {
 	feasible   bool
 }
 
-// boScratch is the strategy-private buffer set stashed in
-// search.Scratch.Priv so repeated decisions reuse every working slice and
-// the stream generator. With a scratch attached, the TPE loop runs
-// allocation-free in steady state (pinned by TestBOAllocBudget).
+// boScratch is the TPE sampler's buffer set, kept in Scratch so repeated
+// decisions reuse every working slice and the stream generator. With a
+// scratch attached, the TPE loop runs allocation-free in steady state
+// (pinned by TestBOAllocBudget).
 type boScratch struct {
 	evaluated    []bool
 	obs, ranked  []boObservation
@@ -77,11 +42,14 @@ type boScratch struct {
 	src          rng.Source
 }
 
-// boLabel appends the deterministic stream label of one Optimize call to
-// dst. Two decisions with the same workload shape, layer position, start
-// and budget share a stream; the device age is deliberately absent (see
-// the determinism note on Bayesian).
-func boLabel(dst []byte, o search.Objective, start ou.Size, budget int) []byte {
+// boLabel appends the deterministic stream label of one bo search to dst.
+// Two decisions with the same workload shape, layer position, start and
+// budget share a stream; the device age is deliberately absent (see the
+// determinism note on bayesian).
+func boLabel(dst []byte, o *Objective, start ou.Size, budget int) []byte {
+	// "opt/bo/" names the package bo was first written in. The label seeds
+	// the stream, so renaming it would move every bo decision (opt-compare,
+	// ouexplore, the benchmark's core.decide_live_ns.bo): keep it verbatim.
 	dst = append(dst, "opt/bo/"...)
 	dst = strconv.AppendInt(dst, int64(o.Work.Xbars), 10)
 	dst = append(dst, '/')
@@ -101,22 +69,7 @@ func boLabel(dst []byte, o search.Objective, start ou.Size, budget int) []byte {
 	return dst
 }
 
-// scratchFor returns the reusable buffer set, from o.Scratch when one is
-// attached (creating or replacing the strategy-private arena as needed) or
-// freshly allocated otherwise. Results are identical either way.
-func scratchFor(o search.Objective) *boScratch {
-	if o.Scratch == nil {
-		return new(boScratch)
-	}
-	if bs, ok := o.Scratch.Priv(func() any { return new(boScratch) }).(*boScratch); ok {
-		return bs
-	}
-	bs := new(boScratch)
-	o.Scratch.SetPriv(bs)
-	return bs
-}
-
-// reset sizes the working buffers for one Optimize call, reusing capacity.
+// reset sizes the working buffers for one search, reusing capacity.
 func (bs *boScratch) reset(total, budget, n int) {
 	if cap(bs.evaluated) < total {
 		bs.evaluated = make([]bool, total)
@@ -140,8 +93,36 @@ func (bs *boScratch) reset(total, budget, n int) {
 	bs.badR, bs.badC = bs.badR[:n], bs.badC[:n]
 }
 
-// Optimize runs the TPE loop for at most budget candidate evaluations.
-func (Bayesian) Optimize(g ou.Grid, o search.Objective, start ou.Size, budget int) Result {
+// bayesian ("bo") is a TPE-style (tree-structured Parzen estimator)
+// surrogate optimizer over the discrete OU grid, the stdlib-only analogue
+// of the crossbar design-space Bayesian optimization of arXiv 2605.08461.
+//
+// Instead of modelling EDP(x) directly, TPE splits the evaluated
+// candidates into a good set (the lowest-EDP γ fraction) and a bad set,
+// estimates a per-axis kernel density for each (a triangular kernel over
+// the discrete R/C level axes with Laplace smoothing), and evaluates next
+// the unseen grid point maximising the density
+// ratio good(x)/bad(x). Candidates are drawn from the good density, so
+// search effort concentrates where low-EDP evidence accumulates while the
+// smoothing keeps every cell reachable.
+//
+// Budget is the maximum number of candidate evaluations; budget <= 0 uses
+// half the grid (18 on the paper's 6×6 grid — half the EX comparator
+// work). The start point (the controller's feasibility-clamped seed) is
+// always evaluated first, so a feasible start is never lost: on failure to
+// improve, the incumbent is returned (the same guarantee RB gives
+// Algorithm 1).
+//
+// Determinism: every random draw flows through an internal/rng SplitMix64
+// stream whose label is derived from the objective identity (workload
+// shape, layer position, start and budget), so a bo search is a pure
+// function of its arguments — replays, worker pools and odinlint's detflow
+// analysis all see identical candidate sequences. The label deliberately excludes
+// the device age: EDP is age-free and the feasibility ordering is
+// age-invariant, so an age-free stream makes the whole decision a function
+// of the *feasible set* rather than the raw age — the invariant the
+// decision cache (internal/decache) memoizes on.
+func bayesian(g ou.Grid, o Objective, start ou.Size, budget int) Result {
 	n := g.Levels()
 	total := n * n
 	if budget <= 0 {
@@ -150,13 +131,18 @@ func (Bayesian) Optimize(g ou.Grid, o search.Objective, start ou.Size, budget in
 	if budget > total {
 		budget = total
 	}
-	bs := scratchFor(o)
+	var bs *boScratch
+	if o.Scratch != nil {
+		bs = &o.Scratch.bo
+	} else {
+		bs = new(boScratch)
+	}
 	bs.reset(total, budget, n)
-	bs.label = boLabel(bs.label[:0], o, start, budget)
+	bs.label = boLabel(bs.label[:0], &o, start, budget)
 	src := &bs.src
 	src.Reseed(rng.HashBytes(bs.label))
 
-	res := Result{Result: search.Result{BestEDP: math.Inf(1)}}
+	res := Result{BestEDP: math.Inf(1)}
 	evaluate := func(ri, ci int) {
 		s := g.SizeAt(ri, ci)
 		bs.evaluated[ri*n+ci] = true
@@ -164,10 +150,10 @@ func (Bayesian) Optimize(g ou.Grid, o search.Objective, start ou.Size, budget in
 		ob := boObservation{rIdx: ri, cIdx: ci, nf: o.NF(s)}
 		if !o.Feasible(s) {
 			ob.edp = math.NaN()
-			probe(o, s, false, math.NaN())
+			o.probe(s, false, math.NaN())
 		} else {
 			ob.edp, ob.feasible = o.EDP(s), true
-			probe(o, s, true, ob.edp)
+			o.probe(s, true, ob.edp)
 			if ob.edp < res.BestEDP {
 				res.Best, res.BestEDP, res.Found = s, ob.edp, true
 			}

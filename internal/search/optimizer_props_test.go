@@ -1,4 +1,4 @@
-package opt_test
+package search_test
 
 import (
 	"fmt"
@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"odin/internal/check"
-	"odin/internal/opt"
 	"odin/internal/ou"
 	"odin/internal/search"
 )
 
 // optCase is one generated optimizer problem: a per-crossbar workload, a
 // layer position, a device age, a start point and an effort budget —
-// the same shape the search package's suites generate, extended with the
-// budget range the new strategies interpret.
+// searchCase's shape, with the wider budget range bo interprets as an
+// evaluation cap.
 type optCase struct {
 	Xbars, Rows, Cols int
 	Layer, Total      int
@@ -83,7 +82,7 @@ func TestPropBOBudgetAndIncumbent(t *testing.T) {
 	check.Run(t, genOptCase(), func(c optCase) error {
 		o := c.objective()
 		start := grid.SizeAt(c.StartR, c.StartC)
-		res := (opt.Bayesian{}).Optimize(grid, o, start, c.Budget)
+		res := optimizer("bo").Optimize(grid, o, start, c.Budget)
 		maxEvals := c.Budget
 		if total := grid.Levels() * grid.Levels(); maxEvals > total {
 			maxEvals = total
@@ -130,25 +129,25 @@ func TestPropBOSeedReplayable(t *testing.T) {
 			edpBits  uint64
 		}
 		var seqA, seqB []ev
-		var resA, resB opt.Result
+		var resA, resB search.Result
 		{
 			oo := o
 			oo.Probe = func(s ou.Size, feasible bool, edp float64) {
 				seqA = append(seqA, ev{s, feasible, math.Float64bits(edp)})
 			}
-			resA = (opt.Bayesian{}).Optimize(grid, oo, start, c.Budget)
+			resA = optimizer("bo").Optimize(grid, oo, start, c.Budget)
 		}
 		{
 			oo := o
 			oo.Probe = func(s ou.Size, feasible bool, edp float64) {
 				seqB = append(seqB, ev{s, feasible, math.Float64bits(edp)})
 			}
-			resB = (opt.Bayesian{}).Optimize(grid, oo, start, c.Budget)
+			resB = optimizer("bo").Optimize(grid, oo, start, c.Budget)
 		}
 		if resA.Best != resB.Best || resA.Found != resB.Found ||
 			resA.Evaluations != resB.Evaluations ||
 			math.Float64bits(resA.BestEDP) != math.Float64bits(resB.BestEDP) {
-			return fmt.Errorf("bo replay diverged: %+v vs %+v", resA.Result, resB.Result)
+			return fmt.Errorf("bo replay diverged: %+v vs %+v", resA, resB)
 		}
 		if len(seqA) != len(seqB) {
 			return fmt.Errorf("bo replay probe counts diverged: %d vs %d", len(seqA), len(seqB))
@@ -176,14 +175,14 @@ func TestPropParetoFrontContract(t *testing.T) {
 	grid := platform.Grid()
 	check.Run(t, genOptCase(), func(c optCase) error {
 		o := c.objective()
-		res := (opt.Pareto{}).Optimize(grid, o, grid.SizeAt(c.StartR, c.StartC), c.Budget)
+		res := optimizer("pareto").Optimize(grid, o, grid.SizeAt(c.StartR, c.StartC), c.Budget)
 		ex := search.Exhaustive(grid, o)
 		if res.Evaluations != ex.Evaluations {
 			return fmt.Errorf("pareto evaluated %d candidates, want the full grid %d", res.Evaluations, ex.Evaluations)
 		}
 		if res.Found != ex.Found || res.Best != ex.Best ||
 			math.Float64bits(res.BestEDP) != math.Float64bits(ex.BestEDP) {
-			return fmt.Errorf("pareto scalar pick %+v diverges from EX %+v", res.Result, ex)
+			return fmt.Errorf("pareto scalar pick %+v diverges from EX %+v", res, ex)
 		}
 		for i, p := range res.Front {
 			for j, q := range res.Front {
@@ -208,7 +207,7 @@ func TestPropParetoFrontContract(t *testing.T) {
 				continue
 			}
 			cost := o.Cost.Evaluate(o.Work, s)
-			p := opt.Point{Size: s, Energy: cost.Energy, Latency: cost.Latency, NF: o.NF(s), EDP: cost.EDP()}
+			p := search.Point{Size: s, Energy: cost.Energy, Latency: cost.Latency, NF: o.NF(s), EDP: cost.EDP()}
 			dominated := false
 			for _, q := range res.Front {
 				if q.Dominates(p) {
@@ -238,7 +237,7 @@ func TestPropProbeCountsEveryCandidate(t *testing.T) {
 	check.Run(t, genOptCase(), func(c optCase) error {
 		o := c.objective()
 		start := grid.SizeAt(c.StartR, c.StartC)
-		for _, strat := range opt.All() {
+		for _, strat := range search.All() {
 			probes := 0
 			bad := false
 			oo := o
@@ -250,10 +249,10 @@ func TestPropProbeCountsEveryCandidate(t *testing.T) {
 			}
 			res := strat.Optimize(grid, oo, start, c.Budget)
 			if probes != res.Evaluations {
-				return fmt.Errorf("%s probed %d candidates for %d evaluations", strat.Name(), probes, res.Evaluations)
+				return fmt.Errorf("%s probed %d candidates for %d evaluations", strat.Name, probes, res.Evaluations)
 			}
 			if bad {
-				return fmt.Errorf("%s probed a candidate whose feasibility disagrees with its score", strat.Name())
+				return fmt.Errorf("%s probed a candidate whose feasibility disagrees with its score", strat.Name)
 			}
 		}
 		return nil

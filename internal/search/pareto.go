@@ -1,14 +1,34 @@
-package opt
+package search
 
 import (
 	"math"
 
 	"odin/internal/ou"
-	"odin/internal/search"
 )
 
-// Pareto is the multi-objective strategy: instead of collapsing a layer
-// decision to scalar EDP, it scans the full grid and returns the
+// Point is one feasible candidate with the scores the multi-objective
+// front is computed over (the analytical Eq. 1/2 costs and the effective
+// non-ideality at the decision's device age).
+type Point struct {
+	Size    ou.Size
+	Energy  float64 // J
+	Latency float64 // s
+	NF      float64 // effective non-ideality
+	EDP     float64 // J·s (Energy·Latency)
+}
+
+// Dominates reports strict Pareto dominance: p is no worse than q on every
+// objective (energy, latency, NF — all minimised) and strictly better on
+// at least one.
+func (p Point) Dominates(q Point) bool {
+	if p.Energy > q.Energy || p.Latency > q.Latency || p.NF > q.NF {
+		return false
+	}
+	return p.Energy < q.Energy || p.Latency < q.Latency || p.NF < q.NF
+}
+
+// pareto ("pareto") is the multi-objective strategy: instead of collapsing
+// a layer decision to scalar EDP, it scans the full grid and returns the
 // non-dominated front over (energy, latency, non-ideality) — the
 // trade-off surface arXiv 2109.05437 shows a scalar objective hides on
 // exactly this class of crossbar design spaces. Budget and start are
@@ -23,16 +43,8 @@ import (
 // energy and latency are both positive, the EDP minimum is always
 // EDP-tied with a front member (any dominator would have EDP at most as
 // low), which makes the pick a canonical representative of the front.
-type Pareto struct{}
-
-// Name returns "pareto".
-func (Pareto) Name() string { return "pareto" }
-
-// Optimize scans the grid, reporting every candidate through the probe
-// hook, and returns the EX-identical scalar pick plus the non-dominated
-// front in row-major grid order.
-func (Pareto) Optimize(g ou.Grid, o search.Objective, _ ou.Size, _ int) Result {
-	res := Result{Result: search.Result{BestEDP: math.Inf(1)}}
+func pareto(g ou.Grid, o Objective, _ ou.Size, _ int) Result {
+	res := Result{BestEDP: math.Inf(1)}
 	n := g.Levels()
 	feasible := make([]Point, 0, n*n)
 	for ri := 0; ri < n; ri++ {
@@ -40,13 +52,13 @@ func (Pareto) Optimize(g ou.Grid, o search.Objective, _ ou.Size, _ int) Result {
 			s := g.SizeAt(ri, ci)
 			res.Evaluations++
 			if !o.Feasible(s) {
-				probe(o, s, false, math.NaN())
+				o.probe(s, false, math.NaN())
 				continue
 			}
 			cost := o.Cost.Evaluate(o.Work, s)
 			p := Point{Size: s, Energy: cost.Energy, Latency: cost.Latency,
 				NF: o.NF(s), EDP: cost.EDP()}
-			probe(o, s, true, p.EDP)
+			o.probe(s, true, p.EDP)
 			if p.EDP < res.BestEDP {
 				res.Best, res.BestEDP, res.Found = s, p.EDP, true
 			}

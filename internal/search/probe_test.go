@@ -2,6 +2,7 @@ package search_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"odin/internal/ou"
@@ -45,7 +46,7 @@ func TestProbeObservesEveryEvaluation(t *testing.T) {
 			}
 			res := tc.run(probed)
 
-			if res != base {
+			if !reflect.DeepEqual(res, base) {
 				t.Fatalf("probe changed the search result: %+v vs %+v", res, base)
 			}
 			if len(got) != res.Evaluations {

@@ -3,21 +3,33 @@
 // non-ideality constraint, find the OU size (R×C)* minimising EDP subject
 // to ΔG < η.
 //
-// Two strategies are provided, matching the paper's §V.B comparison:
+// Four strategies are registered, in presentation order (the order tables
+// and CLIs enumerate them in), and ByName resolves one by name:
 //
-//   - Exhaustive (EX): evaluate every size on the discrete grid (36 configs
-//     on a 128×128 crossbar). Highest quality, ~3× the comparator work.
-//   - ResourceBounded (RB): greedy local search seeded at the policy's
+//   - "rb": ResourceBounded, greedy local search seeded at the policy's
 //     prediction, taking at most K (paper: 3) ±1 steps in the level grid
 //     and evaluating only the step neighbourhood — the low-overhead option
-//     Odin uses online.
+//     Odin uses online (§V.B "RB"). Budget = K; <= 0 is the paper's K = 3.
+//   - "ex": Exhaustive, every size on the discrete grid (36 configs on a
+//     128×128 crossbar). Highest quality, ~3× the comparator work (§V.B
+//     "EX"). Start and budget are ignored.
+//   - "bo": a TPE-style Bayesian optimizer over the discrete grid (bo.go;
+//     budget = max candidate evaluations, default half the grid),
+//     following the surrogate-search line of arXiv 2605.08461.
+//   - "pareto": a multi-objective scan returning the non-dominated
+//     (energy, latency, NF) front (pareto.go; budget ignored), following
+//     arXiv 2109.05437; its single pick is the scalar-EDP minimum, the
+//     same one EX makes.
 //
-// Both report how many candidate evaluations they performed so the §V.B
-// timing-overhead comparison can be reproduced.
+// Every strategy reports its candidate-evaluation count and feeds each
+// evaluation through Objective.Probe, so the §V.B timing-overhead
+// comparison and the decision-audit log work identically for all of them.
 package search
 
 import (
+	"fmt"
 	"math"
+	"sort"
 
 	"odin/internal/accuracy"
 	"odin/internal/ou"
@@ -52,37 +64,21 @@ type Objective struct {
 
 	// Scratch, when non-nil, lends the search reusable buffers so the
 	// candidate-evaluation hot path runs allocation-free (pinned by
-	// TestSearchAllocFree / the opt alloc tests). Purely observational:
-	// results are bit-identical with or without it. One Scratch must not be
-	// shared by concurrent searches.
+	// TestSearchAllocFree, TestOptAllocFree and TestBOAllocBudget).
+	// Purely observational: results are bit-identical with or without it.
+	// One Scratch must not be shared by concurrent searches.
 	Scratch *Scratch
 }
 
 // Scratch is a reusable per-searcher arena. The stateless strategies (RB,
-// EX) need no buffers at all; allocating strategies (the TPE sampler)
-// stash a strategy-private buffer set here via Priv so repeated decisions
-// on one controller reuse it.
+// EX, Pareto) need no buffers at all; the TPE sampler keeps its working
+// set here so repeated decisions on one controller reuse it.
 type Scratch struct {
-	priv any
+	bo boScratch
 }
 
 // NewScratch returns an empty arena.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// Priv returns the strategy-private buffer set, creating it with mk on
-// first use. Callers must type-assert the result and fall back to a fresh
-// allocation on mismatch (a Scratch previously lent to a different
-// strategy), so sharing one Scratch across strategies stays correct —
-// merely less efficient.
-func (sc *Scratch) Priv(mk func() any) any {
-	if sc.priv == nil {
-		sc.priv = mk()
-	}
-	return sc.priv
-}
-
-// SetPriv replaces the strategy-private buffer set (used on type mismatch).
-func (sc *Scratch) SetPriv(v any) { sc.priv = v }
 
 // probe reports one candidate evaluation to the audit hook, if any.
 func (o *Objective) probe(s ou.Size, feasible bool, edp float64) {
@@ -130,12 +126,79 @@ func ClampFeasible(g ou.Grid, o Objective, start ou.Size) ou.Size {
 	}
 }
 
-// Result is the outcome of a search.
+// Result is the outcome of a search. Front is non-nil only for the
+// multi-objective strategy and lists the non-dominated candidates in grid
+// (row-major) order.
 type Result struct {
 	Best        ou.Size
 	BestEDP     float64
 	Found       bool // false when no evaluated size satisfies the constraint
 	Evaluations int  // candidate evaluations performed (comparator work)
+	Front       []Point
+}
+
+// StrategyDegraded is the audit/trace strategy string the controller uses
+// when no OU size satisfies η and the layer runs degraded at the smallest
+// grid size. It is a controller condition, not an optimizer, so it is the
+// one strategy name outside the registry.
+const StrategyDegraded = "degraded"
+
+// EX is the exhaustive scan's registry name, the strategy a low-confidence
+// decision escalates to.
+const EX = "ex"
+
+// Optimizer is one registered line-6 strategy. Optimize finds an OU size
+// for the layer objective o on grid g, seeded at start (already
+// feasibility-clamped by the controller) and bounded by budget, the
+// strategy's effort knob as the package comment lists (<= 0 selects the
+// strategy default). Every Optimize is a pure function of its arguments
+// (no hidden state, randomness only via internal/rng streams labelled
+// from the objective) so that replays are byte-identical at any worker
+// count.
+//
+// Name is the registry name; the controller stamps it into decision-audit
+// records and trace spans verbatim.
+type Optimizer struct {
+	Name     string
+	Optimize func(g ou.Grid, o Objective, start ou.Size, budget int) Result
+}
+
+// registry lists every strategy in presentation order.
+var registry = []Optimizer{
+	{"rb", func(g ou.Grid, o Objective, start ou.Size, budget int) Result {
+		if budget <= 0 {
+			budget = 3 // the paper's K
+		}
+		return ResourceBounded(g, o, start, budget)
+	}},
+	{EX, func(g ou.Grid, o Objective, _ ou.Size, _ int) Result { return Exhaustive(g, o) }},
+	{"bo", bayesian},
+	{"pareto", pareto},
+}
+
+// All returns every registered optimizer in presentation order.
+func All() []Optimizer { return append([]Optimizer(nil), registry...) }
+
+// Names returns the registered strategy names in presentation order.
+func Names() []string {
+	out := make([]string, len(registry))
+	for i, o := range registry {
+		out[i] = o.Name
+	}
+	return out
+}
+
+// ByName returns the registered optimizer with the given name, or an error
+// listing the valid names (sorted, for a stable message).
+func ByName(name string) (Optimizer, error) {
+	for _, o := range registry {
+		if o.Name == name {
+			return o, nil
+		}
+	}
+	names := Names()
+	sort.Strings(names)
+	return Optimizer{}, fmt.Errorf("search: unknown optimizer %q (have %v)", name, names)
 }
 
 // Exhaustive scans the whole grid and returns the feasible size with the

@@ -9,6 +9,7 @@ import (
 	"odin/internal/clock"
 	"odin/internal/core"
 	"odin/internal/decache"
+	"odin/internal/obs"
 	"odin/internal/policy"
 )
 
@@ -96,6 +97,38 @@ func TestReplayCachedByteIdentical(t *testing.T) {
 		}
 		if math.Float64bits(got.Latency) != math.Float64bits(base.Latency) {
 			t.Errorf("workers=%d cached latency %g, want bit-identical %g", workers, got.Latency, base.Latency)
+		}
+	}
+}
+
+// TestDecisionCacheOnlyWhenChipsCache pins what Server.DecisionCache
+// reports when the config names a cache: that same cache when the chips
+// memoize into it, and nil when they search live — with the cache switched
+// off, or with an audit log, which asks for live searches.
+func TestDecisionCacheOnlyWhenChipsCache(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		opts   core.ControllerOptions
+		caches bool
+	}{
+		{"disabled", core.ControllerOptions{DisableDecisionCache: true}, false},
+		{"audited", core.ControllerOptions{Audit: obs.NewAuditLog()}, false},
+		{"caching", core.ControllerOptions{}, true},
+	} {
+		cache := decache.New()
+		tc.opts.Cache = cache
+		s, err := NewServer(Config{Clock: clock.NewVirtual(0), Controller: tc.opts,
+			Chips: []ChipConfig{{Custom: tinyModel("tiny"), Seed: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.DecisionCache()
+		if tc.caches && got != cache {
+			t.Errorf("%s: DecisionCache() = %p, want the configured cache %p", tc.name, got, cache)
+		}
+		if !tc.caches && got != nil {
+			t.Errorf("%s: DecisionCache() = %p, want nil: no chip reads it", tc.name, got)
 		}
 	}
 }

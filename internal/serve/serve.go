@@ -944,6 +944,12 @@ func (s *Server) RouterName() string { return s.router.String() }
 // Registry returns the metrics registry serving this fleet.
 func (s *Server) Registry() *telemetry.Registry { return s.cfg.Registry }
 
-// DecisionCache returns the fleet-shared decision cache (nil when caching
-// is disabled).
-func (s *Server) DecisionCache() *decache.Cache { return s.cfg.Controller.Cache }
+// DecisionCache returns the decision cache the fleet's chips share: nil
+// when they search live (Controller.Caches() is false), even if
+// Controller.Cache names one.
+func (s *Server) DecisionCache() *decache.Cache {
+	if !s.cfg.Controller.Caches() {
+		return nil
+	}
+	return s.cfg.Controller.Cache
+}

@@ -3,6 +3,7 @@ package odin
 import (
 	"math"
 	"os"
+	"reflect"
 	"testing"
 
 	"odin/internal/core"
@@ -103,7 +104,7 @@ func TestDisabledObsOverheadGuard(t *testing.T) {
 	start := search.ClampFeasible(grid, obj, predicted)
 	got := search.ResourceBounded(grid, obj, start, 3)
 	want := referenceRB(grid, obj, start, 3)
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("instrumented search diverged from reference: %+v vs %+v", got, want)
 	}
 
