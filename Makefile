@@ -85,6 +85,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEventsResume$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzPolicyUnmarshal$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/policy
 	$(GO) test -run='^$$' -fuzz='^FuzzNetworkUnmarshal$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mlp
+	$(GO) test -run='^$$' -fuzz='^FuzzLogHandler$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/obs
 
 # The decision-log checksum the 1024-chip smoke replay below must print.
 # Comparing worker counts alone would pass a routing change that moves

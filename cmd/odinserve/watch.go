@@ -208,7 +208,7 @@ func render(w io.Writer, st serve.Statusz) {
 			p50, p99 = strconv.FormatFloat(c.P50*1e3, 'f', 2, 64), strconv.FormatFloat(c.P99*1e3, 'f', 2, 64)
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%s\t%s\t%.3f\t%s\t%d\t%d\t%d\t%d\t%s\n",
-			c.Chip, c.Model, c.Queue, p50, p99, c.Age, driftVerdict(c.DriftFrac),
+			c.Chip, c.Model, c.Queue, p50, p99, c.Age, driftVerdict(c.DriftFrac, st.DriftMargin),
 			c.Reprograms, c.Served, c.Sheds, c.Evaluations, c.Strategy)
 	}
 	_ = tw.Flush()
@@ -218,13 +218,13 @@ func render(w io.Writer, st serve.Statusz) {
 
 // driftVerdict renders the chip's position against its forced-reprogram
 // deadline the way the drift router judges it: the filled fraction, with a
-// "near" marker once past serve.DefaultDriftMargin.
-func driftVerdict(frac float64) string {
+// "near" marker once past the server's drift margin.
+func driftVerdict(frac, margin float64) string {
 	if frac <= 0 {
 		return "-"
 	}
 	v := strconv.FormatFloat(100*frac, 'f', 0, 64) + "%"
-	if frac >= serve.DefaultDriftMargin {
+	if frac >= margin {
 		v += " near"
 	}
 	return v

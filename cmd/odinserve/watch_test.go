@@ -112,6 +112,36 @@ func TestWatchCountsBackfillOnce(t *testing.T) {
 	}
 }
 
+// TestWatchNearUsesServerMargin: under -drift-margin 0.5 the drift router
+// steers arrivals away from a chip at 60% of its forced-reprogram
+// deadline, so the dashboard must mark that chip "near". The margin comes
+// from the server's /statusz, not from serve.DefaultDriftMargin.
+func TestWatchNearUsesServerMargin(t *testing.T) {
+	t.Parallel()
+	s, err := serve.NewServer(serve.Config{
+		Chips:       []serve.ChipConfig{{Model: "VGG11"}},
+		Clock:       clock.NewVirtual(0),
+		Router:      "drift",
+		DriftMargin: 0.5,
+		Pulse:       pulse.New(pulse.Options{Ring: 64}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.NewHandler(s))
+	t.Cleanup(ts.Close)
+	st, err := fetchStatus(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Chips = []pulse.ChipStatus{{Chip: 0, Model: "VGG11", DriftFrac: 0.6}}
+	var out bytes.Buffer
+	render(&out, st)
+	if !strings.Contains(out.String(), "60% near") {
+		t.Fatalf("a chip at 60%% drift under margin 0.5 is not marked near:\n%s", out.String())
+	}
+}
+
 // serveAndSettle serves n requests one after another and waits until
 // /statusz shows them: a response is delivered before its batch event is
 // published.

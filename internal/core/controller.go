@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"slices"
 	"strings"
@@ -308,9 +309,9 @@ func (c *Controller) Reprogram(t float64) (energy, latency float64) {
 	c.reprograms++
 	if c.opts.Tracer.Enabled() {
 		c.opts.Tracer.At("reprogram", c.opts.TraceTrack, t, t+latency, nil,
-			obs.Int("passes", 1),
-			obs.Float("energy", energy),
-			obs.String("cause", "maintenance"))
+			slog.Int("passes", 1),
+			slog.Float64("energy", energy),
+			slog.String("cause", "maintenance"))
 	}
 	return energy, latency
 }
@@ -521,32 +522,32 @@ func (c *Controller) decideLayer(j int, age, amp float64) layerOutcome {
 func (c *Controller) recordRunSpans(rep RunReport) {
 	tr, track := c.opts.Tracer, c.opts.TraceTrack
 	run := tr.At("run", track, rep.Time, rep.Time+rep.Latency, nil,
-		obs.String("model", c.wl.Model.Name),
-		obs.Float("age", rep.Age),
-		obs.Int("evals", rep.SearchEvaluations),
-		obs.Float("energy", rep.Energy),
-		obs.Float("accuracy", rep.Accuracy))
+		slog.String("model", c.wl.Model.Name),
+		slog.Float64("age", rep.Age),
+		slog.Int("evals", rep.SearchEvaluations),
+		slog.Float64("energy", rep.Energy),
+		slog.Float64("accuracy", rep.Accuracy))
 	cm := c.sys.Arch.CostModel()
 	cursor := rep.Time
 	for j, s := range rep.Sizes {
 		cost := cm.Evaluate(c.wl.Works[j], s)
 		end := cursor + cost.Latency
 		tr.At("layer", track, cursor, end, run,
-			obs.Int("layer", j),
-			obs.String("ou", s.String()),
-			obs.String("strategy", c.outs[j].strategy),
-			obs.Int("evals", c.outs[j].evaluations),
-			obs.Float("energy", cost.Energy),
-			obs.Int("cycles", cost.Cycles))
+			slog.Int("layer", j),
+			slog.String("ou", s.String()),
+			slog.String("strategy", c.outs[j].strategy),
+			slog.Int("evals", c.outs[j].evaluations),
+			slog.Float64("energy", cost.Energy),
+			slog.Int("cycles", cost.Cycles))
 		cursor = end
 	}
 	tr.At("noc", track, cursor, cursor+c.wl.NoCLatency, run,
-		obs.Float("energy", c.wl.NoCEnergy))
+		slog.Float64("energy", c.wl.NoCEnergy))
 	if rep.Reprogrammed {
 		tr.At("reprogram", track, rep.Time+rep.Latency,
 			rep.Time+rep.Latency+rep.ReprogramLatency, nil,
-			obs.Int("passes", rep.ReprogramPasses),
-			obs.Float("energy", rep.ReprogramEnergy))
+			slog.Int("passes", rep.ReprogramPasses),
+			slog.Float64("energy", rep.ReprogramEnergy))
 	}
 }
 

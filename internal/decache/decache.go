@@ -95,8 +95,8 @@ type Options struct {
 type Counters struct {
 	DecisionHits, DecisionMisses uint64
 	// PredictHits and PredictMisses are always 0: there is no prediction
-	// memo any more. The repository benchmark still reads them; its next
-	// change (ROADMAP item 2) deletes them.
+	// memo any more. The repository benchmark still reads them; the next
+	// benchmark change deletes them.
 	PredictHits, PredictMisses uint64
 	Flushes                    uint64
 }
@@ -124,8 +124,8 @@ func NewWith(opts Options) *Cache {
 		c.misses = r.Counter("odin_decache_decision_misses_total",
 			"line-6 decisions computed and stored by the decision cache")
 		// The predict families stay at 0: the prediction memo is gone,
-		// and the repository benchmark still scrapes them until its
-		// next change (ROADMAP item 2) deletes them.
+		// and the repository benchmark still scrapes them until the
+		// next benchmark change deletes them.
 		const zero = "always 0, no prediction memo exists; the benchmark-side change of ROADMAP item 2 deletes this family"
 		r.Counter("odin_decache_predict_hits_total", zero)
 		r.Counter("odin_decache_predict_misses_total", zero)

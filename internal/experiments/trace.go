@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"strings"
 
 	"odin/internal/core"
@@ -78,12 +79,12 @@ func RunTrace(opts TraceOptions) (*TraceResult, error) {
 	// execute against.
 	for j, lm := range wl.Mappings {
 		tr.At("mapping", -1, 0, 0, nil,
-			obs.Int("layer", j),
-			obs.String("name", model.Layers[j].Name),
-			obs.Int("xbars", lm.Xbars),
-			obs.Int("rows", lm.RowsUsed),
-			obs.Int("cols", lm.ColsUsed),
-			obs.Int("cells", lm.CellsNonZero))
+			slog.Int("layer", j),
+			slog.String("name", model.Layers[j].Name),
+			slog.Int("xbars", lm.Xbars),
+			slog.Int("rows", lm.RowsUsed),
+			slog.Int("cols", lm.ColsUsed),
+			slog.Int("cells", lm.CellsNonZero))
 	}
 
 	res := &TraceResult{

@@ -12,9 +12,10 @@ import (
 // the "JSON Array with metadata" form chrome://tracing and Perfetto load
 // directly. Each span becomes one complete ("ph":"X") event: timestamps in
 // microseconds on the clock's virtual time base, the span's track as the
-// thread id (one lane per track), and the typed attributes plus the
-// canonical span/parent ids under "args". Output is byte-identical for a
-// given span set regardless of recording interleaving (see snapshot).
+// thread id (one lane per track), and the span's attributes plus the
+// canonical span/parent ids under "args" (numbers and bools bare, other
+// kinds as strings). Output is byte-identical for a given span set
+// regardless of recording interleaving (see snapshot).
 //
 // A nil Tracer writes an empty (but valid) trace.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
@@ -57,7 +58,7 @@ func chromeEvent(r record) string {
 		sb.WriteByte(',')
 		sb.WriteString(strconv.Quote(a.Key))
 		sb.WriteByte(':')
-		sb.WriteString(a.jsonValue())
+		sb.WriteString(jsonValue(a.Value))
 	}
 	sb.WriteString("}}")
 	return sb.String()
@@ -118,9 +119,9 @@ func (t *Tracer) FlameSummary() []FlameRow {
 		row := byName[name]
 		ds := durs[name]
 		sort.Float64s(ds)
-		row.P50 = exactQuantile(ds, 0.50)
-		row.P90 = exactQuantile(ds, 0.90)
-		row.P99 = exactQuantile(ds, 0.99)
+		row.P50 = ExactQuantile(ds, 0.50)
+		row.P90 = ExactQuantile(ds, 0.90)
+		row.P99 = ExactQuantile(ds, 0.99)
 		out = append(out, *row)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -137,9 +138,11 @@ func (t *Tracer) FlameSummary() []FlameRow {
 	return out
 }
 
-// exactQuantile returns the q-quantile of an ascending-sorted sample by
-// the nearest-rank method (deterministic, no interpolation).
-func exactQuantile(sorted []float64, q float64) float64 {
+// ExactQuantile returns the q-quantile of an ascending-sorted sample by
+// the nearest-rank method (deterministic, no interpolation); 0 for an
+// empty sample. The flame summary and the fleet experiment's sojourn
+// quantiles both use it.
+func ExactQuantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

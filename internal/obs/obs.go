@@ -4,13 +4,14 @@
 //
 // # Span model
 //
-// A Span is a named time interval with typed attributes, an optional
-// parent, and a track (the horizontal lane it renders on — one per chip in
-// the serving layer). A Tracer records each span with explicit virtual
-// start and end times (At) and exports them two ways (export.go): Chrome
-// trace-event JSON, loadable in chrome://tracing and Perfetto, and a
-// deterministic text flame summary (self/total time plus exact
-// p50/p90/p99 per span name).
+// A Span is a named time interval with slog attributes (built with
+// slog.String, slog.Int, slog.Float64, ...), an optional parent, and a
+// track (the horizontal lane it renders on — one per chip in the serving
+// layer). A Tracer records each span with explicit virtual start and end
+// times (At) and exports them two ways (export.go): Chrome trace-event
+// JSON, loadable in chrome://tracing and Perfetto, and a deterministic
+// text flame summary (self/total time plus exact p50/p90/p99 per span
+// name).
 //
 // # Determinism
 //
@@ -39,71 +40,23 @@
 // renders it as an attribution table. Only callers that ask for it pay for
 // it: the serving layer's decision events summarise each batch's
 // core.RunReport instead of an audit record.
+//
+// # Logging
+//
+// LogHandler (slog.go) is slog.TextHandler behind a virtual-time stamp:
+// the standard library renders every key=value pair, and the handler puts
+// the time of the action a line reports in front of it. Spans and log
+// lines carry the same attribute type, slog.Attr.
 package obs
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 )
-
-// Attr is one typed span attribute. Construct with String, Int, Float or
-// Bool; the zero Attr renders as an empty string value.
-type Attr struct {
-	Key string
-
-	kind  byte // 's', 'i', 'f', 'b'
-	str   string
-	num   float64
-	inum  int64
-	truth bool
-}
-
-// String returns a string-valued attribute.
-func String(key, value string) Attr { return Attr{Key: key, kind: 's', str: value} }
-
-// Int returns an integer-valued attribute.
-func Int(key string, value int) Attr { return Attr{Key: key, kind: 'i', inum: int64(value)} }
-
-// Int64 returns an integer-valued attribute from an int64.
-func Int64(key string, value int64) Attr { return Attr{Key: key, kind: 'i', inum: value} }
-
-// Float returns a float-valued attribute.
-func Float(key string, value float64) Attr { return Attr{Key: key, kind: 'f', num: value} }
-
-// Bool returns a boolean-valued attribute.
-func Bool(key string, value bool) Attr { return Attr{Key: key, kind: 'b', truth: value} }
-
-// value renders the attribute value in its canonical text form (floats in
-// shortest round-trippable decimal, like the telemetry exposition).
-func (a Attr) value() string {
-	switch a.kind {
-	case 's':
-		return a.str
-	case 'i':
-		return strconv.FormatInt(a.inum, 10)
-	case 'f':
-		return strconv.FormatFloat(a.num, 'g', -1, 64)
-	case 'b':
-		return strconv.FormatBool(a.truth)
-	}
-	return ""
-}
-
-// jsonValue renders the attribute value as a JSON literal.
-func (a Attr) jsonValue() string {
-	switch a.kind {
-	case 'i':
-		return strconv.FormatInt(a.inum, 10)
-	case 'f':
-		return jsonFloat(a.num)
-	case 'b':
-		return strconv.FormatBool(a.truth)
-	}
-	return strconv.Quote(a.str)
-}
 
 // Span is a handle to one recorded interval. Handles exist so children
 // can reference their parent; all state lives in the Tracer. A nil *Span
@@ -118,7 +71,7 @@ type record struct {
 	name       string
 	track      int
 	start, end float64
-	attrs      []Attr
+	attrs      []slog.Attr
 }
 
 // Tracer collects spans. Create with New (unbounded) or NewRing (keep the
@@ -156,7 +109,7 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // virtual execution window, a layer's share of a run's latency — and
 // returns a handle usable as a parent for later children. On a nil
 // Tracer, At returns nil.
-func (t *Tracer) At(name string, track int, start, end float64, parent *Span, attrs ...Attr) *Span {
+func (t *Tracer) At(name string, track int, start, end float64, parent *Span, attrs ...slog.Attr) *Span {
 	if t == nil {
 		return nil
 	}
@@ -235,16 +188,30 @@ func (t *Tracer) snapshot() []record {
 	return out
 }
 
-// attrsKey renders attributes as a compact sort key.
-func attrsKey(attrs []Attr) string {
+// attrsKey renders attributes as a compact sort key. Value.String writes
+// ints in base 10, floats in the shortest 'g' form and bools as
+// true/false.
+func attrsKey(attrs []slog.Attr) string {
 	var sb strings.Builder
 	for _, a := range attrs {
 		sb.WriteString(a.Key)
 		sb.WriteByte('=')
-		sb.WriteString(a.value())
+		sb.WriteString(a.Value.String())
 		sb.WriteByte(';')
 	}
 	return sb.String()
+}
+
+// jsonValue renders an attribute value as a JSON literal: numbers and
+// bools bare, every other kind as a quoted string.
+func jsonValue(v slog.Value) string {
+	switch v.Kind() {
+	case slog.KindInt64, slog.KindUint64, slog.KindBool:
+		return v.String()
+	case slog.KindFloat64:
+		return jsonFloat(v.Float64())
+	}
+	return strconv.Quote(v.String())
 }
 
 // jsonFloat renders a float as a JSON literal (shortest round-trippable

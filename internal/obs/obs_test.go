@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -37,7 +38,7 @@ func TestRingEvictsOldest(t *testing.T) {
 	t.Parallel()
 	tr := NewRing(3)
 	for i := 0; i < 5; i++ {
-		tr.At("s", 0, float64(i), float64(i)+1, nil, Int("i", i))
+		tr.At("s", 0, float64(i), float64(i)+1, nil, slog.Int("i", i))
 	}
 	if tr.Len() != 3 {
 		t.Fatalf("ring holds %d, want 3", tr.Len())
@@ -77,7 +78,7 @@ func TestCanonicalExportOrderIndependence(t *testing.T) {
 			if s.name == "request" {
 				parent = parents[s.track]
 			}
-			sp := tr.At(s.name, s.track, s.start, s.end, parent, Int("k", s.attr))
+			sp := tr.At(s.name, s.track, s.start, s.end, parent, slog.Int("k", s.attr))
 			if s.name == "batch" {
 				parents[s.track] = sp
 			}
@@ -114,7 +115,7 @@ func TestCanonicalExportOrderIndependence(t *testing.T) {
 func TestChromeTraceShape(t *testing.T) {
 	t.Parallel()
 	tr := New()
-	tr.At("run", 0, 1.5, 2.5, nil, String("model", "VGG11"), Int("layers", 11), Bool("ok", true))
+	tr.At("run", 0, 1.5, 2.5, nil, slog.String("model", "VGG11"), slog.Int("layers", 11), slog.Bool("ok", true))
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func TestConcurrentRecordingIsRaceFreeAndComplete(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				tr.At("op", w, float64(i), float64(i)+1, nil, Int("worker", w), Int("i", i))
+				tr.At("op", w, float64(i), float64(i)+1, nil, slog.Int("worker", w), slog.Int("i", i))
 			}
 		}()
 	}
@@ -199,26 +200,26 @@ func TestConcurrentRecordingIsRaceFreeAndComplete(t *testing.T) {
 func TestAttrRendering(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
-		a    Attr
+		a    slog.Attr
 		text string
 		js   string
 	}{
-		{String("k", `a"b`), `a"b`, `"a\"b"`},
-		{Int("k", -3), "-3", "-3"},
-		{Int64("k", 1<<40), "1099511627776", "1099511627776"},
-		{Float("k", 0.25), "0.25", "0.25"},
-		{Bool("k", true), "true", "true"},
+		{slog.String("k", `a"b`), `a"b`, `"a\"b"`},
+		{slog.Int("k", -3), "-3", "-3"},
+		{slog.Int64("k", 1<<40), "1099511627776", "1099511627776"},
+		{slog.Float64("k", 0.25), "0.25", "0.25"},
+		{slog.Bool("k", true), "true", "true"},
 	} {
-		if got := tc.a.value(); got != tc.text {
-			t.Errorf("value(%+v) = %q, want %q", tc.a, got, tc.text)
+		if got := attrsKey([]slog.Attr{tc.a}); got != "k="+tc.text+";" {
+			t.Errorf("attrsKey(%v) = %q, want %q", tc.a, got, "k="+tc.text+";")
 		}
-		if got := tc.a.jsonValue(); got != tc.js {
-			t.Errorf("jsonValue(%+v) = %q, want %q", tc.a, got, tc.js)
+		if got := jsonValue(tc.a.Value); got != tc.js {
+			t.Errorf("jsonValue(%v) = %q, want %q", tc.a, got, tc.js)
 		}
 	}
 	// NaN must not corrupt the JSON document.
 	tr := New()
-	tr.At("x", 0, 0, 1, nil, Float("edp", math.NaN()))
+	tr.At("x", 0, 0, 1, nil, slog.Float64("edp", math.NaN()))
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)

@@ -232,8 +232,8 @@ func (s *Server) process(req *Request) {
 			s.met.tenantShed.With(ten.label).Inc()
 			if tr := s.cfg.Tracer; tr.Enabled() {
 				tr.At("quota-shed", mi.chips[0].id, t, t, nil,
-					obs.Int64("request", int64(req.ID)),
-					obs.String("tenant", ten.label))
+					slog.Int64("request", int64(req.ID)),
+					slog.String("tenant", ten.label))
 			}
 			if p := s.cfg.Pulse; p.Enabled() {
 				p.Publish(pulse.Event{Kind: pulse.KindShed, Time: t, Chip: -1,
@@ -270,8 +270,8 @@ func (s *Server) process(req *Request) {
 		// the marker's content is deterministic.
 		if tr := s.cfg.Tracer; tr.Enabled() {
 			tr.At("shed", c.id, t, t, nil,
-				obs.Int64("request", int64(req.ID)),
-				obs.String("model", req.Model))
+				slog.Int64("request", int64(req.ID)),
+				slog.String("model", req.Model))
 		}
 		if p := s.cfg.Pulse; p.Enabled() {
 			ev := pulse.Event{Kind: pulse.KindShed, Time: t, Chip: c.id,
@@ -338,8 +338,8 @@ func (s *Server) evictFor(c *chip, req *Request, t float64) {
 	}
 	if tr := s.cfg.Tracer; tr.Enabled() {
 		tr.At("evict", c.id, t, t, nil,
-			obs.Int64("request", int64(victim.ID)),
-			obs.Int64("by", int64(req.ID)))
+			slog.Int64("request", int64(victim.ID)),
+			slog.Int64("by", int64(req.ID)))
 	}
 	if p := s.cfg.Pulse; p.Enabled() {
 		ev := pulse.Event{Kind: pulse.KindShed, Time: t, Chip: c.id,
@@ -574,19 +574,19 @@ func (s *Server) finishBatch(b *batch) {
 	var span *obs.Span
 	if tr := s.cfg.Tracer; tr.Enabled() {
 		span = tr.At("batch", c.id, b.start, b.finish, nil,
-			obs.String("model", c.model),
-			obs.Int64("batch", int64(b.id)),
-			obs.Int("size", len(b.reqs)),
-			obs.Float("energy", rep.BatchEnergy()),
-			obs.Bool("reprogrammed", rep.Reprogrammed))
+			slog.String("model", c.model),
+			slog.Int64("batch", int64(b.id)),
+			slog.Int("size", len(b.reqs)),
+			slog.Float64("energy", rep.BatchEnergy()),
+			slog.Bool("reprogrammed", rep.Reprogrammed))
 	}
 	for i, r := range b.reqs {
 		wait := b.start + float64(i)*rep.Latency - r.Arrival
 		if span != nil {
 			s.cfg.Tracer.At("request", c.id,
 				r.Arrival, b.start+float64(i+1)*rep.Latency, span,
-				obs.Int64("request", int64(r.ID)),
-				obs.Float("wait", wait))
+				slog.Int64("request", int64(r.ID)),
+				slog.Float64("wait", wait))
 		}
 		r.respond(Response{
 			ID:           r.ID,

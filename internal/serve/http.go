@@ -341,10 +341,12 @@ func chipIDGuard(mux *http.ServeMux) http.Handler {
 }
 
 // Statusz is the GET /statusz body: the pulse bus's fleet snapshot plus the
-// routing policy and whether the server is draining.
+// routing policy, the drift margin it steers by (Config.DriftMargin, or
+// DefaultDriftMargin) and whether the server is draining.
 type Statusz struct {
-	Router   string `json:"router"`
-	Draining bool   `json:"draining"`
+	Router      string  `json:"router"`
+	DriftMargin float64 `json:"drift_margin"`
+	Draining    bool    `json:"draining"`
 	pulse.Status
 }
 
@@ -364,7 +366,7 @@ type Statusz struct {
 func registerPulse(mux *http.ServeMux, s *Server) {
 	p := s.cfg.Pulse
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Statusz{s.RouterName(), s.Draining(), p.Snapshot()})
+		writeJSON(w, http.StatusOK, Statusz{s.RouterName(), s.margin, s.Draining(), p.Snapshot()})
 	})
 	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
 		kinds := pulse.AllKinds

@@ -321,8 +321,8 @@ func TestHTTPEventsStream(t *testing.T) {
 	}
 }
 
-// TestHTTPStatusz pins the snapshot surface: router identity, draining
-// flag, and per-chip series rows.
+// TestHTTPStatusz pins the snapshot surface: router identity, the drift
+// margin in force, draining flag, and per-chip series rows.
 func TestHTTPStatusz(t *testing.T) {
 	t.Parallel()
 	s, bus, _ := pulseServer(t, pulse.Options{})
@@ -336,14 +336,15 @@ func TestHTTPStatusz(t *testing.T) {
 		t.Fatalf("GET /statusz = %d (%s)", rec.Code, rec.Body.String())
 	}
 	var st struct {
-		Router   string `json:"router"`
-		Draining bool   `json:"draining"`
+		Router      string  `json:"router"`
+		DriftMargin float64 `json:"drift_margin"`
+		Draining    bool    `json:"draining"`
 		pulse.Status
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("statusz not JSON: %v (%s)", err, rec.Body.String())
 	}
-	if st.Router == "" || st.Draining {
+	if st.Router == "" || st.DriftMargin != DefaultDriftMargin || st.Draining {
 		t.Fatalf("statusz head = %+v", st)
 	}
 	if len(st.Chips) != 1 || st.Chips[0].Model != "tiny" || st.Chips[0].Served != 2 {

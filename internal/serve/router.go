@@ -62,8 +62,8 @@ func parseRouter(name string) (router, error) {
 
 // DefaultDriftMargin is the fraction of a chip's forced-reprogram deadline
 // at which the drift-aware router starts steering arrivals away from it
-// (Config.DriftMargin overrides it). Exported so dashboards (`odinserve
-// watch`) can compute the same near-deadline verdict client-side.
+// (Config.DriftMargin overrides it). GET /statusz reports the margin in
+// force, which `odinserve watch` marks chips "near" by.
 const DefaultDriftMargin = 0.85
 
 // modelIndex is the dispatcher's routing index over the live chips hosting
